@@ -174,10 +174,6 @@ def ratio_at(num: BigPoly, den: BigPoly, q) -> object:
 
 
 # ---------------------------------------------------------------------------
-# Marginality loci
-# ---------------------------------------------------------------------------
-
-# ---------------------------------------------------------------------------
 # Root location via the recursion
 # ---------------------------------------------------------------------------
 #

@@ -201,19 +201,21 @@ class BigPoly:
 
     @staticmethod
     def gcd(a: "BigPoly", b: "BigPoly") -> "BigPoly":
-        """Primitive gcd of two integer-coefficient polynomials."""
-        a = BigPoly(tuple(Fraction(c) for c in a.coeffs))
-        b = BigPoly(tuple(Fraction(c) for c in b.coeffs))
-        while b:
-            a, b = b, a.divmod(b)[1]
+        """Primitive gcd of two integer-coefficient polynomials.
+
+        Primitive pseudo-remainder sequence: each remainder is computed in
+        integers and cut to its primitive part, which avoids the rational
+        arithmetic and coefficient swell of Euclid over the rationals.
+        """
+        if a.degree < b.degree:
+            a, b = b, a
         if not a:
             return BigPoly()
-        # Clear denominators, then reduce to the primitive part.
-        den = 1
-        for c in a.coeffs:
-            den = den * c.denominator // _int_gcd(den, c.denominator)
-        ints = BigPoly(tuple(int(c * den) for c in a.coeffs))
-        return ints.primitive()
+        a = a.primitive()
+        while b:
+            b = b.primitive()
+            a, b = b, _pseudo_rem(a.coeffs, b.coeffs)
+        return a
 
     def to_int(self) -> "BigPoly":
         """Cast Fraction coefficients with unit denominators back to int."""
@@ -226,6 +228,28 @@ def _coerce(x):
     if isinstance(x, (int, Fraction)):
         return BigPoly((x,))
     return None
+
+
+def _pseudo_rem(a: tuple, b: tuple) -> "BigPoly":
+    """A nonzero integer times the remainder of a by b (deg a >= deg b).
+
+    Each elimination step scales by lc(b)/g and the eliminated coefficient
+    by c/g with g = gcd(lc(b), c), which keeps the multiple small.
+    """
+    rem = list(a)
+    lead = b[-1]
+    m = len(b) - 1
+    for k in range(len(rem) - len(b), -1, -1):
+        c = rem.pop()
+        if c == 0:
+            continue
+        g = _int_gcd(lead, c)
+        s, t = lead // g, c // g
+        if s != 1:
+            rem = [s * x for x in rem]
+        for j in range(m):
+            rem[k + j] -= t * b[j]
+    return BigPoly(rem)
 
 
 def _normalize_fraction(c):

@@ -13,11 +13,22 @@ whether a point is near a root.  The solver therefore runs a cheap double
 sweep first, validates with a scale-free criterion, and escalates the
 working precision of an mpmath Aberth phase until every root passes.
 
-The reported residual of a root z is |p(z)/p'(z)| / (1 + |z|): the Newton
-correction relative to the root's magnitude, a first-order bound on the
-distance to a true root that stays meaningful when coefficients span
-hundreds of digits.  Exact roots at q = 0 and q = 1 are deflated first
-(coloring polynomials of graphs with an edge always carry both).
+Exact integer input is reduced before any numerics.  Roots at q = 0 and
+q = 1 are deflated exactly (coloring polynomials of graphs with an edge
+always carry both), and the rest is split into exact squarefree factors:
+a gcd(f, f') = 1 certificate modulo a fixed prime settles the common
+squarefree case, and Yun's algorithm over the integers handles the rest.
+Each distinct factor is solved once and its roots carry their exact
+multiplicity, so repeated roots (series joins, cut vertices, the (q-2)^2 of
+a Wheatstone bridge) never reach the numerical solver.
+
+The reported residual of a root z is |g(z)/g'(z)| / (1 + |z|), measured on
+the squarefree factor g that holds z: the Newton correction relative to the
+root's magnitude, a first-order bound on the distance to a true root that
+stays meaningful when coefficients span hundreds of digits.  Newton
+verification stops once that residual drops below tol*1e-3 (or the working
+precision's floor), or once it is below tol and a step no longer halves it;
+above tol it runs to its step cap and escalates the precision.
 """
 
 from __future__ import annotations
@@ -132,9 +143,18 @@ def _mp_eval(coeffs, z):
     return p, dp
 
 
-def _newton_once(coeffs, z0: complex, dps: int) -> tuple[complex, float]:
+def _newton_once(coeffs, z0: complex, dps: int, tol: float | None = None
+                 ) -> tuple[complex, float]:
+    """Newton from z0 at dps digits; returns the point and its last eta.
+
+    Stops once eta is below 10^(4-dps) or tol*1e-3, or once it is at most
+    tol and a step no longer halves it: cancellation leaves a floor that
+    more steps at this precision cannot get under.
+    """
     with mp.workdps(dps):
         floor = mp.mpf(10) ** (-dps + 4)
+        if tol is not None:
+            floor = max(floor, mp.mpf(tol) * mp.mpf("1e-3"))
         z = mp.mpc(z0)
         eta = mp.mpf("inf")
         for _ in range(30):
@@ -145,9 +165,9 @@ def _newton_once(coeffs, z0: complex, dps: int) -> tuple[complex, float]:
             if dp == 0:
                 break
             step = p / dp
-            eta = abs(step) / (1 + abs(z))
+            last, eta = eta, abs(step) / (1 + abs(z))
             z = z - step
-            if eta < floor:
+            if eta < floor or (tol is not None and eta <= tol and 2 * eta > last):
                 break
         return complex(z), float(eta)
 
@@ -165,10 +185,10 @@ def newton_residuals(coeffs, roots, dps: int = 40, tol: float | None = None,
     res: list[float] = []
     for z0 in roots:
         level = dps
-        z, eta = _newton_once(coeffs, z0, level)
+        z, eta = _newton_once(coeffs, z0, level, tol)
         while tol is not None and eta > tol and level < max_dps:
             level = min(max_dps, 2 * level)
-            z, eta = _newton_once(coeffs, z0, level)
+            z, eta = _newton_once(coeffs, z0, level, tol)
         out.append(z)
         res.append(eta)
     return out, res
@@ -202,27 +222,6 @@ def _mp_aberth(coeffs, starts: list[complex], dps: int, max_sweeps: int = 160
         return [complex(zi) for zi in z]
 
 
-def _cluster_multiplicities(roots: list[complex], radius: float) -> list[int]:
-    n = len(roots)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(roots[i] - roots[j]) <= radius * (1.0 + abs(roots[i])):
-                parent[find(i)] = find(j)
-    sizes: dict[int, int] = {}
-    for i in range(n):
-        r = find(i)
-        sizes[r] = sizes.get(r, 0) + 1
-    return [sizes[find(i)] for i in range(n)]
-
-
 def _scaled_float_coeffs(coeffs: Sequence) -> np.ndarray:
     """Exact/mp coefficients -> complex128, scaled so the largest is ~1."""
     with mp.workdps(30):
@@ -246,7 +245,8 @@ def solve_complex_coeffs(coeffs, tol: float = 1e-10, max_sweeps: int = 400,
     Double-precision sweeps first (skipped when starting points are
     supplied); precision escalates geometrically until every Newton-step
     residual passes tol or max_dps is hit (the result is then flagged
-    unconverged rather than trimmed).
+    unconverged rather than trimmed).  The coefficients may be inexact, so
+    no multiplicity is claimed: every root is reported with multiplicity 1.
     """
     cs = list(coeffs)
     while cs and mp.mpc(cs[-1]) == 0:
@@ -275,9 +275,82 @@ def solve_complex_coeffs(coeffs, tol: float = 1e-10, max_sweeps: int = 400,
     order = sorted(range(len(roots)), key=lambda i: (roots[i].real, roots[i].imag))
     roots = [roots[i] for i in order]
     residuals = [residuals[i] for i in order]
-    mult = _cluster_multiplicities(roots, math.sqrt(tol))
-    return RootSet(roots, residuals, mult, len(cs) - 1, tol,
+    return RootSet(roots, residuals, [1] * len(roots), len(cs) - 1, tol,
                    max(residuals) <= tol)
+
+
+# ---------------------------------------------------------------------------
+# Exact squarefree decomposition
+# ---------------------------------------------------------------------------
+
+# A fixed prime for the squarefree certificate; any prime is sound.
+_CERT_PRIME = 2 ** 61 - 1
+
+
+def _gcd_mod_p_degree(a: list[int], b: list[int], p: int) -> int:
+    """Degree of gcd(a, b) in F_p[x]; ascending, reduced, nonzero tops."""
+    while b:
+        inv = pow(b[-1], -1, p)
+        m = len(b) - 1
+        rem = list(a)
+        for k in range(len(a) - len(b), -1, -1):
+            c = rem[k + m] * inv % p
+            if c:
+                for j in range(m):
+                    rem[k + j] = (rem[k + j] - c * b[j]) % p
+        rem = rem[:m]
+        while rem and rem[-1] == 0:
+            rem.pop()
+        a, b = b, rem
+    return len(a) - 1
+
+
+def _squarefree_mod_p(f: BigPoly) -> bool:
+    """True when f is certified squarefree by gcd(f, f') = 1 modulo a prime.
+
+    Sound: a repeated factor g^2 of f over the integers stays a repeated
+    factor of the same degree modulo p whenever p does not divide lc(f).
+    A False answer only means the certificate failed, not that f has a
+    repeated root.
+    """
+    p = _CERT_PRIME
+    red = [c % p for c in f.coeffs]
+    if red[-1] == 0:
+        return False
+    der = [k * c % p for k, c in enumerate(red)][1:]
+    while der and der[-1] == 0:
+        der.pop()
+    return bool(der) and _gcd_mod_p_degree(red, der, p) == 0
+
+
+def squarefree_factors(f: BigPoly) -> list[tuple[BigPoly, int]]:
+    """Exact squarefree decomposition [(g_i, i)] of an integer polynomial.
+
+    The g_i are primitive, pairwise coprime and squarefree, and f equals an
+    integer constant times the product of the g_i^i; only nonconstant g_i
+    are listed, in increasing i.  A squarefree certificate modulo a fixed
+    prime answers the common case; otherwise Yun's algorithm runs over the
+    integers with primitive gcds and exact divisions.
+    """
+    if f.degree < 1:
+        return []
+    if _squarefree_mod_p(f):
+        return [(f.primitive(), 1)]
+    df = f.derivative()
+    a = BigPoly.gcd(f, df)
+    b = f.exact_div(a)
+    c = df.exact_div(a)
+    out: list[tuple[BigPoly, int]] = []
+    i = 1
+    while b.degree >= 1:
+        d = c - b.derivative()
+        a = BigPoly.gcd(b, d)
+        if a.degree >= 1:
+            out.append((a, i))
+        b = b.exact_div(a)
+        c = d.exact_div(a)
+        i += 1
+    return out
 
 
 def find_roots(p: BigPoly, tol: float = 1e-10, max_sweeps: int = 400,
@@ -286,20 +359,29 @@ def find_roots(p: BigPoly, tol: float = 1e-10, max_sweeps: int = 400,
     """All complex roots of an exact integer polynomial.
 
     Roots at q = 0 and q = 1 are stripped by exact synthetic division first
-    and reported with residual 0; the rest go through the Aberth pipeline.
-    Callers with good approximations (e.g. from a structured evaluation of
-    the same polynomial) can pass them as starts for the deflated part.
-    The returned multiset always has exactly degree(p) members.
+    and reported with residual 0.  The rest is split exactly into squarefree
+    factors (see squarefree_factors); each distinct factor goes through the
+    Aberth pipeline once, and its roots are repeated with their exact
+    multiplicity and the residual measured on that factor.  Callers with
+    good approximations (e.g. from a structured evaluation of the same
+    polynomial) can pass them as starts, one per root of the deflated part;
+    they are used only when that part is squarefree, and otherwise each
+    factor runs its own double-precision sweep.  The returned multiset
+    always has exactly degree(p) members.
     """
     if not p:
         raise RootFindingError("zero polynomial")
     if p.degree < 1:
         raise RootFindingError("constant polynomial has no roots")
     coeffs = list(p.coeffs)
-    exact: list[complex] = []
+    roots: list[complex] = []
+    residuals: list[float] = []
+    mult: list[int] = []
+    zeros = 0
     while coeffs and coeffs[0] == 0:
         coeffs.pop(0)
-        exact.append(0j)
+        zeros += 1
+    ones = 0
     while len(coeffs) > 1 and sum(coeffs) == 0:
         # Synthetic division by (q - 1), exact in integers.
         out = [0] * (len(coeffs) - 1)
@@ -308,18 +390,25 @@ def find_roots(p: BigPoly, tol: float = 1e-10, max_sweeps: int = 400,
             acc = acc + coeffs[k]
             out[k - 1] = acc
         coeffs = out
-        exact.append(1 + 0j)
-    if len(coeffs) <= 1:
-        roots = exact
-        residuals = [0.0] * len(exact)
-        mult = _cluster_multiplicities(roots, math.sqrt(tol))
-        return RootSet(roots, residuals, mult, p.degree, tol, True)
-    inner = solve_complex_coeffs(coeffs, tol=tol, max_sweeps=max_sweeps,
-                                 dps=dps, max_dps=max_dps, starts=starts)
-    roots = exact + inner.roots
-    residuals = [0.0] * len(exact) + inner.residuals
+        ones += 1
+    for z, m in ((0j, zeros), (1 + 0j, ones)):
+        roots += [z] * m
+        residuals += [0.0] * m
+        mult += [m] * m
+    if starts is not None and len(starts) != len(coeffs) - 1:
+        raise RootFindingError("starts must supply one point per root")
+    factors = squarefree_factors(BigPoly(coeffs))
+    if len(factors) != 1 or factors[0][1] != 1:
+        starts = None
+    converged = True
+    for g, m in factors:
+        part = solve_complex_coeffs(list(g.coeffs), tol=tol, max_sweeps=max_sweeps,
+                                    dps=dps, max_dps=max_dps, starts=starts)
+        for z, res in zip(part.roots, part.residuals):
+            roots += [z] * m
+            residuals += [res] * m
+            mult += [m] * m
+        converged = converged and part.converged
     order = sorted(range(len(roots)), key=lambda i: (roots[i].real, roots[i].imag))
-    roots = [roots[i] for i in order]
-    residuals = [residuals[i] for i in order]
-    mult = _cluster_multiplicities(roots, math.sqrt(tol))
-    return RootSet(roots, residuals, mult, p.degree, tol, inner.converged)
+    return RootSet([roots[i] for i in order], [residuals[i] for i in order],
+                   [mult[i] for i in order], p.degree, tol, converged)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -78,6 +79,37 @@ def test_gcd_random_products():
         b = g * BigPoly([rng.randint(-3, 3), rng.randint(1, 3)])
         got = BigPoly.gcd(a, b)
         assert got.divmod(g)[1] == BigPoly() or g.divmod(got)[1] == BigPoly()
+
+
+def _fraction_euclid_gcd(a, b):
+    """Reference: Euclid over the rationals, then the primitive part."""
+    a = BigPoly(tuple(Fraction(c) for c in a.coeffs))
+    b = BigPoly(tuple(Fraction(c) for c in b.coeffs))
+    while b:
+        a, b = b, a.divmod(b)[1]
+    if not a:
+        return BigPoly()
+    den = 1
+    for c in a.coeffs:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    return BigPoly(tuple(int(c * den) for c in a.coeffs)).primitive()
+
+
+def test_gcd_matches_fraction_euclid():
+    rng = random.Random(21)
+    for _ in range(60):
+        def rand_poly(lo, hi):
+            return BigPoly([rng.randint(-6, 6) for _ in range(rng.randint(lo, hi))]
+                           + [rng.choice([-3, -2, -1, 1, 2, 5])])
+        g = rand_poly(0, 3) ** rng.randint(1, 3)
+        a = g * rand_poly(0, 5) * rng.choice([1, -2, 3])
+        b = g * rand_poly(0, 5)
+        if rng.random() < 0.3:
+            b = a.derivative()
+        assert BigPoly.gcd(a, b) == _fraction_euclid_gcd(a, b)
+        assert BigPoly.gcd(b, a) == _fraction_euclid_gcd(a, b)
+    assert BigPoly.gcd(BigPoly(), BigPoly()) == BigPoly()
+    assert BigPoly.gcd(BigPoly(), -6 * (Q - 2)) == Q - 2
 
 
 def test_primitive_and_content():

@@ -3,12 +3,14 @@ import random
 
 import pytest
 
+from tuttebound import rootfind
 from tuttebound.engine import chromatic_poly
 from tuttebound.graphs import cycle_graph
+from tuttebound.leaftree import tree_chromatic_roots
 from tuttebound.poly import BigPoly
 from tuttebound.rootfind import (RootFindingError, find_roots, newton_residuals,
-                                 solve_complex_coeffs)
-from tuttebound.sp import gen_wheatstone
+                                 solve_complex_coeffs, squarefree_factors)
+from tuttebound.sp import gen_wheatstone, parse_sp
 
 Q = BigPoly.variable()
 
@@ -37,6 +39,66 @@ def test_double_root_cluster():
     assert len(near2) == 2
     idx = [i for i, z in enumerate(rs.roots) if abs(z - 2) < 1e-4]
     assert all(rs.multiplicities[i] == 2 for i in idx)
+
+
+def test_close_distinct_roots_are_simple():
+    # 20000 and 20001 lie within sqrt(tol) of each other relatively.
+    rs = find_roots((Q - 20000) * (Q - 20001) * (Q - 3), tol=1e-8)
+    assert rs.multiplicities == [1, 1, 1]
+    assert [round(z.real) for z in rs.roots] == [3, 20000, 20001]
+    assert rs.converged
+
+
+def test_exact_multiplicities_of_series_wheatstones():
+    _tt, tree = parse_sp("S(W,W,W)")
+    p = chromatic_poly(tree)
+    assert p == Q * (Q - 1) ** 3 * (Q - 2) ** 6
+    rs = find_roots(p, tol=1e-10)
+    assert len(rs.roots) == 10 and rs.converged
+    got = {(round(z.real), m) for z, m in zip(rs.roots, rs.multiplicities)}
+    assert got == {(0, 1), (1, 3), (2, 6)}
+    assert rs.multiplicities.count(6) == 6 and rs.multiplicities.count(3) == 3
+    assert all(abs(z - 2) < 1e-12 for z in rs.roots[4:])
+
+
+def test_squarefree_factors_yun_fallback():
+    # q (q - p) is q^2 modulo p = 2^61 - 1, so the certificate fails and
+    # Yun's algorithm over the integers must find it squarefree.
+    f = Q * (Q - (2 ** 61 - 1))
+    assert squarefree_factors(f) == [(f, 1)]
+
+
+def test_squarefree_factors_recompose():
+    rng = random.Random(17)
+    for _ in range(25):
+        f = BigPoly((rng.choice([1, -2, 3]),))
+        for _ in range(rng.randint(1, 4)):
+            g = BigPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
+                        + [rng.randint(1, 3)])
+            f = f * g ** rng.randint(1, 4)
+        factors = squarefree_factors(f)
+        prod = BigPoly((1,))
+        for g, i in factors:
+            assert BigPoly.gcd(g, g.derivative()).degree == 0
+            prod = prod * g ** i
+        assert prod.degree == f.degree and f.exact_div(prod).degree == 0
+        assert [i for _, i in factors] == sorted({i for _, i in factors})
+
+
+def test_newton_verification_stops_at_tolerance(monkeypatch):
+    calls = []
+    evaluate = rootfind._mp_eval
+
+    def counted(coeffs, z):
+        calls.append(z)
+        return evaluate(coeffs, z)
+
+    monkeypatch.setattr(rootfind, "_mp_eval", counted)
+    rs = tree_chromatic_roots(2, 5)
+    inner = rs.degree - 2
+    assert inner == 30
+    assert len(calls) <= 3 * inner
+    assert rs.converged and max(rs.residuals) <= rs.tol
 
 
 def test_root_count_always_equals_degree():
