@@ -15,7 +15,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -53,14 +52,6 @@ def fmt(x) -> str:
     if isinstance(x, float):
         return repr(x)
     return str(x)
-
-
-def _thread_count(requested: int | None) -> int:
-    cap = os.environ.get("TUTTEBOUND_THREADS")
-    n = 1 if requested is None else max(1, requested)
-    if cap is not None:
-        n = min(n, max(1, int(cap)))
-    return n
 
 
 class _Run:
@@ -242,8 +233,7 @@ def cmd_region_certify(args) -> int:
 
 def cmd_region_grid(args) -> int:
     run = _Run(args)
-    fam = grid_closure(parse_complex(args.q), args.lam, args.resolution,
-                       threads=_thread_count(args.threads))
+    fam = grid_closure(parse_complex(args.q), args.lam, args.resolution)
     rows = []
     for k in range(1, fam.lam):
         for ix, iy in fam.cells(k):
@@ -261,12 +251,7 @@ def cmd_region_boundary(args) -> int:
     run = _Run(args)
     thetas = [2.0 * 3.141592653589793 * k / args.theta_steps
               for k in range(args.theta_steps)]
-
-    def one(theta: float) -> float:
-        return boundary_rho(args.lam, theta, args.tol, args.resolution)
-
-    from .regions import _parallel_map
-    values = _parallel_map(one, thetas, _thread_count(args.threads))
+    values = [boundary_rho(args.lam, theta, args.tol, args.resolution) for theta in thetas]
     run.emit_csv(["theta", "rho_max"], [[t, v] for t, v in zip(thetas, values)])
     run.finish()
     return EXIT_OK
@@ -422,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", required=True)
     p.add_argument("--lambda", dest="lam", type=int, default=3)
     p.add_argument("--resolution", type=int, default=256)
-    p.add_argument("--threads", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_region_grid)
     p = region.add_parser("boundary", help="per-angle best point+disc radius")
@@ -430,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-steps", type=int, default=64)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--resolution", type=int, default=4096)
-    p.add_argument("--threads", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_region_boundary)
     p = region.add_parser("rho-table", help="certification thresholds per maxmaxflow")

@@ -14,9 +14,10 @@ Two routes up the tree:
   genuine 0/0 at a series node whose prefactor q + v1 + v2 vanishes; that
   outcome is reported as undefined, not raised.
 
-Leaf values: a single edge has (A, B) = (1, v_e); a Wheatstone leaf with all
+Both routes walk the tree in one post-order and take their leaf values from
+one rule: a single edge has (A, B) = (1, v_e); a Wheatstone leaf with all
 weights -1 has ((q-2)*(q-3), 2*(q-2)); any other leaf falls back to the
-brute-force partial oracle.
+brute-force partial oracle, which refuses leaves above brute_limit edges.
 """
 
 from __future__ import annotations
@@ -56,35 +57,34 @@ class TreePairs:
     per_node: dict[DecompNode, tuple]
 
 
-def tree_ab(tree: DecompTree, q, weights=None,
-            leaf_pairs: Mapping[DecompNode, tuple] | None = None,
-            brute_limit: int = 24) -> TreePairs:
-    """Evaluate the split pairs bottom-up; exact whenever the inputs are."""
-    wfn = _edge_weight_fn(weights, q)
-    per_node: dict[DecompNode, tuple] = {}
+def _leaf_pair(tree: DecompTree, node: DecompNode, q, wfn, brute_limit: int) -> tuple:
+    """(A, B) of a leaf: closed forms for an edge and an all -1 Wheatstone leaf."""
+    if node.base == "e":
+        return (1, wfn(node.edges[0]))
+    vals = [wfn(i) for i in node.edges]
+    if node.base == "W" and all(v == -1 for v in vals):
+        return ((q - 2) * (q - 3), 2 * (q - 2))
+    return partial_tutte_brute(tree.constituent(node), q, vals, max_edges=brute_limit)
 
-    def leaf_value(node: DecompNode) -> tuple:
-        if leaf_pairs is not None and node in leaf_pairs:
-            return leaf_pairs[node]
-        if node.base == "e":
-            return (1, wfn(node.edges[0]))
-        vals = [wfn(i) for i in node.edges]
-        if node.base == "W" and all(v == -1 for v in vals):
-            return ((q - 2) * (q - 3), 2 * (q - 2))
-        if len(node.edges) > brute_limit:
-            raise GraphError(f"leaf with {len(node.edges)} edges needs an explicit pair")
-        sub = tree.constituent(node)
-        return partial_tutte_brute(sub, q, vals, max_edges=brute_limit)
 
+def _post_order(tree: DecompTree) -> list[DecompNode]:
+    """Every node of the tree, children before their parent."""
     order: list[DecompNode] = []
     stack = [tree.root]
     while stack:
         node = stack.pop()
         order.append(node)
         stack.extend(node.children)
-    for node in reversed(order):
+    return order[::-1]
+
+
+def tree_ab(tree: DecompTree, q, weights=None, brute_limit: int = 24) -> TreePairs:
+    """Evaluate the split pairs bottom-up; exact whenever the inputs are."""
+    wfn = _edge_weight_fn(weights, q)
+    per_node: dict[DecompNode, tuple] = {}
+    for node in _post_order(tree):
         if node.is_leaf():
-            per_node[node] = leaf_value(node)
+            per_node[node] = _leaf_pair(tree, node, q, wfn, brute_limit)
             continue
         a1, b1 = per_node[node.children[0]]
         a2, b2 = per_node[node.children[1]]
@@ -113,7 +113,6 @@ def _prefactor_is_zero(pref, q) -> bool:
 
 
 def tree_veff(tree: DecompTree, q, weights=None,
-              leaf_pairs: Mapping[DecompNode, tuple] | None = None,
               brute_limit: int = 24) -> TreeEffective:
     """Label nodes with v_eff, collecting series prefactors and leaf A values.
 
@@ -131,25 +130,9 @@ def tree_veff(tree: DecompTree, q, weights=None,
     def fail(partial: dict) -> TreeEffective:
         return TreeEffective(UNDEF, prefactor, UNDEF, False, partial)
 
-    order: list[DecompNode] = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(node.children)
-    for node in reversed(order):
+    for node in _post_order(tree):
         if node.is_leaf():
-            if leaf_pairs is not None and node in leaf_pairs:
-                a, b = leaf_pairs[node]
-            elif node.base == "e":
-                a, b = 1, wfn(node.edges[0])
-            else:
-                vals = [wfn(i) for i in node.edges]
-                if node.base == "W" and all(v == -1 for v in vals):
-                    a, b = (q - 2) * (q - 3), 2 * (q - 2)
-                else:
-                    sub = tree.constituent(node)
-                    a, b = partial_tutte_brute(sub, q, vals, max_edges=brute_limit)
+            a, b = _leaf_pair(tree, node, q, wfn, brute_limit)
             if a == 0:
                 raise GraphError("leaf A value is zero; the effective-weight route needs A != 0")
             prefactor = prefactor * a

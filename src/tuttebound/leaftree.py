@@ -8,6 +8,10 @@ satisfies the pair recursion
     A_1 = 1,  B_1 = (1+w)^r - 1,
 
 for a uniform edge weight w, with the partition function q^2 A_n + q B_n.
+One private step implements it over any ring: exact BigPoly coefficients at
+w = -1, BiPoly coefficients for a symbolic w, and, for root location, jets
+of doubles that carry each value with its q-derivative.
+
 The same growth is a one-dimensional iteration of the effective weight in
 the y = 1+v variable: y_0 = inf, y_{n+1} = ((q-1+y#*y)/(q-2+y#+y))^r, which
 in the proper-coloring case y# = 0 is y -> ((q-1)/(q-2+y))^r.  The
@@ -48,6 +52,13 @@ class LeafTreeState:
         return q * q * self.a + q * self.b
 
 
+def _pair_step(a, b, qw, one_w, r: int):
+    """(A_k, B_k) -> (A_{k+1}, B_{k+1}) over any ring holding qw = q+w, one_w = 1+w."""
+    y = qw * a
+    a_next = (y + b) ** r
+    return a_next, (y + one_w * b) ** r - a_next
+
+
 def leaf_tree_ab(r: int, n: int, symbolic_weight: bool = False) -> LeafTreeState:
     """Run the exact pair recursion to depth n.
 
@@ -59,22 +70,13 @@ def leaf_tree_ab(r: int, n: int, symbolic_weight: bool = False) -> LeafTreeState
     if r ** n > EXACT_SIZE_LIMIT:
         raise GraphError(f"r^n = {r ** n} exceeds exact-recursion limit {EXACT_SIZE_LIMIT}")
     if symbolic_weight:
-        q, w = BiPoly.q(), BiPoly.w()
-        a, b = BiPoly.const(1), (1 + w) ** r - 1
-        for _ in range(n - 1):
-            base = (q + w) * a + b
-            bumped = (q + w) * a + (1 + w) * b
-            a_next = base ** r
-            a, b = a_next, bumped ** r - a_next
-        return LeafTreeState(r, n, a, b, True)
-    q = BigPoly.variable()
-    a, b = BigPoly.const(1), BigPoly.const((1 - 1) ** r - 1)   # (1+w)^r - 1 at w=-1
+        one, q, w = BiPoly.const(1), BiPoly.q(), BiPoly.w()
+    else:
+        one, q, w = BigPoly.const(1), BigPoly.variable(), -1
+    a, b = one, (one + w) ** r - 1
     for _ in range(n - 1):
-        base = (q - 1) * a + b
-        a_next = base ** r
-        b = (q - 1) ** r * a ** r - a_next
-        a = a_next
-    return LeafTreeState(r, n, a, b, False)
+        a, b = _pair_step(a, b, q + w, one + w, r)
+    return LeafTreeState(r, n, a, b, symbolic_weight)
 
 
 def chromatic_leaf_tree(r: int, n: int) -> BigPoly:
@@ -179,53 +181,59 @@ def ratio_at(num: BigPoly, den: BigPoly, q) -> object:
 #
 # Expanded in the monomial basis these polynomials suffer cancellation
 # exponential in the degree, but the defining recursion evaluates them with
-# small relative error at any point: products and squares are stable, and
-# the one cancelling difference telescopes,
-#     B_{n+1} = ((q-1)A)^r - ((q-1)A + B)^r = -B * sum_i ((q-1)A)^i ((q-1)A+B)^(r-1-i).
-# Carrying derivatives and a running rescale alongside yields P/P' in plain
-# doubles, good enough to steer an Aberth iteration; exact coefficients are
-# then used only for the final Newton verification.
+# small relative error away from the roots.  Running the same pair step on
+# jets (value and q-derivative) yields P/P' in plain doubles, good enough to
+# steer an Aberth iteration; the pair is rescaled between levels (the step
+# is homogeneous of degree r in (A, B), so P/P' is unchanged) to stay in
+# range.  Exact coefficients are used only for the final Newton verification.
 
-def _pair_ratio(q, r: int, n: int):
-    """P/P' at the points q (ndarray), via the scaled derivative recursion."""
+class _Jet:
+    """Values and q-derivatives at many points, under + - * and integer **."""
+
+    __slots__ = ("v", "d")
+
+    def __init__(self, v, d):
+        self.v, self.d = v, d
+
+    def __add__(self, other):
+        if isinstance(other, _Jet):
+            return _Jet(self.v + other.v, self.d + other.d)
+        return _Jet(self.v + other, self.d)
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def __mul__(self, other):
+        if isinstance(other, _Jet):
+            return _Jet(self.v * other.v, self.d * other.v + self.v * other.d)
+        return _Jet(self.v * other, self.d * other)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        return _Jet(self.v ** k, k * self.v ** (k - 1) * self.d)
+
+
+def _newton_ratio(q, r: int, n: int):
+    """P/P' of the depth-n proper-coloring polynomial at the points q (ndarray)."""
     q = np.asarray(q, dtype=np.complex128)
-    a = np.ones_like(q)
-    b = np.full_like(q, -1.0)
-    da = np.zeros_like(q)
-    db = np.zeros_like(q)
+    one = _Jet(np.ones_like(q), np.zeros_like(q))
+    qj = _Jet(q, np.ones_like(q))
+    a, b = one, -1 * one
     for _ in range(n - 1):
-        y = (q - 1) * a                   # ((q-1)A)
-        dy = a + (q - 1) * da
-        x = y + b                         # ((q-1)A + B)
-        dx = dy + db
-        a_new = x ** r
-        da_new = r * x ** (r - 1) * dx
-        # geometric sum: sum_i y^i x^(r-1-i), and its derivative
-        s = np.zeros_like(q)
-        ds = np.zeros_like(q)
-        for i in range(r):
-            yi = y ** i
-            xj = x ** (r - 1 - i)
-            s += yi * xj
-            dyi = i * y ** (i - 1) * dy if i else 0.0
-            dxj = (r - 1 - i) * x ** (r - 2 - i) * dx if r - 1 - i else 0.0
-            ds += dyi * xj + yi * dxj
-        b_new = -b * s
-        db_new = -(db * s + b * ds)
-        scale = np.maximum(np.abs(a_new), np.abs(b_new))
-        scale = np.where(scale == 0, 1.0, scale)
-        a, b = a_new / scale, b_new / scale
-        da, db = da_new / scale, db_new / scale
-    p = q * (q * a + b)
-    dp = 2 * q * a + q * q * da + b + q * db
+        a, b = _pair_step(a, b, qj - 1, 0, r)
+        scale = np.maximum(np.abs(a.v), np.abs(b.v))
+        scale = 1.0 / np.where(scale == 0, 1.0, scale)
+        a, b = a * scale, b * scale
+    p = qj * (qj * a + b)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return p / dp
+        return p.v / p.d
 
 
 def tree_chromatic_roots(r: int, n: int, tol: float = 1e-8) -> RootSet:
     """All proper-coloring roots of the depth-n tree.
 
-    An Aberth iteration driven by the recursion evaluator locates the roots
+    An Aberth iteration driven by the pair step on jets locates the roots
     in double precision; the exact coefficients then confirm them through
     the polynomial solver (Newton residuals at working precision).
     """
@@ -242,7 +250,7 @@ def _aberth_on_recursion(r: int, n: int, count: int,
     rng_angles = (np.arange(count) + 0.37) / count
     z = 1.0 + r * np.exp(2j * np.pi * rng_angles)    # near the root ring
     for _ in range(max_sweeps):
-        w_full = _pair_ratio(z, r, n)
+        w_full = _newton_ratio(z, r, n)
         with np.errstate(divide="ignore", invalid="ignore"):
             w = 1.0 / (1.0 / w_full - 1.0 / z - 1.0 / (z - 1.0))
             diff = z[:, None] - z[None, :]

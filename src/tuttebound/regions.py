@@ -22,18 +22,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 
+from .engine import chromatic_poly
 from .graphs import GraphError
-from .leaftree import leaf_tree_ab, t_eff_exact
-from .poly import BigPoly
+from .leaftree import t_eff_exact
 from .rootfind import solve_complex_coeffs, _mp_eval
 from .sp import gen_gadget_cycle, gen_leaf_joined_tree
-from .engine import tree_ab
 
 LOG2 = math.log(2.0)
 
@@ -472,24 +470,6 @@ def _verify_grid(family: GridFamily, samples: int, seed: int) -> bool:
 # Exact parallel maxima and the per-angle boundary
 # ---------------------------------------------------------------------------
 
-def _golden_max(f, lo: float, hi: float, iters: int = 60) -> float:
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    return max(fc, fd)
-
-
 def exact_parallel_max(x: float, y: float, q: complex,
                        resolution: int = 4096) -> float:
     """True maximum of |t || t'| over |t| = x, |t'| = y.
@@ -515,7 +495,7 @@ def exact_parallel_max(x: float, y: float, q: complex,
         vals = np.abs((2.0 * t + (q - 2.0) * t * t) / (1.0 + (q - 1.0) * t * t))
         k = int(np.argmax(vals))
         w = 2.0 * np.pi / resolution
-        return _golden_max(val, thetas[k] - w, thetas[k] + w)
+        return _golden_argmax(val, thetas[k] - w, thetas[k] + w, iters=60)[1]
     coarse = max(256, resolution // 16)
     th1 = np.linspace(0.0, 2.0 * np.pi, coarse, endpoint=False)
     a = x * np.exp(1j * th1)
@@ -530,13 +510,18 @@ def exact_parallel_max(x: float, y: float, q: complex,
         return math.inf if out is None else abs(out)
 
     for _ in range(3):
-        t1 = _golden_argmax(lambda u: pmag(u, t2), t1 - w, t1 + w)
-        t2 = _golden_argmax(lambda v: pmag(t1, v), t2 - w, t2 + w)
+        t1 = _golden_argmax(lambda u: pmag(u, t2), t1 - w, t1 + w)[0]
+        t2 = _golden_argmax(lambda v: pmag(t1, v), t2 - w, t2 + w)[0]
         w = w / 8.0
     return pmag(t1, t2)
 
 
-def _golden_argmax(f, lo: float, hi: float, iters: int = 48) -> float:
+def _golden_argmax(f, lo: float, hi: float, iters: int = 48) -> tuple[float, float]:
+    """Golden-section search for a maximum of f on [lo, hi].
+
+    Returns the midpoint of the final bracket and the larger of the two
+    interior values there.
+    """
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - phi * (b - a)
@@ -551,7 +536,7 @@ def _golden_argmax(f, lo: float, hi: float, iters: int = 48) -> float:
             a, c, fc = c, d, fd
             d = a + phi * (b - a)
             fd = f(d)
-    return 0.5 * (a + b)
+    return 0.5 * (a + b), max(fc, fd)
 
 
 def boundary_rho(lam: int, theta: float, tol: float = 1e-6,
@@ -601,15 +586,8 @@ def boundary_rho(lam: int, theta: float, tol: float = 1e-6,
 _PAIR_CHUNK = 1 << 21
 
 
-def _parallel_map(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def grid_closure(q: complex, lam: int, resolution: int = 256,
-                 max_sweeps: int = 10_000, threads: int = 1) -> GridFamily:
+                 max_sweeps: int = 10_000) -> GridFamily:
     """Iterate the region-closure rules on a raster until fixed point.
 
     Starts from 1/(1-q) marked at level 1 and repeatedly applies
@@ -697,8 +675,7 @@ def grid_closure(q: complex, lam: int, resolution: int = 256,
                 continue
             step = max(1, _PAIR_CHUNK // max(1, len(right)))
             chunks = [left[i:i + step] for i in range(0, len(left), step)]
-            results = _parallel_map(lambda ch: op(ch[:, None], right[None, :]).ravel(),
-                                    chunks, threads)
+            results = [op(ch[:, None], right[None, :]).ravel() for ch in chunks]
             for vals in results:
                 if mark(target_of(k, ell), vals):
                     changed = True
@@ -761,7 +738,7 @@ def transmissivity_circle_max(r: int, n: int, radius: float = 2.0,
     k = int(np.argmax(vals))
     w = math.pi / (samples - 1)
     lo, hi = max(0.0, thetas[k] - w), min(math.pi, thetas[k] + w)
-    best_theta = _golden_argmax(val, lo, hi)
+    best_theta = _golden_argmax(val, lo, hi)[0]
     return val(best_theta), best_theta / math.pi
 
 
@@ -800,14 +777,11 @@ def cycle_counterexample(tol: float = 1e-6, root_tol: float = 1e-10) -> CycleCou
     rs = solve_complex_coeffs(cleared, tol=root_tol)
     witness = max(rs.roots, key=lambda z: abs(z - 1.0))
 
-    # 94-vertex polynomial through the pair route with exact gadget pairs.
+    # The 94-vertex cycle is series-parallel, so the engine builds its
+    # polynomial from the graph alone.
     gadget, _tree = gen_leaf_joined_tree(2, 5)
-    cycle_tt, cycle_tree = gen_gadget_cycle(gadget, 3)
-    state = leaf_tree_ab(2, 5)
-    leaf_pairs = {node: (state.a, state.b)
-                  for node in cycle_tree.leaves() if node.base is None}
-    poly: BigPoly = tree_ab(cycle_tree, BigPoly.variable(), weights=-1,
-                            leaf_pairs=leaf_pairs).z
+    cycle_tt, _cycle_tree = gen_gadget_cycle(gadget, 3)
+    poly = chromatic_poly(cycle_tt.graph)
     with mp.workdps(60):
         z = mp.mpc(witness)
         p, dp = _mp_eval(list(poly.coeffs), z)

@@ -27,8 +27,11 @@ the squarefree factor g that holds z: the Newton correction relative to the
 root's magnitude, a first-order bound on the distance to a true root that
 stays meaningful when coefficients span hundreds of digits.  Newton
 verification stops once that residual drops below tol*1e-3 (or the working
-precision's floor), or once it is below tol and a step no longer halves it;
-above tol it runs to its step cap and escalates the precision.
+precision's floor), or when a step no longer halves it and either the
+residual is at most tol or |g(z)| is within Horner's rounding error at this
+precision; a residual still above tol then escalates the precision.  Values
+that are still resolved keep Newton stepping, since a slow approach to a
+clustered root needs more steps, not more digits.
 """
 
 from __future__ import annotations
@@ -147,14 +150,19 @@ def _newton_once(coeffs, z0: complex, dps: int, tol: float | None = None
                  ) -> tuple[complex, float]:
     """Newton from z0 at dps digits; returns the point and its last eta.
 
-    Stops once eta is below 10^(4-dps) or tol*1e-3, or once it is at most
-    tol and a step no longer halves it: cancellation leaves a floor that
-    more steps at this precision cannot get under.
+    Stops once eta is below 10^(4-dps) or tol*1e-3.  A step that no longer
+    halves eta also stops it when eta is at most tol, or when |p(z)| is
+    within Horner's worst-case rounding error 4 n eps sum |c_k| |z|^k: then
+    cancellation has left a floor that more steps at this precision cannot
+    get under, and the caller escalates the precision.  A slow approach to
+    a clustered root, whose values are still resolved, keeps stepping up to
+    the 30-step cap.
     """
     with mp.workdps(dps):
         floor = mp.mpf(10) ** (-dps + 4)
         if tol is not None:
             floor = max(floor, mp.mpf(tol) * mp.mpf("1e-3"))
+        noise = None
         z = mp.mpc(z0)
         eta = mp.mpf("inf")
         for _ in range(30):
@@ -166,8 +174,16 @@ def _newton_once(coeffs, z0: complex, dps: int, tol: float | None = None
                 break
             step = p / dp
             last, eta = eta, abs(step) / (1 + abs(z))
+            stalled = 2 * eta > last
+            if stalled and not (tol is not None and eta <= tol):
+                # Above tol, stop only at the rounding floor.  It is measured
+                # once per call: z hardly moves once the values reach it.
+                if noise is None:
+                    mags = [abs(c) for c in reversed(coeffs)]
+                    noise = 4 * len(coeffs) * mp.eps * mp.polyval(mags, abs(z))
+                stalled = abs(p) <= noise
             z = z - step
-            if eta < floor or (tol is not None and eta <= tol and 2 * eta > last):
+            if eta < floor or stalled:
                 break
         return complex(z), float(eta)
 

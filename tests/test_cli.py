@@ -110,24 +110,6 @@ def test_rho_table_byte_identical_runs(tmp_path, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_region_grid_threads_deterministic(tmp_path, monkeypatch):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    q = "1+2.2i"
-    assert run(tmp_path, monkeypatch, "region", "grid", "--q", q, "--lambda", "3",
-               "--resolution", "64", "--threads", "1", "--out", str(a)) == 0
-    assert run(tmp_path, monkeypatch, "region", "grid", "--q", q, "--lambda", "3",
-               "--resolution", "64", "--threads", "4", "--out", str(b)) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_threads_env_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("TUTTEBOUND_THREADS", "1")
-    out = tmp_path / "g.csv"
-    assert run(tmp_path, monkeypatch, "region", "grid", "--q", "1+2.2i",
-               "--lambda", "3", "--resolution", "64", "--threads", "8",
-               "--out", str(out)) == 0
-
-
 def test_region_boundary_csv(tmp_path, monkeypatch):
     out = tmp_path / "boundary.csv"
     assert run(tmp_path, monkeypatch, "region", "boundary", "--lambda", "3",

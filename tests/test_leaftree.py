@@ -1,16 +1,18 @@
+import hashlib
 import random
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from tuttebound.engine import chromatic_poly, tree_ab
 from tuttebound.graphs import GraphError
-from tuttebound.leaftree import (cardioid_cusp, chromatic_leaf_tree,
+from tuttebound.leaftree import (_newton_ratio, cardioid_cusp, chromatic_leaf_tree,
                                  conjecture_scan, iterate_effective_y,
                                  iterate_step, is_partition_zero, leaf_tree_ab,
                                  multiplier_loci, ratio_at, t_eff_at,
                                  t_eff_exact, tree_chromatic_roots)
-from tuttebound.poly import BigPoly
+from tuttebound.poly import BigPoly, BiPoly
 from tuttebound.rootfind import find_roots
 from tuttebound.sp import gen_leaf_joined_tree, leaf_joined_vertex_count
 from tuttebound.weights import INF, UNDEF, is_finite
@@ -31,10 +33,50 @@ def test_depth_two_matches_brute_force():
 
 
 def test_recursion_matches_tree_engine():
-    for r, n_max in ((2, 4), (3, 3)):
+    for r, n_max in ((2, 4), (3, 3), (4, 3)):
         for n in range(1, n_max + 1):
             _, tree = gen_leaf_joined_tree(r, n)
             assert chromatic_leaf_tree(r, n) == tree_ab(tree, Q, -1).z
+    for r, n_max in ((2, 3), (3, 2)):
+        for n in range(1, n_max + 1):
+            _, tree = gen_leaf_joined_tree(r, n)
+            z = tree_ab(tree, BiPoly.q(), BiPoly.w()).z
+            assert leaf_tree_ab(r, n, symbolic_weight=True).partition_poly() == z
+
+
+# SHA-256 (first 16 hex digits) of "A|B", each written as its coefficient
+# list: exact coefficients recorded from separate univariate (w = -1) and
+# bivariate recursions, which the shared pair step must reproduce.
+PAIR_DIGESTS = {
+    "2,1": "8d93f0f2aeb0f78c", "2,2": "26b428dd78447d9d",
+    "2,3": "28882abfd096f0b7", "2,4": "1fc7040e0b393e17",
+    "2,5": "fdb0a39f69fdd930", "2,6": "01695351e106af31",
+    "2,7": "543a5955c6b9b4e9", "2,8": "670f6abbba82021c",
+    "2,9": "de277a96d22671b1", "3,1": "8d93f0f2aeb0f78c",
+    "3,2": "e9802b407d02c0d8", "3,3": "b01d8748a69541b1",
+    "3,4": "2fa56ed019230937", "3,5": "2b0fb9939158bb56",
+    "4,1": "8d93f0f2aeb0f78c", "4,2": "5b9141e83b193cec",
+    "4,3": "7bef50027ff54f20", "4,4": "4c32ef6ec0eaf225",
+    "w2,1": "a906f0f10efe5d1a", "w2,2": "5818945a3db05929",
+    "w2,3": "33e3d09c573290ac", "w2,4": "08af8041acf6bd7b",
+    "w2,5": "e039c5b58056d911", "w3,1": "9a6e1da6bde0f7ef",
+    "w3,2": "a6f714b39dc3f91c", "w3,3": "fe433f9f3191bf35",
+}
+
+
+def _pair_digest(state) -> str:
+    def text(p) -> str:
+        if isinstance(p, BiPoly):
+            return ",".join(f"{i}:{j}:{c}" for (i, j), c in sorted(p.terms.items()))
+        return ",".join(str(c) for c in p.coeffs)
+    return hashlib.sha256(f"{text(state.a)}|{text(state.b)}".encode()).hexdigest()[:16]
+
+
+def test_pair_coefficients_match_recorded_digests():
+    for key, want in PAIR_DIGESTS.items():
+        symbolic = key.startswith("w")
+        r, n = map(int, key.lstrip("w").split(","))
+        assert _pair_digest(leaf_tree_ab(r, n, symbolic_weight=symbolic)) == want, key
 
 
 def test_degree_equals_vertex_count():
@@ -235,3 +277,18 @@ def test_fast_roots_agree_with_generic_solver():
         a = sorted(fast.roots, key=lambda z: (z.real, z.imag))
         b = sorted(ref.roots, key=lambda z: (z.real, z.imag))
         assert max(abs(x - y) for x, y in zip(a, b)) < 1e-9
+
+
+def test_jet_newton_ratio_matches_multiprecision():
+    # Away from the roots the pair step on jets gives P/P' to near double
+    # precision, although the monomial form loses hundreds of digits there.
+    for r, n in ((2, 8), (3, 5), (4, 4)):
+        poly = chromatic_leaf_tree(r, n)
+        dpoly = poly.derivative()
+        points = [1 + rad * np.exp(2j * np.pi * (k + 0.29) / 8)
+                  for rad in (0.5, 2.5, 4.0) for k in range(8)]
+        got = _newton_ratio(np.array(points), r, n)
+        with mp.workdps(400):
+            for z, ratio in zip(points, got):
+                want = complex(poly(mp.mpc(z)) / dpoly(mp.mpc(z)))
+                assert abs(ratio - want) <= 1e-9 * abs(want), (r, n, z)

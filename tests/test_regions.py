@@ -363,14 +363,6 @@ def test_grid_closure_validation():
         grid_closure(0.0, 3, 128)
 
 
-def test_grid_closure_deterministic_across_threads():
-    q = 1 + 2.2 * cmath.exp(1j * math.pi / 6)
-    a = grid_closure(q, 3, 128, threads=1)
-    b = grid_closure(q, 3, 128, threads=3)
-    assert all(np.array_equal(x, y) for x, y in zip(a.levels, b.levels))
-    assert a.sweeps == b.sweeps
-
-
 def test_certified_points_are_zero_free_in_practice():
     # Direct meaning of certification: at a certified q, no admissible
     # weighting of a graph with maxmaxflow <= lam makes Z vanish.

@@ -8,6 +8,7 @@ from tuttebound.engine import chromatic_poly
 from tuttebound.graphs import cycle_graph
 from tuttebound.leaftree import tree_chromatic_roots
 from tuttebound.poly import BigPoly
+from tuttebound.regions import cycle_counterexample
 from tuttebound.rootfind import (RootFindingError, find_roots, newton_residuals,
                                  solve_complex_coeffs, squarefree_factors)
 from tuttebound.sp import gen_wheatstone, parse_sp
@@ -94,11 +95,29 @@ def test_newton_verification_stops_at_tolerance(monkeypatch):
         return evaluate(coeffs, z)
 
     monkeypatch.setattr(rootfind, "_mp_eval", counted)
-    rs = tree_chromatic_roots(2, 5)
-    inner = rs.degree - 2
-    assert inner == 30
-    assert len(calls) <= 3 * inner
-    assert rs.converged and max(rs.residuals) <= rs.tol
+    for n, inner in ((5, 30), (7, 126)):
+        calls.clear()
+        rs = tree_chromatic_roots(2, n)
+        assert rs.degree - 2 == inner
+        assert len(calls) <= 3 * inner
+        assert rs.converged and max(rs.residuals) <= rs.tol
+
+
+def test_newton_keeps_stepping_while_values_are_resolved(monkeypatch):
+    # The counterexample's double-precision starts sit near clustered roots:
+    # Newton approaches them slowly, with values far above the rounding
+    # floor, so it needs more steps at the first precision, not more digits.
+    levels = []
+    once = rootfind._newton_once
+
+    def logged(coeffs, z0, dps, tol=None):
+        levels.append(dps)
+        return once(coeffs, z0, dps, tol)
+
+    monkeypatch.setattr(rootfind, "_newton_once", logged)
+    ce = cycle_counterexample()
+    assert ce.count == 31 and ce.verified
+    assert len(levels) == 31 and len(set(levels)) == 1
 
 
 def test_root_count_always_equals_degree():
