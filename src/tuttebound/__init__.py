@@ -11,8 +11,7 @@ from .weights import (INF, UNDEF, WeightAssignment, convert, is_finite,
 from .poly import BigPoly, BiPoly
 from .sp import (DecompNode, DecompTree, ParseError, check_proper_flow_bound,
                  constituent_flows, decompose_sp, gen_gadget_cycle,
-                 gen_leaf_joined_tree, gen_theta, gen_wheatstone, is_nice,
-                 parallel_compose, parse_sp, series_compose)
+                 gen_leaf_joined_tree, gen_theta, gen_wheatstone, is_nice, parse_sp)
 from .engine import TreeEffective, TreePairs, chromatic_poly, tree_ab, tree_veff
 from .rootfind import RootSet, find_roots, solve_complex_coeffs
 from .leaftree import (LeafTreeState, LocusCurve, ScanReport, chromatic_leaf_tree,

@@ -179,12 +179,6 @@ def _chromatic_from_tree(tree: DecompTree) -> BigPoly:
     return tree_ab(tree, q, weights=-1).z
 
 
-def _divide_by_q_power(p: BigPoly, k: int) -> BigPoly:
-    if any(c != 0 for c in p.coeffs[:k]):
-        raise GraphError("expected divisibility by q^k")
-    return BigPoly(p.coeffs[k:])
-
-
 def chromatic_poly(g: Multigraph | TwoTerminalGraph | DecompTree,
                    brute_limit: int = 24) -> BigPoly:
     """Exact chromatic polynomial (all weights -1).
@@ -205,27 +199,17 @@ def chromatic_poly(g: Multigraph | TwoTerminalGraph | DecompTree,
         return chromatic_poly(g.graph, brute_limit)
 
     g.require_loopless("chromatic_poly")
+    # P(G) = q^(#components) * prod over blocks with edges of P(B)/q.
     qpoly = BigPoly.variable()
-    result = BigPoly.const(1)
-    for comp in g.components():
-        if len(comp) == 1:
-            result = result * qpoly
+    result = BigPoly.monomial(len(g.components()))
+    for blk in blocks(g):
+        bg = blk.graph
+        if not bg.edge_count:
             continue
-        comp_set = set(comp)
-        comp_blocks = [b for b in blocks(g) if set(b.vertices) <= comp_set and b.graph.edge_count]
-        comp_poly = BigPoly.const(1)
-        for blk in comp_blocks:
-            bg = blk.graph
-            if bg.edge_count == 1:
-                zb = qpoly * qpoly - qpoly
-            else:
-                a, b = bg.edges[0]
-                tree = decompose_sp(TwoTerminalGraph(bg, a, b))
-                if tree is not None:
-                    zb = _chromatic_from_tree(tree)
-                else:
-                    zb = tutte_brute(bg, qpoly, -1, max_edges=brute_limit)
-            comp_poly = comp_poly * zb
-        comp_poly = _divide_by_q_power(comp_poly, len(comp_blocks) - 1)
-        result = result * comp_poly
+        tree = decompose_sp(TwoTerminalGraph(bg, *bg.edges[0]))
+        if tree is not None:
+            zb = _chromatic_from_tree(tree)
+        else:
+            zb = tutte_brute(bg, qpoly, -1, max_edges=brute_limit)
+        result = result * BigPoly(zb.coeffs[1:])
     return result

@@ -14,8 +14,9 @@ Alongside the certified families, this module carries the exploration
 tools: the exact parallel maximum on disc boundaries (the symmetric
 multiaffine form attains its polydisc maximum on the diagonal, so a
 one-dimensional boundary scan suffices), the per-angle bisection for the
-best point+disc radius, a raster closure iteration approximating the
-minimal regions, and the 94-vertex cycle counterexample.
+best point+disc radius, a raster closure approximating the minimal regions
+(one rule table over flat per-level rasters, every pair combined by the
+same parallel map the audits use), and the 94-vertex cycle counterexample.
 """
 
 from __future__ import annotations
@@ -483,19 +484,18 @@ def exact_parallel_max(x: float, y: float, q: complex,
         raise GraphError("radii must be nonnegative")
     if x == 0 and y == 0:
         return 0.0
+
+    def pmag(u: float, v: float) -> float:
+        out = _t_parallel(x * cmath.exp(1j * u), y * cmath.exp(1j * v), q)
+        return math.inf if out is None else abs(out)
+
     if x == y:
-        def val(theta: float) -> float:
-            t = x * cmath.exp(1j * theta)
-            den = 1.0 + (q - 1.0) * t * t
-            if den == 0:
-                return math.inf
-            return abs((2.0 * t + (q - 2.0) * t * t) / den)
         thetas = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
         t = x * np.exp(1j * thetas)
-        vals = np.abs((2.0 * t + (q - 2.0) * t * t) / (1.0 + (q - 1.0) * t * t))
-        k = int(np.argmax(vals))
+        k = int(np.argmax(np.abs(_t_parallel(t, t, q))))
         w = 2.0 * np.pi / resolution
-        return _golden_argmax(val, thetas[k] - w, thetas[k] + w, iters=60)[1]
+        return _golden_argmax(lambda th: pmag(th, th), thetas[k] - w, thetas[k] + w,
+                              iters=60)[1]
     coarse = max(256, resolution // 16)
     th1 = np.linspace(0.0, 2.0 * np.pi, coarse, endpoint=False)
     a = x * np.exp(1j * th1)
@@ -504,11 +504,6 @@ def exact_parallel_max(x: float, y: float, q: complex,
     i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
     w = 2.0 * np.pi / coarse
     t1, t2 = th1[i], th1[j]
-
-    def pmag(u: float, v: float) -> float:
-        out = _t_parallel(x * cmath.exp(1j * u), y * cmath.exp(1j * v), q)
-        return math.inf if out is None else abs(out)
-
     for _ in range(3):
         t1 = _golden_argmax(lambda u: pmag(u, t2), t1 - w, t1 + w)[0]
         t2 = _golden_argmax(lambda v: pmag(t1, v), t2 - w, t2 + w)[0]
@@ -584,18 +579,27 @@ def boundary_rho(lam: int, theta: float, tol: float = 1e-6,
 # ---------------------------------------------------------------------------
 
 _PAIR_CHUNK = 1 << 21
+_MAX_SWEEPS = 10_000
 
 
-def grid_closure(q: complex, lam: int, resolution: int = 256,
-                 max_sweeps: int = 10_000) -> GridFamily:
+def grid_closure(q: complex, lam: int, resolution: int = 256) -> GridFamily:
     """Iterate the region-closure rules on a raster until fixed point.
 
-    Starts from 1/(1-q) marked at level 1 and repeatedly applies
-    (a) parallel combinations into level k+ell while k+ell <= L-1 and
-    (b) products into level min(k, ell), rounding every result to the
-    nearest cell of a resolution^2 grid on [-1,1]^2.  Marking any point on
-    or beyond the unit circle stops the run with escaped=True.  Levels are
-    cumulative (a level-k mark belongs to every higher level too).
+    Starts from 1/(1-q) marked at level 1 and repeatedly applies one rule
+    table (k, ell, op, target): parallel combinations (k, ell) -> k+ell
+    while k+ell <= L-1, and products with the top level (k, L-1) -> k,
+    which dominate every other product.  Every result is rounded to its
+    cell of a resolution^2 grid on [-1,1]^2.  Levels are cumulative: a
+    level-k mark belongs to every higher level too.
+
+    Each level is a flat boolean raster plus the array of its marked cells
+    in marking order; a rule only pairs the cells that are new since its
+    last pass, one chunk of at most _PAIR_CHUNK pairs at a time, and each
+    chunk is marked before the next is computed.  A chunk holding a value
+    on or beyond the unit circle (or an undefined one), or reaching a new
+    cell whose center lies there, stops the run with escaped=True before
+    it is marked.  Rules, cells and chunks come in a fixed order, so an
+    escaped run leaves the same rasters every time.
     """
     if resolution > 2048 or resolution & (resolution - 1):
         raise GraphError("resolution must be a power of two <= 2048")
@@ -606,115 +610,67 @@ def grid_closure(q: complex, lam: int, resolution: int = 256,
         raise GraphError("closure needs q outside {0, 1}")
     res = resolution
     h = 2.0 / res
-    levels = [np.zeros((res, res), dtype=bool) for _ in range(lam - 1)]
-    points: list[list[complex]] = [[] for _ in range(lam - 1)]
-    state = {"escaped": False, "reason": ""}
+    rasters = [np.zeros(res * res, dtype=bool) for _ in range(lam - 1)]
+    cells = [np.zeros(0, dtype=np.int64) for _ in range(lam - 1)]
 
-    def snap(vals: np.ndarray) -> np.ndarray | None:
-        """Round to cell centers; flag escape on |t| >= 1 or off-grid."""
-        if np.any(~np.isfinite(vals)) or np.any(np.abs(vals) >= 1.0):
-            state["escaped"] = True
-            state["reason"] = "a combination reached |t| >= 1"
-            return None
-        ix = np.floor((vals.real + 1.0) / h).astype(np.int64)
-        iy = np.floor((vals.imag + 1.0) / h).astype(np.int64)
-        ix = np.clip(ix, 0, res - 1)
-        iy = np.clip(iy, 0, res - 1)
-        cx = -1.0 + (ix + 0.5) * h
-        cy = -1.0 + (iy + 0.5) * h
-        if np.any(cx * cx + cy * cy >= 1.0):
-            state["escaped"] = True
-            state["reason"] = "a cell center reached |t| >= 1"
-            return None
-        return np.unique(iy * res + ix)
+    def centers(flat: np.ndarray) -> np.ndarray:
+        return (-1.0 + (flat % res + 0.5) * h) + 1j * (-1.0 + (flat // res + 0.5) * h)
 
-    def mark(level: int, vals: np.ndarray) -> bool:
-        """Mark cells at `level` and above; True if anything new appeared."""
-        flat = snap(vals)
-        if flat is None:
-            return False
-        added = False
-        for m in range(level, lam):
-            raster = levels[m - 1]
-            cells = flat[~raster.ravel()[flat]]
-            if len(cells):
-                raster.ravel()[cells] = True
-                cx = -1.0 + (cells % res + 0.5) * h
-                cy = -1.0 + (cells // res + 0.5) * h
-                points[m - 1].extend(map(complex, cx + 1j * cy))
-                added = True
-        return added
+    def mark(level: int, vals: np.ndarray) -> str:
+        """Mark the cells of vals at `level` and above; the escape reason or ""."""
+        if not np.all(np.abs(vals) < 1.0):
+            if np.all(np.isfinite(vals)):
+                return "a combination reached |t| >= 1"
+            return "undefined parallel combination inside the rules"
+        ix = np.minimum(((vals.real + 1.0) / h).astype(np.int64), res - 1)
+        iy = np.minimum(((vals.imag + 1.0) / h).astype(np.int64), res - 1)
+        flat = iy * res + ix
+        new = np.unique(flat[~rasters[level - 1][flat]])
+        c = centers(new)
+        if np.any(c.real * c.real + c.imag * c.imag >= 1.0):
+            return "a cell center reached |t| >= 1"
+        for m in range(level - 1, lam - 1):
+            fresh = new[~rasters[m][new]]
+            rasters[m][fresh] = True
+            cells[m] = np.concatenate([cells[m], fresh])
+        return ""
 
-    t0 = 1.0 / (1.0 - q)
-    mark(1, np.array([t0]))
-    if state["escaped"]:
-        return GridFamily(lam, q, res, tuple(levels), True, True, 0, state["reason"])
+    def parallel(a, b):
+        return _t_parallel(a, b, q)
 
-    # Rules with delta counters: parallel (k, ell) -> k+ell, and series with
-    # the top level (k, L-1) -> k, which dominates all other products.
-    par_rules = [(k, ell) for k in range(1, lam) for ell in range(k, lam)
-                 if k + ell <= lam - 1]
-    ser_rules = [(k, lam - 1) for k in range(1, lam)]
-    done_par = {rule: (0, 0) for rule in par_rules}
-    done_ser = {rule: (0, 0) for rule in ser_rules}
+    rules = [(k, ell, parallel, k + ell) for k in range(1, lam)
+             for ell in range(k, lam) if k + ell <= lam - 1]
+    rules += [(k, lam - 1, np.multiply, k) for k in range(1, lam)]
+    seen = {(k, ell): (0, 0) for k, ell, _, _ in rules}
 
-    def combine(rule, seen, op, target_of) -> bool:
-        k, ell = rule
-        a = np.asarray(points[k - 1], dtype=np.complex128)
-        b = np.asarray(points[ell - 1], dtype=np.complex128)
-        na, nb = seen[rule]
-        batches = []
-        if len(a) > na:
-            batches.append((a[na:], b))
-        if na and len(b) > nb:
-            batches.append((a[:na], b[nb:]))
-        seen[rule] = (len(a), len(b))
-        changed = False
-        for left, right in batches:
-            if not len(left) or not len(right):
-                continue
-            step = max(1, _PAIR_CHUNK // max(1, len(right)))
-            chunks = [left[i:i + step] for i in range(0, len(left), step)]
-            results = [op(ch[:, None], right[None, :]).ravel() for ch in chunks]
-            for vals in results:
-                if mark(target_of(k, ell), vals):
-                    changed = True
-                if state["escaped"]:
-                    return changed
-        return changed
+    def sweep() -> str:
+        """One pass over the rule table; the escape reason or ""."""
+        for k, ell, op, target in rules:
+            a, b = centers(cells[k - 1]), centers(cells[ell - 1])
+            na, nb = seen[k, ell]
+            seen[k, ell] = (len(a), len(b))
+            for left, right in ((a[na:], b), (a[:na], b[nb:])):
+                if not len(left) or not len(right):
+                    continue
+                step = max(1, _PAIR_CHUNK // len(right))
+                for i in range(0, len(left), step):
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        vals = op(left[i:i + step, None], right[None, :]).ravel()
+                    reason = mark(target, vals)
+                    if reason:
+                        return reason
+        return ""
 
-    def par_op(a, b):
-        den = 1.0 + (q - 1.0) * a * b
-        bad = den == 0
-        if np.any(bad):
-            state["escaped"] = True
-            state["reason"] = "undefined parallel combination inside the rules"
-            den = np.where(bad, 1.0, den)
-        return (a + b + (q - 2.0) * a * b) / den
-
+    reason = mark(1, np.array([1.0 / (1.0 - q)]))
     sweeps = 0
-    converged = False
-    while sweeps < max_sweeps and not state["escaped"]:
+    converged = bool(reason)
+    while not converged and sweeps < _MAX_SWEEPS:
         sweeps += 1
-        changed = False
-        for rule in par_rules:
-            if combine(rule, done_par, par_op, lambda k, ell: k + ell):
-                changed = True
-            if state["escaped"]:
-                break
-        if not state["escaped"]:
-            for rule in ser_rules:
-                if combine(rule, done_ser, lambda a, b: a * b, lambda k, ell: min(k, ell)):
-                    changed = True
-                if state["escaped"]:
-                    break
-        if not changed:
-            converged = True
-            break
-    if state["escaped"]:
-        converged = True
-    return GridFamily(lam, q, res, tuple(levels), state["escaped"], converged,
-                      sweeps, state["reason"])
+        before = sum(map(len, cells))
+        reason = sweep()
+        converged = bool(reason) or sum(map(len, cells)) == before
+    return GridFamily(lam, q, res, tuple(r.reshape(res, res) for r in rasters),
+                      bool(reason), converged, sweeps, reason)
 
 
 def transmissivity_circle_max(r: int, n: int, radius: float = 2.0,

@@ -491,20 +491,6 @@ def _gadget_unit(gadget: TwoTerminalGraph) -> tuple[TwoTerminalGraph, DecompNode
     return gadget, node
 
 
-def series_compose(a: tuple[TwoTerminalGraph, DecompTree],
-                   b: tuple[TwoTerminalGraph, DecompTree]
-                   ) -> tuple[TwoTerminalGraph, DecompTree]:
-    tt, node = _compose(SERIES, (a[0], a[1].root), (b[0], b[1].root))
-    return tt, DecompTree(tt, node)
-
-
-def parallel_compose(a: tuple[TwoTerminalGraph, DecompTree],
-                     b: tuple[TwoTerminalGraph, DecompTree]
-                     ) -> tuple[TwoTerminalGraph, DecompTree]:
-    tt, node = _compose(PARALLEL, (a[0], a[1].root), (b[0], b[1].root))
-    return tt, DecompTree(tt, node)
-
-
 # ---------------------------------------------------------------------------
 # Named generators
 # ---------------------------------------------------------------------------

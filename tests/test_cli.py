@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -108,6 +109,23 @@ def test_rho_table_byte_identical_runs(tmp_path, monkeypatch):
     run(tmp_path, monkeypatch, "region", "rho-table", "--lambda-max", "6", "--out", str(a))
     run(tmp_path, monkeypatch, "region", "rho-table", "--lambda-max", "6", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_region_grid_csv(tmp_path, monkeypatch, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    for out in (a, b):
+        assert run(tmp_path, monkeypatch, "region", "grid", "--q=3+1i", "--lambda", "3",
+                   "--resolution", "64", "--out", str(out)) == 0
+        summary = json.loads(capsys.readouterr().err)
+        assert summary == {"escaped": False, "converged": True, "sweeps": 9, "reason": ""}
+    assert a.read_text().splitlines()[0] == "level,t_re,t_im"
+    assert a.read_bytes() == b.read_bytes()
+    assert (hashlib.sha256(a.read_bytes()).hexdigest()
+            == "350d01bab1030d76752683280ed7666dfc9c385957c5b1a4049d51068aa2596d")
+    manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
+    assert manifest["tool"] == "tuttebound"
+    assert manifest["outputs"] == [str(a)]
+    assert manifest["config"]["resolution"] == 64 and manifest["config"]["q"] == "3+1i"
 
 
 def test_region_boundary_csv(tmp_path, monkeypatch):

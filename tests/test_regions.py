@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import random
 
@@ -352,6 +353,32 @@ def test_grid_closure_level_four():
     sizes = [int(level.sum()) for level in fam.levels]
     assert sizes[0] <= sizes[1] <= sizes[2]       # cumulative nesting
     assert verify_family(fam, samples=2000)
+
+
+@pytest.mark.parametrize("q, lam, counts, digest", [
+    (1 + 1.6 * cmath.exp(1j * math.pi / 6), 3, [176, 646],
+     "3e56b43547b78963d6b7751ef27ff9bfa4c2962cca924735e0e30be49704b966"),
+    (2.3, 4, [548, 1816, 1838],
+     "964ea44ba229f85cf3ed36a954e1a926172133bfb99a66afdf815e93b397ce68"),
+])
+def test_grid_closure_mid_sweep_escape_state(q, lam, counts, digest):
+    # An escape in sweep 4 keeps every chunk marked before the escaping one.
+    fam = grid_closure(q, lam, 64)
+    assert fam.escaped and fam.converged
+    assert fam.reason == "a combination reached |t| >= 1"
+    assert fam.sweeps == 4
+    assert [int(level.sum()) for level in fam.levels] == counts
+    raw = b"".join(np.ascontiguousarray(level).tobytes() for level in fam.levels)
+    assert hashlib.sha256(raw).hexdigest() == digest
+
+
+def test_grid_closure_zero_parallel_denominator():
+    # t0 = 1/(1-q) = i/2048 lies in the cell centred at c = (1+i)/64, and
+    # 1 + (q-1) c^2 is exactly 0, so the first parallel pair is undefined.
+    fam = grid_closure(1 + 2048j, 3, 64)
+    assert fam.escaped and fam.converged and fam.sweeps == 1
+    assert fam.reason == "undefined parallel combination inside the rules"
+    assert [int(level.sum()) for level in fam.levels] == [1, 1]
 
 
 def test_grid_closure_validation():
