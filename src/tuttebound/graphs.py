@@ -4,6 +4,10 @@ Vertices are integers ``0..n-1``.  Edges are an ordered tuple of endpoint
 pairs; the position of an edge in that tuple is its identity, so parallel
 edges are distinct and weight maps key on edge indices.  Loops are allowed
 in raw input, but flow and coloring operations reject them.
+
+Flows are unit-capacity augmenting-path max flows.  maxmaxflow takes n-1 of
+them, one per edge of Gusfield's equivalent-flow tree, instead of one per
+vertex pair.
 """
 
 from __future__ import annotations
@@ -119,11 +123,12 @@ class TwoTerminalGraph:
 def load_graph(source: str | Path) -> tuple[Multigraph, int | None, int | None]:
     """Parse the JSON record {"vertices": n, "edges": [[a,b],...], "s":?, "t":?}.
 
-    ``source`` may be a path or a JSON string.  Returns (graph, s, t) with the
-    terminals None when absent.
+    ``source`` may be a path or a JSON string: a string whose first
+    non-space character is ``{`` is parsed, anything else is read as a path.
+    Returns (graph, s, t) with the terminals None when absent.
     """
     text = source
-    if isinstance(source, Path) or (isinstance(source, str) and "\n" not in source and Path(source).is_file()):
+    if isinstance(source, Path) or not source.lstrip().startswith("{"):
         text = Path(source).read_text()
     try:
         record = json.loads(text)
@@ -156,7 +161,15 @@ def max_flow(g: Multigraph | TwoTerminalGraph, x: int | None = None, y: int | No
     if x == y:
         raise GraphError("flow endpoints must be distinct")
     g.require_loopless("max_flow")
+    return _min_cut(g, x, y)[0]
 
+
+def _min_cut(g: Multigraph, x: int, y: int) -> tuple[int, list[bool]]:
+    """Maximum x-y flow of a loopless g and the x side of a minimum cut.
+
+    Augments along shortest residual paths; the side is the set of vertices
+    the last search, which no longer reaches y, got to from x.
+    """
     # Each undirected edge becomes arcs 2i (a->b) and 2i+1 (b->a), capacity 1.
     # Arc j and j^1 are reverses of each other.
     m = g.edge_count
@@ -182,7 +195,7 @@ def max_flow(g: Multigraph | TwoTerminalGraph, x: int | None = None, y: int | No
                     parent_arc[u] = j
                     queue.append(u)
         if parent_arc[y] == -1:
-            return total
+            return total, [arc != -1 for arc in parent_arc]
         v = y
         while v != x:
             j = parent_arc[v]
@@ -197,20 +210,30 @@ def max_flow(g: Multigraph | TwoTerminalGraph, x: int | None = None, y: int | No
 def maxmaxflow(g: Multigraph, limit: int | None = None) -> int:
     """Maximum of max_flow over all unordered vertex pairs.
 
-    With limit set, returns early with the first value found above it
-    (exact whenever the result is <= limit; callers use this to filter).
+    Builds Gusfield's equivalent-flow tree (SIAM J. Comput. 19, 1990) from
+    n-1 minimum cuts: vertex s is cut from its current tree parent t, and the
+    later vertices on s's side that hang from t move under s.  Every pair's
+    flow is the lightest edge on its tree path, so the answer is the largest
+    of the n-1 cut values.  With limit set, returns early with the first
+    value found above it (exact whenever the result is <= limit; callers use
+    this to filter).
     """
-    if g.vertex_count < 2:
+    n = g.vertex_count
+    if n < 2:
         raise GraphError("maxmaxflow needs at least 2 vertices")
     g.require_loopless("maxmaxflow")
+    parent = [0] * n
     best = 0
-    for x in range(g.vertex_count):
-        for y in range(x + 1, g.vertex_count):
-            f = max_flow(g, x, y)
-            if f > best:
-                best = f
-                if limit is not None and best > limit:
-                    return best
+    for s in range(1, n):
+        t = parent[s]
+        f, side = _min_cut(g, s, t)
+        for u in range(s + 1, n):
+            if side[u] and parent[u] == t:
+                parent[u] = s
+        if f > best:
+            best = f
+            if limit is not None and best > limit:
+                return best
     return best
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from tuttebound.cli import main, parse_complex
 from tuttebound.graphs import GraphError
+from tuttebound.sp import gen_leaf_joined_tree
 
 
 def run(tmp_path, monkeypatch, *argv) -> int:
@@ -39,6 +40,18 @@ def test_flow_with_graph_file_and_pair(tmp_path, monkeypatch, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["flow"] == 2
     assert out["maxmaxflow"] == 2
+
+
+def test_flow_on_512_vertex_leaf_joined_tree(tmp_path, monkeypatch, capsys):
+    tt, _ = gen_leaf_joined_tree(2, 9)
+    path = tmp_path / "tree.json"
+    path.write_text(tt.graph.to_json(tt.s, tt.t))
+    assert run(tmp_path, monkeypatch, "flow", "--graph", str(path)) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"flow": 2, "maxmaxflow": 3, "pair": [tt.s, tt.t]}
+    manifest = json.loads((tmp_path / "tuttebound.manifest.json").read_text())
+    assert manifest["config"] == {"graph": str(path), "group": "flow"}
+    assert manifest["outputs"] == []
 
 
 def test_tutte_chromatic_matches_brute(tmp_path, monkeypatch, capsys):

@@ -1,9 +1,11 @@
 import json
 import random
+from itertools import combinations
 
 import pytest
 
 from conftest import min_cut_brute, random_multigraph
+from tuttebound import graphs
 from tuttebound.graphs import (GraphError, Multigraph, TwoTerminalGraph, banana,
                                blocks, cycle_graph, disjoint_union, glue_at_vertex,
                                insert_2term, load_graph, max_flow, maxmaxflow,
@@ -61,6 +63,51 @@ def test_maxmaxflow_wheatstone():
 def test_maxmaxflow_needs_two_vertices():
     with pytest.raises(GraphError):
         maxmaxflow(Multigraph(1, ()))
+
+
+def _all_pairs_maxmaxflow(g):
+    """Reference: the definition, max_flow over every unordered pair."""
+    return max(max_flow(g, x, y) for x, y in combinations(range(g.vertex_count), 2))
+
+
+def test_maxmaxflow_matches_all_pairs_definition():
+    rng = random.Random(31)
+    kinds = {"disconnected": 0, "isolated": 0, "parallel": 0}
+    for draw in range(1200):
+        g = random_multigraph(rng, max_vertices=9, max_edges=16,
+                              ensure_connected=draw % 2 == 0)
+        if draw % 5 == 1:
+            g = Multigraph(g.vertex_count + rng.randint(1, 2), g.edges)
+        kinds["disconnected"] += not g.is_connected()
+        kinds["isolated"] += any(not edges for edges in g.incidence())
+        kinds["parallel"] += len({tuple(sorted(e)) for e in g.edges}) < g.edge_count
+        lam = _all_pairs_maxmaxflow(g)
+        assert maxmaxflow(g) == lam
+        if g.vertex_count <= 6 and g.edge_count <= 9:
+            assert lam == max(min_cut_brute(g, x, y)
+                              for x, y in combinations(range(g.vertex_count), 2))
+        for limit in range(lam + 2):
+            got = maxmaxflow(g, limit=limit)
+            assert (got > limit) == (lam > limit)
+            if lam <= limit:
+                assert got == lam
+    assert min(kinds.values()) >= 100, kinds
+
+
+def test_maxmaxflow_makes_one_cut_per_tree_edge(monkeypatch):
+    # Gusfield's tree needs n-1 cuts; all pairs would need 130,816 flows here.
+    tt, _ = gen_leaf_joined_tree(2, 9)
+    assert (tt.graph.vertex_count, tt.graph.edge_count) == (512, 1022)
+    calls = []
+    cut = graphs._min_cut
+
+    def counting_cut(g, x, y):
+        calls.append((x, y))
+        return cut(g, x, y)
+
+    monkeypatch.setattr(graphs, "_min_cut", counting_cut)
+    assert maxmaxflow(tt.graph) == 3
+    assert len(calls) <= 511
 
 
 def test_flow_equals_min_cut_on_small_graphs():
@@ -206,3 +253,12 @@ def test_load_graph_rejects_malformed():
         load_graph(json.dumps({"edges": [[0, 1]]}))
     with pytest.raises(GraphError):
         load_graph(json.dumps({"vertices": 1, "edges": [[0, 1]]}))
+
+
+def test_load_graph_long_json_string():
+    # Longer than any file name the OS accepts; must be parsed, not probed.
+    tt, _ = gen_leaf_joined_tree(2, 9)
+    text = tt.graph.to_json(tt.s, tt.t)
+    assert len(text) > 4096
+    assert load_graph(text) == (tt.graph, tt.s, tt.t)
+    assert load_graph("  \n" + text) == (tt.graph, tt.s, tt.t)
