@@ -5,7 +5,14 @@ subgraphs of a host graph: an s-node is the series composition of its
 ordered children, a p-node the parallel composition, and a leaf is an
 undecomposed constituent (a single edge, a Wheatstone bridge, or a general
 gadget).  Every node caches its between-terminals flow, computed from leaf
-flows by the series-min / parallel-sum rule.
+flows by the series-min / parallel-sum rule.  Nodes compare and hash by
+identity, and only leaves list their host edges, so a tree takes memory
+linear in its edge count at any depth.
+
+Trees are built without recursion.  `realize` walks an expression with an
+explicit stack; `decompose_sp` recognises a graph by a worklist series /
+parallel reduction and orients the result once, from s.  Both hand one
+post-order list to the same node builder.
 
 The DSL grammar:
 
@@ -19,7 +26,9 @@ N-ary S(...) / P(...) fold left into binary nodes; whitespace is free.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterator
 
 from .graphs import GraphError, Multigraph, TwoTerminalGraph, blocks, max_flow
@@ -40,13 +49,16 @@ class ParseError(ValueError):
 LEAF, SERIES, PARALLEL = "leaf", "s", "p"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecompNode:
-    """One constituent: terminals in the host graph, covered edges, children."""
+    """One constituent: terminals in the host graph, children, cached flow.
+
+    Nodes compare and hash by identity; only leaves list their host edges.
+    """
     kind: str                         # 'leaf' | 's' | 'p'
     s: int
     t: int
-    edges: tuple[int, ...]            # host edge indices, sorted
+    edges: tuple[int, ...]            # leaves only: host edge indices, sorted
     children: tuple["DecompNode", ...]
     flow: int
     base: str | None = None           # leaves only: 'e', 'W', or None (gadget)
@@ -54,34 +66,38 @@ class DecompNode:
     def is_leaf(self) -> bool:
         return self.kind == LEAF
 
-    def reversed(self) -> "DecompNode":
-        """Swap the terminal pair; series children flip order and reverse."""
-        if self.kind == SERIES:
-            kids = tuple(c.reversed() for c in reversed(self.children))
+
+def _subtree(node: DecompNode) -> Iterator[DecompNode]:
+    """The nodes under node (itself included) in pre-order."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
+
+
+def _assemble(post: list) -> DecompNode:
+    """Build a tree from a post-order list of leaf nodes and 's' / 'p' marks.
+
+    A mark composes the last two nodes built: series keeps the left node's
+    s and the right node's t, parallel keeps the left node's terminals.
+    """
+    stack: list[DecompNode] = []
+    for item in post:
+        if isinstance(item, DecompNode):
+            stack.append(item)
+            continue
+        right = stack.pop()
+        left = stack.pop()
+        if item == SERIES:
+            node = DecompNode(SERIES, left.s, right.t, (), (left, right),
+                              min(left.flow, right.flow))
         else:
-            kids = self.children
-        return DecompNode(self.kind, self.t, self.s, self.edges, kids, self.flow, self.base)
-
-
-def _leaf_node(s: int, t: int, edges: tuple[int, ...], base: str | None,
-               flow: int) -> DecompNode:
-    return DecompNode(LEAF, s, t, tuple(sorted(edges)), (), flow, base)
-
-
-def _series_node(left: DecompNode, right: DecompNode) -> DecompNode:
-    if left.t != right.s:
-        raise GraphError("series composition: left.t must equal right.s")
-    edges = tuple(sorted(left.edges + right.edges))
-    return DecompNode(SERIES, left.s, right.t, edges, (left, right),
-                      min(left.flow, right.flow))
-
-
-def _parallel_node(left: DecompNode, right: DecompNode) -> DecompNode:
-    if (left.s, left.t) != (right.s, right.t):
-        raise GraphError("parallel composition: terminal pairs must coincide")
-    edges = tuple(sorted(left.edges + right.edges))
-    return DecompNode(PARALLEL, left.s, left.t, edges, (left, right),
-                      left.flow + right.flow)
+            node = DecompNode(PARALLEL, left.s, left.t, (), (left, right),
+                              left.flow + right.flow)
+        stack.append(node)
+    (root,) = stack
+    return root
 
 
 @dataclass(frozen=True)
@@ -90,11 +106,7 @@ class DecompTree:
     root: DecompNode
 
     def nodes(self) -> Iterator[DecompNode]:
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
+        return _subtree(self.root)
 
     def leaves(self) -> Iterator[DecompNode]:
         return (n for n in self.nodes() if n.is_leaf())
@@ -104,7 +116,7 @@ class DecompTree:
         g = self.graph.graph
         vmap: dict[int, int] = {}
         pairs = []
-        for i in node.edges:
+        for i in sorted(i for n in _subtree(node) for i in n.edges):
             a, b = g.edges[i]
             for v in (a, b):
                 if v not in vmap:
@@ -133,7 +145,8 @@ def check_proper_flow_bound(tree: DecompTree, lam: int) -> bool:
 
 @dataclass(frozen=True)
 class SPLeaf:
-    base: str                          # 'e' or 'W'
+    base: str | None                   # 'e', 'W', or None for a gadget
+    gadget: TwoTerminalGraph | None = None
 
 
 @dataclass(frozen=True)
@@ -144,107 +157,85 @@ class SPOp:
 
 SPExpr = SPLeaf | SPOp
 
-
-class _Realizer:
-    """Builds a graph and tree from an AST, merging vertices by union-find."""
-
-    def __init__(self):
-        self.parent: list[int] = []
-        self.edges: list[tuple[int, int]] = []
-
-    def fresh(self) -> int:
-        self.parent.append(len(self.parent))
-        return len(self.parent) - 1
-
-    def find(self, v: int) -> int:
-        p = self.parent
-        while p[v] != v:
-            p[v] = p[p[v]]
-            v = p[v]
-        return v
-
-    def union(self, keep: int, drop: int) -> None:
-        self.parent[self.find(drop)] = self.find(keep)
-
-    def add_edge(self, a: int, b: int) -> int:
-        self.edges.append((a, b))
-        return len(self.edges) - 1
-
-    def build(self, ast: SPExpr) -> tuple[int, int, "_ProtoNode"]:
-        if isinstance(ast, SPLeaf):
-            return self.build_leaf(ast.base)
-        kids = [self.build(arg) for arg in ast.args]
-        s, t, node = kids[0]
-        for s2, t2, node2 in kids[1:]:
-            if ast.kind == SERIES:
-                self.union(t, s2)
-                node = _ProtoNode(SERIES, s, t2, (node, node2))
-                t = t2
-            else:
-                self.union(s, s2)
-                self.union(t, t2)
-                node = _ProtoNode(PARALLEL, s, t, (node, node2))
-        return s, t, node
-
-    def build_leaf(self, base: str) -> tuple[int, int, "_ProtoNode"]:
-        if base == "e":
-            s, t = self.fresh(), self.fresh()
-            i = self.add_edge(s, t)
-            return s, t, _ProtoNode(LEAF, s, t, (), base, (i,))
-        if base == "W":
-            s, a, b, t = (self.fresh() for _ in range(4))
-            idx = tuple(self.add_edge(u, v)
-                        for u, v in ((s, a), (s, b), (a, b), (a, t), (b, t)))
-            return s, t, _ProtoNode(LEAF, s, t, (), base, idx)
-        raise GraphError(f"unknown leaf base {base!r}")
+# Leaf templates: edges over template vertices (0 = s, 1 = t, 2.. inner),
+# vertex count, and between-terminals flow.
+_TEMPLATES = {
+    "e": (((0, 1),), 2, 1),
+    "W": (((0, 2), (0, 3), (2, 3), (2, 1), (3, 1)), 4, 2),
+}
 
 
-@dataclass
-class _ProtoNode:
-    kind: str
-    s: int
-    t: int
-    children: tuple
-    base: str | None = None
-    edge_idx: tuple[int, ...] = ()
-
-
-_LEAF_FLOW = {"e": 1, "W": 2}
-
-
-def _finalize(rz: _Realizer, s: int, t: int, proto: _ProtoNode
-              ) -> tuple[TwoTerminalGraph, DecompTree]:
-    # Compact union-find classes to 0..n-1 in order of first edge appearance.
-    remap: dict[int, int] = {}
-
-    def new_id(v: int) -> int:
-        r = rz.find(v)
-        if r not in remap:
-            remap[r] = len(remap)
-        return remap[r]
-
-    edges = tuple((new_id(a), new_id(b)) for a, b in rz.edges)
-    graph = Multigraph(len(remap), edges)
-    tt = TwoTerminalGraph(graph, new_id(s), new_id(t))
-
-    def freeze(p: _ProtoNode) -> DecompNode:
-        if p.kind == LEAF:
-            return _leaf_node(new_id(p.s), new_id(p.t), p.edge_idx, p.base,
-                              _LEAF_FLOW[p.base])
-        left = freeze(p.children[0])
-        right = freeze(p.children[1])
-        if p.kind == SERIES:
-            return _series_node(left, right)
-        return _parallel_node(left, right)
-
-    return tt, DecompTree(tt, freeze(proto))
+def _template(leaf: SPLeaf) -> tuple[tuple[tuple[int, int], ...], int, int]:
+    gadget = leaf.gadget
+    if gadget is None:
+        if leaf.base not in _TEMPLATES:
+            raise GraphError(f"unknown leaf base {leaf.base!r}")
+        return _TEMPLATES[leaf.base]
+    if leaf.base is not None:
+        raise GraphError("a gadget leaf takes base None")
+    g = gadget.graph
+    inner = (v for v in range(g.vertex_count) if v not in (gadget.s, gadget.t))
+    vmap = {gadget.s: 0, gadget.t: 1, **{v: k for k, v in enumerate(inner, 2)}}
+    return (tuple((vmap[a], vmap[b]) for a, b in g.edges), g.vertex_count,
+            max_flow(gadget))
 
 
 def realize(ast: SPExpr) -> tuple[TwoTerminalGraph, DecompTree]:
-    """Build the denoted 2-terminal graph plus its decomposition tree."""
-    rz = _Realizer()
-    s, t, proto = rz.build(ast)
-    return _finalize(rz, s, t, proto)
+    """Build the denoted 2-terminal graph plus its decomposition tree.
+
+    Terminals are assigned top-down, every leaf copies its template, and
+    vertices are numbered by first appearance along the edge list.  A gadget
+    leaf, SPLeaf(None, gadget), copies the gadget with its terminals glued
+    to the leaf's and has the gadget's s-t flow.
+    """
+    edges: list[tuple[int, int]] = []
+    post: list = []                    # leaf records and 's' / 'p' marks
+    templates: dict[int, tuple] = {}
+    fresh = 2                          # abstract vertices; 0 and 1 are s and t
+    work: list = [(ast, 0, 1)]
+    while work:
+        item = work.pop()
+        if isinstance(item, str):
+            post.append(item)
+            continue
+        expr, s, t = item
+        if isinstance(expr, SPOp):
+            # N-ary compositions fold left: arg, arg, mark, arg, mark, ...
+            k = len(expr.args)
+            if expr.kind == SERIES:
+                ends = [s, *range(fresh, fresh + k - 1), t]
+                fresh += k - 1
+                spans = list(zip(ends, ends[1:]))
+            else:
+                spans = [(s, t)] * k
+            todo: list = [(expr.args[0], *spans[0])]
+            for arg, span in zip(expr.args[1:], spans[1:]):
+                todo += [(arg, *span), expr.kind]
+            work.extend(reversed(todo))
+            continue
+        if id(expr) not in templates:
+            templates[id(expr)] = _template(expr)
+        pairs, count, flow = templates[id(expr)]
+        vmap = [s, t, *range(fresh, fresh + count - 2)]
+        fresh += count - 2
+        first = len(edges)
+        edges.extend((vmap[a], vmap[b]) for a, b in pairs)
+        post.append((s, t, range(first, len(edges)), flow, expr.base))
+
+    label: dict[int, int] = {}
+    for a, b in edges:
+        label.setdefault(a, len(label))
+        label.setdefault(b, len(label))
+    for v in range(fresh):             # isolated gadget vertices come last
+        label.setdefault(v, len(label))
+    graph = Multigraph(len(label), tuple((label[a], label[b]) for a, b in edges))
+    tt = TwoTerminalGraph(graph, label[0], label[1])
+
+    def leaf(s: int, t: int, span: range, flow: int, base: str | None) -> DecompNode:
+        return DecompNode(LEAF, label[s], label[t], tuple(span), (), flow, base)
+
+    post = [item if isinstance(item, str) else leaf(*item) for item in post]
+    return tt, DecompTree(tt, _assemble(post))
 
 
 # ---------------------------------------------------------------------------
@@ -354,87 +345,108 @@ def parse_sp(text: str) -> tuple[TwoTerminalGraph, DecompTree]:
 def decompose_sp(tt: TwoTerminalGraph) -> DecompTree | None:
     """Maximal decomposition tree with single-edge leaves, or None.
 
-    Repeatedly merges parallel super-edge pairs and contracts internal
-    degree-2 vertices, recording the tree.  Succeeds exactly when (G, s, t)
-    is 2-terminal series-parallel; the reduction order (lowest indices
-    first) fixes one canonical tree among the maximal ones.
+    Merges parallel super-edge pairs and contracts internal degree-2
+    vertices until one super-edge is left (Valdes, Tarjan & Lawler, SIAM J.
+    Comput. 11, 1982).  Succeeds exactly when (G, s, t) is 2-terminal
+    series-parallel.  The order fixes one canonical tree among the maximal
+    ones: while some endpoint pair carries two super-edges, the group with
+    the lowest id merges its two lowest ids; otherwise the lowest internal
+    degree-2 vertex is contracted.  Merged super-edges get fresh ids above
+    all others.  The tree is oriented once, from s, at the end.
     """
     g = tt.graph
     g.require_loopless("decompose_sp")
     if g.edge_count == 0 or not g.is_connected():
         raise GraphError("decompose_sp needs a connected graph with edges")
 
-    # Super-edges: id -> (u, v, node); node terminals are (u, v).
-    sedges: dict[int, tuple[int, int, DecompNode]] = {}
-    incident: dict[int, set[int]] = {v: set() for v in range(g.vertex_count)}
-    for i, (a, b) in enumerate(g.edges):
-        sedges[i] = (a, b, _leaf_node(a, b, (i,), "e", 1))
+    # Super-edge id -> endpoints (u, v) and, once merged, (kind, first,
+    # second, junction); a series super-edge runs u -> first -> w -> second -> v.
+    ends: list[tuple[int, int]] = list(g.edges)
+    parts: list[tuple] = [()] * len(ends)
+    incident: list[set[int]] = [set() for _ in range(g.vertex_count)]
+    groups: dict[tuple[int, int], deque[int]] = {}     # endpoint pair -> ids, ascending
+
+    def pair(e: int) -> tuple[int, int]:
+        a, b = ends[e]
+        return (a, b) if a < b else (b, a)
+
+    for i, (a, b) in enumerate(ends):
         incident[a].add(i)
         incident[b].add(i)
-    next_id = g.edge_count
+        groups.setdefault(pair(i), deque()).append(i)
+    # Both heaps are checked lazily: an entry counts only while it still holds.
+    pair_heap = [(ids[0], key) for key, ids in groups.items() if len(ids) > 1]
+    vertex_heap = [w for w in range(g.vertex_count)
+                   if w not in (tt.s, tt.t) and len(incident[w]) == 2]
+    heapify(pair_heap)
 
-    def oriented(eid: int, want_s: int) -> DecompNode:
-        u, v, node = sedges[eid]
-        return node if node.s == want_s else node.reversed()
-
-    def remove(eid: int):
-        u, v, _ = sedges.pop(eid)
-        incident[u].discard(eid)
-        incident[v].discard(eid)
-
-    def add(u: int, v: int, node: DecompNode) -> int:
-        nonlocal next_id
-        eid = next_id
-        next_id += 1
-        sedges[eid] = (u, v, node)
+    def merge(kind: str, e1: int, e2: int, u: int, v: int, w: int | None) -> None:
+        """Replace super-edges e1 and e2 by a new super-edge from u to v."""
+        for e in (e1, e2):
+            for x in ends[e]:
+                incident[x].discard(e)
+        eid = len(ends)
+        ends.append((u, v))
+        parts.append((kind, e1, e2, w))
         incident[u].add(eid)
         incident[v].add(eid)
-        return eid
+        key = pair(eid)
+        ids = groups.setdefault(key, deque())
+        ids.append(eid)
+        if len(ids) > 1:
+            heappush(pair_heap, (ids[0], key))
 
     while True:
-        # Parallel merges, lowest edge ids first.
-        merged = True
-        while merged:
-            merged = False
-            by_pair: dict[frozenset, list[int]] = {}
-            for eid in sorted(sedges):
-                u, v, _ = sedges[eid]
-                by_pair.setdefault(frozenset((u, v)), []).append(eid)
-            for pair_ids in by_pair.values():
-                if len(pair_ids) >= 2:
-                    e1, e2 = pair_ids[0], pair_ids[1]
-                    u, v, _ = sedges[e1]
-                    node = _parallel_node(oriented(e1, u), oriented(e2, u))
-                    remove(e1)
-                    remove(e2)
-                    add(u, v, node)
-                    merged = True
-                    break
-
-        if len(sedges) == 1:
-            (eid, (u, v, _)) = next(iter(sedges.items()))
-            if {u, v} == {tt.s, tt.t}:
-                return DecompTree(tt, oriented(eid, tt.s))
-            return None
-
-        # One series contraction at the lowest eligible internal vertex.
-        for w in range(g.vertex_count):
-            if w in (tt.s, tt.t) or len(incident[w]) != 2:
+        while pair_heap:
+            low, key = heappop(pair_heap)
+            ids = groups[key]
+            if len(ids) < 2 or ids[0] != low:
                 continue
-            e1, e2 = sorted(incident[w])
-            u1, v1, _ = sedges[e1]
-            u2, v2, _ = sedges[e2]
-            u = v1 if u1 == w else u1
-            v = v2 if u2 == w else u2
-            # A u == v situation would be a parallel pair, already merged.
-            assert u != v
-            node = _series_node(oriented(e1, u), oriented(e2, w))
-            remove(e1)
-            remove(e2)
-            add(u, v, node)
+            e1, e2 = ids.popleft(), ids.popleft()
+            u, v = ends[e1]
+            merge(PARALLEL, e1, e2, u, v, None)
+            for x in (u, v):
+                if x not in (tt.s, tt.t) and len(incident[x]) == 2:
+                    heappush(vertex_heap, x)
+
+        if len(ends) == 2 * g.edge_count - 1:       # one super-edge left
+            if set(ends[-1]) != {tt.s, tt.t}:
+                return None
             break
-        else:
+
+        while vertex_heap and len(incident[vertex_heap[0]]) != 2:
+            heappop(vertex_heap)
+        if not vertex_heap:
             return None
+        w = heappop(vertex_heap)
+        e1, e2 = sorted(incident[w])
+        u = sum(ends[e1]) - w
+        v = sum(ends[e2]) - w
+        for e in (e1, e2):
+            groups[pair(e)].popleft()
+        merge(SERIES, e1, e2, u, v, w)
+
+    # Orient from s: a p-node's parts share its source, an s-node starts
+    # with the part that holds it.
+    post: list = []
+    work: list = [(len(ends) - 1, tt.s)]
+    while work:
+        item = work.pop()
+        if isinstance(item, str):
+            post.append(item)
+            continue
+        eid, x = item
+        if not parts[eid]:
+            post.append(DecompNode(LEAF, x, sum(ends[eid]) - x, (eid,), (), 1, "e"))
+            continue
+        kind, e1, e2, w = parts[eid]
+        if kind == PARALLEL:
+            work += [kind, (e2, x), (e1, x)]
+        elif x == ends[eid][0]:
+            work += [kind, (e2, w), (e1, x)]
+        else:
+            work += [kind, (e1, w), (e2, x)]
+    return DecompTree(tt, _assemble(post))
 
 
 def is_nice(tt: TwoTerminalGraph) -> bool:
@@ -443,52 +455,6 @@ def is_nice(tt: TwoTerminalGraph) -> bool:
     if not g.is_connected():
         return False
     return len(blocks(g.with_edge(tt.s, tt.t))) == 1
-
-
-# ---------------------------------------------------------------------------
-# Graph-level composition (general gadgets)
-# ---------------------------------------------------------------------------
-
-def _shift_node(node: DecompNode, vmap: dict[int, int], eshift: int) -> DecompNode:
-    kids = tuple(_shift_node(c, vmap, eshift) for c in node.children)
-    return DecompNode(node.kind, vmap[node.s], vmap[node.t],
-                      tuple(e + eshift for e in node.edges), kids,
-                      node.flow, node.base)
-
-
-def _compose(kind: str, a: tuple[TwoTerminalGraph, DecompNode],
-             b: tuple[TwoTerminalGraph, DecompNode]
-             ) -> tuple[TwoTerminalGraph, DecompNode]:
-    (ta, na), (tb, nb) = a, b
-    ga, gb = ta.graph, tb.graph
-    if kind == SERIES:
-        glued = {tb.s: ta.t}
-    else:
-        glued = {tb.s: ta.s, tb.t: ta.t}
-    vmap: dict[int, int] = {}
-    fresh = ga.vertex_count
-    for v in range(gb.vertex_count):
-        if v in glued:
-            vmap[v] = glued[v]
-        else:
-            vmap[v] = fresh
-            fresh += 1
-    edges = ga.edges + tuple((vmap[x], vmap[y]) for x, y in gb.edges)
-    graph = Multigraph(fresh, edges)
-    nb2 = _shift_node(nb, vmap, ga.edge_count)
-    if kind == SERIES:
-        node = _series_node(na, nb2)
-        tt = TwoTerminalGraph(graph, ta.s, vmap[tb.t])
-    else:
-        node = _parallel_node(na, nb2)
-        tt = TwoTerminalGraph(graph, ta.s, ta.t)
-    return tt, node
-
-
-def _gadget_unit(gadget: TwoTerminalGraph) -> tuple[TwoTerminalGraph, DecompNode]:
-    edges = tuple(range(gadget.graph.edge_count))
-    node = _leaf_node(gadget.s, gadget.t, edges, None, max_flow(gadget))
-    return gadget, node
 
 
 # ---------------------------------------------------------------------------
@@ -554,9 +520,6 @@ def gen_gadget_cycle(gadget: TwoTerminalGraph, copies: int
     """
     if copies < 1:
         raise GraphError("need at least one gadget copy")
-    chain = _gadget_unit(gadget)
-    for _ in range(copies - 1):
-        chain = _compose(SERIES, chain, _gadget_unit(gadget))
-    edge_tt, edge_tree = realize(SPLeaf("e"))
-    tt, node = _compose(PARALLEL, (edge_tt, edge_tree.root), chain)
-    return tt, DecompTree(tt, node)
+    unit = SPLeaf(None, gadget)
+    chain = unit if copies == 1 else SPOp(SERIES, (unit,) * copies)
+    return realize(SPOp(PARALLEL, (SPLeaf("e"), chain)))

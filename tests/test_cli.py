@@ -96,6 +96,31 @@ def test_sp_decompose_json(tmp_path, monkeypatch, capsys):
     assert out == {"series_parallel": False}
 
 
+def test_sp_decompose_matches_recorded_digests(tmp_path, monkeypatch, capsys):
+    # SHA-256 of the stdout JSON, recorded from the quadratic reduction this
+    # one replaced, on inputs whose trees it already oriented consistently.
+    recorded = {
+        "P(e,S(e,e))": "657e7ce107d8328b493e9a48e033b624d0e1f012771eaeba708a82dc26433aed",
+        "P(S(e,e),S(e,e))": "d903d9c2f875c75ccdc87848465311fb77179d5e3f21ebba9d3375af3cf640a2",
+        "S(P(e,e),e,P(e,S(e,e)))":
+            "193782cccec0473654914ddd2644e81d4cc4928b24e000cb288f1ebf6945dad1",
+        "P(S(e,P(e,e)),S(e,P(e,e)))":
+            "730ec92b0ab32efe7a77e43d5c9eb1c194f327ea6c7c9fa39b4396d6a665c508",
+        "P(S(e,P(e,S(e,e))),e)": "d8ad66dcbf37946f84287fb893f3f95254af8aa7136ff8a606d4bd8403575b63",
+        "S(e,P(e,e),e)": "66e0122e4e9a5545b0359ed2b23a88d6e03cfe94fcaaf815b4a7850837316248",
+    }
+    for text, digest in recorded.items():
+        assert run(tmp_path, monkeypatch, "sp", "decompose", "--dsl", text) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, text
+
+
+def test_missing_graph_file_is_an_input_error(tmp_path, monkeypatch, capsys):
+    assert run(tmp_path, monkeypatch, "flow", "--graph", "missing.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.json" in err
+    assert "Traceback" not in err
+
+
 def test_region_certify(tmp_path, monkeypatch, capsys):
     assert run(tmp_path, monkeypatch, "region", "certify", "--q", "4.2",
                "--lambda", "3") == 0

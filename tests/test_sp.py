@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -8,7 +9,8 @@ from tuttebound.graphs import (GraphError, Multigraph, TwoTerminalGraph, banana,
 from tuttebound.sp import (DecompTree, ParseError, check_proper_flow_bound,
                            constituent_flows, decompose_sp, gen_gadget_cycle,
                            gen_leaf_joined_tree, gen_theta, gen_wheatstone,
-                           is_nice, leaf_joined_vertex_count, parse_sp, realize)
+                           is_nice, leaf_joined_tree_ast, leaf_joined_vertex_count,
+                           parse_sp, realize)
 
 
 def test_parse_parallel_edges():
@@ -126,33 +128,53 @@ def test_decompose_leaves_cover_edges_once():
             assert set(tt.graph.edges[i]) == {leaf.s, leaf.t}
 
 
-def _replay(tree: DecompTree, node) -> tuple[set[int], int, int]:
-    """Rebuild (edge set, terminals) bottom-up, checking composition gluing."""
-    if node.is_leaf():
-        return set(node.edges), node.s, node.t
-    e1, s1, t1 = _replay(tree, node.children[0])
-    e2, s2, t2 = _replay(tree, node.children[1])
-    assert not (e1 & e2)
-    if node.kind == "s":
-        assert t1 == s2
-        assert (node.s, node.t) == (s1, t2)
-    else:
-        assert (s1, t1) == (s2, t2) == (node.s, node.t)
-    return e1 | e2, node.s, node.t
+def _check_tree(tt: TwoTerminalGraph, tree: DecompTree) -> None:
+    """The tree spans (s, t), its leaves cover every edge once, e-leaves span
+    their edge, p-node children share the p-node's terminals, and s-node
+    children chain from the s-node's s to its t."""
+    assert (tree.root.s, tree.root.t) == (tt.s, tt.t)
+    covered = []
+    for node in tree.nodes():
+        if node.is_leaf():
+            covered.extend(node.edges)
+            if node.base == "e":
+                assert set(tt.graph.edges[node.edges[0]]) == {node.s, node.t}
+            continue
+        left, right = node.children
+        if node.kind == "p":
+            assert (left.s, left.t) == (right.s, right.t) == (node.s, node.t)
+        else:
+            assert (left.s, left.t, right.t) == (node.s, right.s, node.t)
+    assert sorted(covered) == list(range(tt.graph.edge_count))
+
+
+def _relabeled(tt: TwoTerminalGraph, rng: random.Random) -> TwoTerminalGraph:
+    """The same graph with its vertices permuted and each edge reversed at random."""
+    n = tt.graph.vertex_count
+    perm = rng.sample(range(n), n)
+    edges = tuple((perm[b], perm[a]) if rng.random() < 0.5 else (perm[a], perm[b])
+                  for a, b in tt.graph.edges)
+    return TwoTerminalGraph(Multigraph(n, edges), perm[tt.s], perm[tt.t])
 
 
 def test_tree_reconstruction_matches_graph():
     rng = random.Random(29)
+    relabel_rng = random.Random(30)
     for _ in range(30):
         tt, tree = realize(random_sp_ast(rng, rng.randint(1, 8), bases=("e", "W")))
-        edges, s, t = _replay(tree, tree.root)
-        assert edges == set(range(tt.graph.edge_count))
-        assert (s, t) == (tt.s, tt.t)
-        tree2 = decompose_sp(tt)
-        if tree2 is not None:
-            edges2, s2, t2 = _replay(tree2, tree2.root)
-            assert edges2 == set(range(tt.graph.edge_count))
-            assert (s2, t2) == (tt.s, tt.t)
+        _check_tree(tt, tree)
+        for host in (tt, _relabeled(tt, relabel_rng)):
+            tree2 = decompose_sp(host)
+            if tree2 is not None:
+                _check_tree(host, tree2)
+    # Larger e-only graphs, whose reductions flip many p-nodes.
+    for _ in range(100):
+        tt, _ = realize(random_sp_ast(relabel_rng, relabel_rng.randint(2, 20)))
+        host = _relabeled(tt, relabel_rng)
+        _check_tree(host, decompose_sp(host))
+    # The p-node over the two (2, 1) edges must face from 1 to 2.
+    tt = TwoTerminalGraph(Multigraph(3, ((1, 0), (2, 1), (2, 1))), 0, 2)
+    _check_tree(tt, decompose_sp(tt))
 
 
 def test_is_nice_examples():
@@ -257,3 +279,56 @@ def test_gadget_cycle_94_vertices():
     assert len(gadget_leaves) == 3
     edge_leaves = [n for n in tree.leaves() if n.base == "e"]
     assert len(edge_leaves) == 1
+
+
+def test_long_series_repetition():
+    tt, tree = parse_sp("e^><5000")
+    assert (tt.graph.vertex_count, tt.graph.edge_count) == (5001, 5000)
+    assert tree.root.flow == 1
+    _check_tree(tt, tree)
+
+
+def test_decompose_long_path_and_theta():
+    tt = TwoTerminalGraph(path_graph(20_000), 0, 20_000)
+    tree = decompose_sp(tt)
+    assert tree is not None and tree.root.flow == 1
+    _check_tree(tt, tree)
+    theta, _ = gen_theta(3000, 3)
+    tree = decompose_sp(theta)
+    assert tree is not None and tree.root.flow == 3
+    _check_tree(theta, tree)
+
+
+def test_long_gadget_cycle():
+    h, tree = gen_gadget_cycle(gen_wheatstone(), 2000)
+    assert (h.graph.vertex_count, h.graph.edge_count) == (6001, 10_001)
+    assert tree.root.flow == 3
+    assert sum(1 for n in tree.leaves() if n.base is None) == 2000
+    _check_tree(h, tree)
+
+
+def _tree_digest(tt: TwoTerminalGraph, tree: DecompTree) -> str:
+    h = hashlib.sha256()
+    h.update(repr((tt.graph.vertex_count, tt.graph.edges, tt.s, tt.t)).encode())
+    for node in tree.nodes():
+        h.update(repr((node.kind, node.s, node.t, node.flow, node.base,
+                       node.edges if node.is_leaf() else len(node.children))).encode())
+    return h.hexdigest()
+
+
+def test_realize_matches_recorded_digests():
+    # SHA-256 of (vertex count, edges, terminals) and the pre-order tree,
+    # recorded from the union-find realizer this one replaced.
+    recorded = {
+        "W": "77dabb35fca2de0b82e2b9c2059fe9f84515a66c512341fd07847e91073cef7d",
+        "e^||3": "ca4e9bd40b60d6f47eefb1f3db986c12f1c47f313f31fcd0cee21184041a1ad5",
+        "e^><4": "698d90836e875379f2f74aa99d967541829716019ad9e9a6c91d043405241931",
+        "W^><3^||2": "3a2a51818d60fb2975010b6b1b242cb78c612411e5b06ffd39f7eff5b0f51902",
+        "S(e,W)^||3": "406e3ed9afcbf573eeb00d060ce6587284ca53c721806bef7e5893b39a5bd46b",
+        "P(e,W^><4)": "97c9d07477fed7d5dfab692979227a958cef56c9ce4e52b57fb617ec5fe2e1e3",
+        "e^><2^||3^><2": "97f5c2149b59fe664636f0e3c33d5d67a2da413b805eaaae6316216bf3ed09a4",
+    }
+    for text, digest in recorded.items():
+        assert _tree_digest(*parse_sp(text)) == digest, text
+    assert _tree_digest(*realize(leaf_joined_tree_ast(3, 3))) == \
+        "aa0ac9553ae9a9f05441aaffc4b108d089707318119f69a6fbebb2651ae13143"
