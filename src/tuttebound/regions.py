@@ -600,6 +600,21 @@ def grid_closure(q: complex, lam: int, resolution: int = 256) -> GridFamily:
     cell whose center lies there, stops the run with escaped=True before
     it is marked.  Rules, cells and chunks come in a fixed order, so an
     escaped run leaves the same rasters every time.
+
+    Product rules skip the pairs that provably change nothing.  Before
+    each block of a product rule, r0 is the least distance from 0 to the
+    closed square of a cell not yet marked at the target level, capped at
+    1; marks only grow, so r0 stays a lower bound for the whole block.  A
+    pair is skipped when |b| < (r0 (1 - 1e-12) - 1e-12) / |a|, a prefix of
+    the right block sorted by modulus.  That margin dwarfs the few ulps by
+    which the moduli, the division, fl(a b), the truncation to a cell
+    index and the distance table can err, so the cell the pair would
+    reach lies nearer to 0 than r0, hence is already marked, and its value
+    has modulus below 1: the pair can neither add a cell nor escape.
+    Skipping only thins each chunk, which is still left[i:i+step] x right
+    with step taken from the full right block, and mark treats a chunk as
+    a set, so the rasters, sweeps, escape state and reason are those of
+    pairing every cell.
     """
     if resolution > 2048 or resolution & (resolution - 1):
         raise GraphError("resolution must be a power of two <= 2048")
@@ -615,6 +630,11 @@ def grid_closure(q: complex, lam: int, resolution: int = 256) -> GridFamily:
 
     def centers(flat: np.ndarray) -> np.ndarray:
         return (-1.0 + (flat % res + 0.5) * h) + 1j * (-1.0 + (flat // res + 0.5) * h)
+
+    # Distance from 0 to each closed cell square; grid lines are exact dyadics.
+    edge = -1.0 + np.arange(res) * h
+    near = np.maximum(np.maximum(edge, -(edge + h)), 0.0)
+    dist = np.hypot(near[None, :], near[:, None]).ravel()
 
     def mark(level: int, vals: np.ndarray) -> str:
         """Mark the cells of vals at `level` and above; the escape reason or ""."""
@@ -643,6 +663,19 @@ def grid_closure(q: complex, lam: int, resolution: int = 256) -> GridFamily:
     rules += [(k, lam - 1, np.multiply, k) for k in range(1, lam)]
     seen = {(k, ell): (0, 0) for k, ell, _, _ in rules}
 
+    def kept_pairs(op, rows: np.ndarray, right: np.ndarray, first: np.ndarray) -> np.ndarray:
+        """op over every rows[r] paired with right[first[r]:]."""
+        # A shared suffix (always so for parallel rules) broadcasts, which
+        # costs far less than gathering the pairs one by one.
+        lo = first.min()
+        if lo == first.max():
+            return op(rows[:, None], right[None, lo:]).ravel()
+        counts = len(right) - first
+        ends = np.cumsum(counts)
+        col = np.repeat(first + counts - ends, counts)
+        col += np.arange(ends[-1])
+        return op(np.repeat(rows, counts), right[col])
+
     def sweep() -> str:
         """One pass over the rule table; the escape reason or ""."""
         for k, ell, op, target in rules:
@@ -653,9 +686,18 @@ def grid_closure(q: complex, lam: int, resolution: int = 256) -> GridFamily:
                 if not len(left) or not len(right):
                     continue
                 step = max(1, _PAIR_CHUNK // len(right))
+                if op is np.multiply:
+                    r0 = dist[~rasters[target - 1]].min(initial=1.0)
+                    mod = np.abs(right)
+                    order = np.argsort(mod)
+                    right = right[order]
+                    first = np.searchsorted(mod[order],
+                                            (r0 * (1.0 - 1e-12) - 1e-12) / np.abs(left))
+                else:
+                    first = np.zeros(len(left), dtype=np.int64)
                 for i in range(0, len(left), step):
                     with np.errstate(divide="ignore", invalid="ignore"):
-                        vals = op(left[i:i + step, None], right[None, :]).ravel()
+                        vals = kept_pairs(op, left[i:i + step], right, first[i:i + step])
                     reason = mark(target, vals)
                     if reason:
                         return reason

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import tuttebound
 from tuttebound.cli import main, parse_complex
 from tuttebound.graphs import GraphError
 from tuttebound.sp import gen_leaf_joined_tree
@@ -119,6 +123,43 @@ def test_missing_graph_file_is_an_input_error(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "missing.json" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "--dsl", "S(e," * 1200 + "e" + ")" * 1200],
+    ["sp", "decompose", "--dsl", "e^><2000"],
+])
+def test_deep_inputs_are_input_errors(tmp_path, monkeypatch, capsys, argv):
+    assert run(tmp_path, monkeypatch, *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: the input nests too deeply\n"
+    assert captured.out == ""
+
+
+def test_parser_reuse_matches_fresh_runs(tmp_path, monkeypatch, capsys):
+    # One process runs a rejected argv, then two commands; each must read
+    # exactly as it does from a fresh interpreter.
+    argvs = [["region", "certify", "--q", "4.2", "--lambda", "three"],
+             ["region", "certify", "--q", "4.9", "--lambda", "3", "--mode", "wheatstone"],
+             ["sp", "decompose", "--dsl", "P(e,S(e,e))"]]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tuttebound.__file__)))
+    codes = []
+    for argv in argvs:
+        try:
+            codes.append(run(here, monkeypatch, *argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+        got = capsys.readouterr()
+        want = subprocess.run([sys.executable, "-m", "tuttebound.cli", *argv], cwd=fresh,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (codes[-1], got.out, got.err) == (want.returncode, want.stdout, want.stderr)
+        manifests = [d / "tuttebound.manifest.json" for d in (here, fresh)]
+        texts = [m.read_text() if m.exists() else None for m in manifests]
+        assert texts[0] == texts[1], argv
+    assert codes == [2, 0, 0]
 
 
 def test_region_certify(tmp_path, monkeypatch, capsys):

@@ -390,6 +390,69 @@ def test_grid_closure_validation():
         grid_closure(0.0, 3, 128)
 
 
+def _closure_oracle(q, lam, res):
+    """Least fixed point of the raster rules by plain all-pairs rounds.
+
+    Every round pairs all marked cells under the rule table of grid_closure
+    (parallel (k, ell) -> k+ell while k+ell <= L-1, products (k, L-1) -> k),
+    with no chunks, no bookkeeping of new cells and no skipping, until a
+    round adds nothing.  None when a value or a marked cell center leaves
+    the open unit disc.
+    """
+    h = 2.0 / res
+    levels = [np.zeros((res, res), dtype=bool) for _ in range(lam - 1)]
+
+    def mark(level, vals):
+        if not np.all(np.abs(vals) < 1.0):
+            return False
+        ix = np.minimum(((vals.real + 1.0) / h).astype(np.int64), res - 1)
+        iy = np.minimum(((vals.imag + 1.0) / h).astype(np.int64), res - 1)
+        for m in range(level - 1, lam - 1):
+            levels[m][iy, ix] = True
+        return True
+
+    def centers(k):
+        iy, ix = np.nonzero(levels[k - 1])
+        return (-1.0 + (ix + 0.5) * h) + 1j * (-1.0 + (iy + 0.5) * h)
+
+    if not mark(1, np.array([1.0 / (1.0 - q)])):
+        return None
+    while True:
+        before = [level.copy() for level in levels]
+        for k in range(1, lam):
+            for ell in range(k, lam):
+                a, b = centers(k)[:, None], centers(ell)[None, :]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    if k + ell <= lam - 1 and not mark(k + ell, _t_parallel(a, b, q).ravel()):
+                        return None
+                if ell == lam - 1 and not mark(k, (a * b).ravel()):
+                    return None
+        c = centers(lam - 1)
+        if np.any(c.real * c.real + c.imag * c.imag >= 1.0):
+            return None
+        if all(np.array_equal(x, y) for x, y in zip(before, levels)):
+            return levels
+
+
+@pytest.mark.parametrize("res", [32, 64])
+@pytest.mark.parametrize("lam, offsets", [(3, (1.5, 3.0)), (4, (2.5, 4.5))])
+def test_grid_closure_matches_all_pairs_oracle(res, lam, offsets):
+    # Offsets reach below the certification threshold, where the regions
+    # grow around 0 and most product pairs land in already-marked cells.
+    rng = random.Random(f"oracle:{res}:{lam}")
+    matched = 0
+    while matched < 12:
+        q = 1 + rng.uniform(*offsets) * cmath.exp(1j * rng.uniform(0.0, math.pi))
+        want = _closure_oracle(q, lam, res)
+        if want is None:
+            continue
+        fam = grid_closure(q, lam, res)
+        assert not fam.escaped and fam.converged, q
+        for got, level in zip(fam.levels, want):
+            assert np.array_equal(got, level), q
+        matched += 1
+
+
 def test_certified_points_are_zero_free_in_practice():
     # Direct meaning of certification: at a certified q, no admissible
     # weighting of a graph with maxmaxflow <= lam makes Z vanish.
