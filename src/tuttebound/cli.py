@@ -48,13 +48,6 @@ def parse_complex(text: str) -> complex:
         raise GraphError(f"cannot parse complex number {text!r}") from exc
 
 
-def fmt(x) -> str:
-    """Round-trip-exact decimal for floats/ints."""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 class _Run:
     """Collects outputs and writes the manifest at the end of a command."""
 
@@ -80,8 +73,7 @@ class _Run:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(x) for x in row])
+        writer.writerows(rows)     # floats are written by repr, so they round-trip
         self.emit_text(buf.getvalue())
 
     def finish(self) -> None:

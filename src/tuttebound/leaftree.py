@@ -1,4 +1,4 @@
-"""Leaf-joined trees: exact pair recursion, effective-weight iteration, loci.
+"""Leaf-joined trees: exact pair state, root location, effective-weight iteration, loci.
 
 The tree of branching factor r and height n, with all leaves identified,
 satisfies the pair recursion
@@ -8,9 +8,11 @@ satisfies the pair recursion
     A_1 = 1,  B_1 = (1+w)^r - 1,
 
 for a uniform edge weight w, with the partition function q^2 A_n + q B_n.
-One private step implements it over any ring: exact BigPoly coefficients at
-w = -1, BiPoly coefficients for a symbolic w, and, for root location, jets
-of doubles that carry each value with its q-derivative.
+Exact coefficients come from the engine's pair route on the realized tree
+(engine.tree_ab): BigPoly at w = -1, BiPoly for a symbolic w.  For root
+location, one private step runs the recursion on jets of doubles that carry
+each value with its q-derivative; it gives P/P' to the solver's own Aberth
+loop (rootfind.aberth_sweeps).
 
 The same growth is a one-dimensional iteration of the effective weight in
 the y = 1+v variable: y_0 = inf, y_{n+1} = ((q-1+y#*y)/(q-2+y#+y))^r, which
@@ -30,9 +32,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .engine import tree_ab
 from .graphs import GraphError
 from .poly import BigPoly, BiPoly
-from .rootfind import RootSet, find_roots, solve_complex_coeffs
+from .rootfind import RootSet, aberth_sweeps, find_roots, solve_complex_coeffs
+from .sp import leaf_joined_tree_ast, realize
 from .weights import INF, UNDEF, is_finite
 
 EXACT_SIZE_LIMIT = 2 ** 16      # r**n cap for the exact recursion
@@ -52,15 +56,8 @@ class LeafTreeState:
         return q * q * self.a + q * self.b
 
 
-def _pair_step(a, b, qw, one_w, r: int):
-    """(A_k, B_k) -> (A_{k+1}, B_{k+1}) over any ring holding qw = q+w, one_w = 1+w."""
-    y = qw * a
-    a_next = (y + b) ** r
-    return a_next, (y + one_w * b) ** r - a_next
-
-
 def leaf_tree_ab(r: int, n: int, symbolic_weight: bool = False) -> LeafTreeState:
-    """Run the exact pair recursion to depth n.
+    """Pair state (A_n, B_n) of the depth-n tree from the engine's pair route.
 
     With symbolic_weight the result is bivariate in (q, w); otherwise the
     proper-coloring specialization w = -1 is used throughout.
@@ -73,10 +70,10 @@ def leaf_tree_ab(r: int, n: int, symbolic_weight: bool = False) -> LeafTreeState
         one, q, w = BiPoly.const(1), BiPoly.q(), BiPoly.w()
     else:
         one, q, w = BigPoly.const(1), BigPoly.variable(), -1
-    a, b = one, (one + w) ** r - 1
-    for _ in range(n - 1):
-        a, b = _pair_step(a, b, q + w, one + w, r)
-    return LeafTreeState(r, n, a, b, symbolic_weight)
+    _tt, tree = realize(leaf_joined_tree_ast(r, n))
+    pairs = tree_ab(tree, q, weights=w)
+    # At n = 1 no series rule brings in q, so the pair may be plain ints.
+    return LeafTreeState(r, n, one * pairs.a, one * pairs.b, symbolic_weight)
 
 
 def chromatic_leaf_tree(r: int, n: int) -> BigPoly:
@@ -181,7 +178,7 @@ def ratio_at(num: BigPoly, den: BigPoly, q) -> object:
 #
 # Expanded in the monomial basis these polynomials suffer cancellation
 # exponential in the degree, but the defining recursion evaluates them with
-# small relative error away from the roots.  Running the same pair step on
+# small relative error away from the roots.  Running the pair step on
 # jets (value and q-derivative) yields P/P' in plain doubles, good enough to
 # steer an Aberth iteration; the pair is rescaled between levels (the step
 # is homogeneous of degree r in (A, B), so P/P' is unchanged) to stay in
@@ -214,6 +211,13 @@ class _Jet:
         return _Jet(self.v ** k, k * self.v ** (k - 1) * self.d)
 
 
+def _pair_step(a, b, qw, one_w, r: int):
+    """(A_k, B_k) -> (A_{k+1}, B_{k+1}) over any ring holding qw = q+w, one_w = 1+w."""
+    y = qw * a
+    a_next = (y + b) ** r
+    return a_next, (y + one_w * b) ** r - a_next
+
+
 def _newton_ratio(q, r: int, n: int):
     """P/P' of the depth-n proper-coloring polynomial at the points q (ndarray)."""
     q = np.asarray(q, dtype=np.complex128)
@@ -233,36 +237,25 @@ def _newton_ratio(q, r: int, n: int):
 def tree_chromatic_roots(r: int, n: int, tol: float = 1e-8) -> RootSet:
     """All proper-coloring roots of the depth-n tree.
 
-    An Aberth iteration driven by the pair step on jets locates the roots
-    in double precision; the exact coefficients then confirm them through
-    the polynomial solver (Newton residuals at working precision).
+    The solver's Aberth loop, driven by the pair step on jets, locates the
+    roots in double precision; the exact coefficients then confirm them
+    through the polynomial solver (Newton residuals at working precision).
     """
     poly = chromatic_leaf_tree(r, n)
     if poly.degree <= 2:
         return find_roots(poly, tol=tol)
-    starts = _aberth_on_recursion(r, n, poly.degree - 2)
+
+    def deflated_ratio(z):
+        # The roots at 0 and 1 are divided out of P; a non-finite ratio
+        # leaves its point where it is for this sweep.
+        w = 1.0 / (1.0 / _newton_ratio(z, r, n) - 1.0 / z - 1.0 / (z - 1.0))
+        return np.where(np.isfinite(w), w, 0.0)
+
+    count = poly.degree - 2
+    angles = (np.arange(count) + 0.37) / count
+    ring = 1.0 + r * np.exp(2j * np.pi * angles)      # near the root ring
+    starts, _ = aberth_sweeps(deflated_ratio, ring, step_tol=1e-13)
     return find_roots(poly, tol=tol, starts=starts)
-
-
-def _aberth_on_recursion(r: int, n: int, count: int,
-                         max_sweeps: int = 400) -> list[complex]:
-    # Deflated Newton ratio: roots at 0 and 1 are divided out of P.
-    rng_angles = (np.arange(count) + 0.37) / count
-    z = 1.0 + r * np.exp(2j * np.pi * rng_angles)    # near the root ring
-    for _ in range(max_sweeps):
-        w_full = _newton_ratio(z, r, n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = 1.0 / (1.0 / w_full - 1.0 / z - 1.0 / (z - 1.0))
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, 1.0)
-            inv = 1.0 / diff
-            np.fill_diagonal(inv, 0.0)
-            corr = w / (1.0 - w * inv.sum(axis=1))
-        corr = np.where(np.isfinite(corr), corr, 0.0)
-        z = z - corr
-        if np.all(np.abs(corr) <= 1e-13 * (1.0 + np.abs(z))):
-            break
-    return list(z)
 
 
 FIXED_POINT_CIRCLE = "fixed-point-circle"

@@ -616,7 +616,7 @@ def grid_closure(q: complex, lam: int, resolution: int = 256) -> GridFamily:
     a set, so the rasters, sweeps, escape state and reason are those of
     pairing every cell.
     """
-    if resolution > 2048 or resolution & (resolution - 1):
+    if not 1 <= resolution <= 2048 or resolution & (resolution - 1):
         raise GraphError("resolution must be a power of two <= 2048")
     if lam not in (3, 4):
         raise GraphError("raster closure supports lam in {3, 4}")
@@ -691,8 +691,10 @@ def grid_closure(q: complex, lam: int, resolution: int = 256) -> GridFamily:
                     mod = np.abs(right)
                     order = np.argsort(mod)
                     right = right[order]
-                    first = np.searchsorted(mod[order],
-                                            (r0 * (1.0 - 1e-12) - 1e-12) / np.abs(left))
+                    # |a| = 0 gives +-inf: all of the row's pairs skipped, or none.
+                    with np.errstate(divide="ignore"):
+                        least = (r0 * (1.0 - 1e-12) - 1e-12) / np.abs(left)
+                    first = np.searchsorted(mod[order], least)
                 else:
                     first = np.zeros(len(left), dtype=np.int64)
                 for i in range(0, len(left), step):

@@ -1,9 +1,12 @@
 """Simultaneous complex root finding for exact dense polynomials.
 
 Aberth-Ehrlich iteration with Jacobi-style sweeps (every update reads the
-previous sweep, so a sweep is deterministic and trivially data-parallel),
-started from perturbed circles whose radii come from the upper convex hull
-of (k, log|a_k|).
+previous sweep, so a sweep is deterministic and trivially data-parallel).
+The double-precision loop, aberth_sweeps, takes the Newton ratio p/p' as a
+callable, so one driver serves every evaluator: Horner on the scaled
+coefficients here, started from perturbed circles whose radii come from the
+upper convex hull of (k, log|a_k|), and the pair recursion of a leaf-joined
+tree in tuttebound.leaftree.
 
 Polynomials whose roots fill a disc, like the coloring polynomials handled
 here, are brutally ill-conditioned in the monomial basis: near the root
@@ -38,12 +41,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import mpmath as mp
 import numpy as np
 
 from .poly import BigPoly
+
+
+MAX_SWEEPS = 400        # cap of one aberth_sweeps call
+MAX_DPS = 400           # working-precision cap of the multiprecision phase
 
 
 class RootFindingError(ValueError):
@@ -94,31 +101,29 @@ def _initial_points(coeffs: np.ndarray) -> np.ndarray:
     return points
 
 
-def _horner_all(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _horner_ratio(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """p/p' at the points z by Horner, 0 where p' vanishes."""
     p = np.zeros_like(z)
     dp = np.zeros_like(z)
     for c in coeffs[::-1]:
         dp = dp * z + p
         p = p * z + c
-    return p, dp
+    return np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.0)
 
 
-def aberth_sweeps(coeffs: Sequence[complex], max_sweeps: int = 400,
+def aberth_sweeps(ratio: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
                   step_tol: float = 1e-14) -> tuple[np.ndarray, bool]:
-    """Double-precision Aberth on ascending complex coefficients.
+    """Double-precision Aberth from the start points z.
 
-    Stops when every correction is below step_tol relatively; adequate only
-    for polynomials double precision can resolve, so callers must validate.
+    ratio(z) returns the Newton ratios p(z)/p'(z) at an array of points;
+    any evaluator of p will do.  Stops when every correction is below
+    step_tol relatively, or after MAX_SWEEPS sweeps with the flag False.
+    Adequate only where double precision resolves p, so callers validate.
     """
-    c = np.asarray(coeffs, dtype=np.complex128)
-    if len(c) < 2 or c[-1] == 0:
-        raise RootFindingError("need degree >= 1 with a nonzero leading coefficient")
-    c = c / np.max(np.abs(c))
-    z = _initial_points(c)
-    for _sweep in range(max_sweeps):
+    z = np.asarray(z, dtype=np.complex128)
+    for _sweep in range(MAX_SWEEPS):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            p, dp = _horner_all(c, z)
-            w = np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.0)
+            w = ratio(z)
             diff = z[:, None] - z[None, :]
             np.fill_diagonal(diff, 1.0)
             inv = 1.0 / diff
@@ -188,22 +193,22 @@ def _newton_once(coeffs, z0: complex, dps: int, tol: float | None = None
         return complex(z), float(eta)
 
 
-def newton_residuals(coeffs, roots, dps: int = 40, tol: float | None = None,
-                     max_dps: int = 400) -> tuple[list[complex], list[float]]:
+def newton_residuals(coeffs, roots, dps: int = 40, tol: float | None = None
+                     ) -> tuple[list[complex], list[float]]:
     """Newton-polish each point and report relative Newton-step residuals.
 
     The polynomial value near a root can sit far below the coefficient
     scale, and the shortfall varies across the plane, so precision is
     escalated per root (restarting from the original point) until the
-    residual passes tol or max_dps is reached.
+    residual passes tol or MAX_DPS is reached.
     """
     out: list[complex] = []
     res: list[float] = []
     for z0 in roots:
         level = dps
         z, eta = _newton_once(coeffs, z0, level, tol)
-        while tol is not None and eta > tol and level < max_dps:
-            level = min(max_dps, 2 * level)
+        while tol is not None and eta > tol and level < MAX_DPS:
+            level = min(MAX_DPS, 2 * level)
             z, eta = _newton_once(coeffs, z0, level, tol)
         out.append(z)
         res.append(eta)
@@ -253,41 +258,41 @@ def _auto_dps(degree: int) -> int:
     return max(40, 30 + int(0.45 * degree))
 
 
-def solve_complex_coeffs(coeffs, tol: float = 1e-10, max_sweeps: int = 400,
-                         dps: int | None = None, max_dps: int = 400,
+def solve_complex_coeffs(coeffs, tol: float = 1e-10,
                          starts: Sequence[complex] | None = None) -> RootSet:
     """All roots of a polynomial given by exact (int/mpc) ascending coeffs.
 
     Double-precision sweeps first (skipped when starting points are
-    supplied); precision escalates geometrically until every Newton-step
-    residual passes tol or max_dps is hit (the result is then flagged
-    unconverged rather than trimmed).  The coefficients may be inexact, so
-    no multiplicity is claimed: every root is reported with multiplicity 1.
+    supplied); precision escalates geometrically from _auto_dps(degree)
+    until every Newton-step residual passes tol or MAX_DPS is hit (the
+    result is then flagged unconverged rather than trimmed).  The
+    coefficients may be inexact, so no multiplicity is claimed: every root
+    is reported with multiplicity 1.
     """
     cs = list(coeffs)
     while cs and mp.mpc(cs[-1]) == 0:
         cs.pop()
     if len(cs) < 2:
         raise RootFindingError("need degree >= 1")
-    if dps is None:
-        dps = _auto_dps(len(cs) - 1)
+    dps = _auto_dps(len(cs) - 1)
     if starts is not None:
         if len(starts) != len(cs) - 1:
             raise RootFindingError("starts must supply one point per root")
-        raw = list(starts)
+        raw = starts
     else:
-        approx = _scaled_float_coeffs(cs)
-        raw, _ = aberth_sweeps(approx, max_sweeps=max_sweeps)
-        raw = list(raw)
-    roots, residuals = newton_residuals(cs, raw, dps=dps, tol=tol, max_dps=max_dps)
+        c = _scaled_float_coeffs(cs)
+        if c[-1] == 0:
+            raise RootFindingError("leading coefficient underflows double precision")
+        c = c / np.max(np.abs(c))
+        raw, _ = aberth_sweeps(lambda z: _horner_ratio(c, z), _initial_points(c))
+    roots, residuals = newton_residuals(cs, raw, dps=dps, tol=tol)
     level = dps
-    while max(residuals) > tol and level < max_dps:
+    while max(residuals) > tol and level < MAX_DPS:
         # Per-root polishing was not enough: approximations are likely
         # collided or far off, so rerun the simultaneous iteration.
-        level = min(max_dps, int(level * 2.2))
+        level = min(MAX_DPS, int(level * 2.2))
         refined = _mp_aberth(cs, roots, dps=level)
-        roots, residuals = newton_residuals(cs, refined, dps=level, tol=tol,
-                                            max_dps=max_dps)
+        roots, residuals = newton_residuals(cs, refined, dps=level, tol=tol)
     order = sorted(range(len(roots)), key=lambda i: (roots[i].real, roots[i].imag))
     roots = [roots[i] for i in order]
     residuals = [residuals[i] for i in order]
@@ -369,8 +374,7 @@ def squarefree_factors(f: BigPoly) -> list[tuple[BigPoly, int]]:
     return out
 
 
-def find_roots(p: BigPoly, tol: float = 1e-10, max_sweeps: int = 400,
-               dps: int | None = None, max_dps: int = 400,
+def find_roots(p: BigPoly, tol: float = 1e-10,
                starts: Sequence[complex] | None = None) -> RootSet:
     """All complex roots of an exact integer polynomial.
 
@@ -418,8 +422,7 @@ def find_roots(p: BigPoly, tol: float = 1e-10, max_sweeps: int = 400,
         starts = None
     converged = True
     for g, m in factors:
-        part = solve_complex_coeffs(list(g.coeffs), tol=tol, max_sweeps=max_sweeps,
-                                    dps=dps, max_dps=max_dps, starts=starts)
+        part = solve_complex_coeffs(list(g.coeffs), tol=tol, starts=starts)
         for z, res in zip(part.roots, part.residuals):
             roots += [z] * m
             residuals += [res] * m

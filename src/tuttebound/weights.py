@@ -212,9 +212,13 @@ def save_weights(w: WeightAssignment) -> str:
 
 
 def load_weights(source: str | Path) -> WeightAssignment:
-    """Parse the JSON weight map {"system": "V", "0": {"re":..,"im":..}, ...}."""
+    """Parse the JSON weight map {"system": "V", "0": {"re":..,"im":..}, ...}.
+
+    ``source`` may be a path or a JSON string: a string whose first
+    non-space character is ``{`` is parsed, anything else is read as a path.
+    """
     text = source
-    if isinstance(source, Path) or (isinstance(source, str) and "\n" not in source and Path(source).is_file()):
+    if isinstance(source, Path) or not source.lstrip().startswith("{"):
         text = Path(source).read_text()
     try:
         record = json.loads(text)

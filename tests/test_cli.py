@@ -278,3 +278,37 @@ def test_manifest_written_even_without_out(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     manifest = json.loads((tmp_path / "tuttebound.manifest.json").read_text())
     assert manifest["config"]["lam"] == 4
+
+
+def test_region_grid_rejects_resolution_zero(tmp_path, monkeypatch, capsys):
+    code = run(tmp_path, monkeypatch, "region", "grid", "--q", "2.9+1i", "--resolution", "0",
+               "--out", str(tmp_path / "grid.csv"))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
+ROOT_CSV_DIGESTS = {
+    # SHA-256 of each CSV: root location, verification and CSV formatting
+    # must not move a byte of these outputs.
+    ("leaftree", "roots", "--r", "2", "--n", "5"):
+        "af9487110fda203f2d0adbcc1d39ae7800def9e9d26808f249313c93062ba874",
+    ("leaftree", "roots", "--r", "3", "--n", "3"):
+        "2a6b29adae6c935c83488b1f302d41af0b7d223d8b3b7f1a85043c567501e326",
+    ("leaftree", "roots", "--r", "4", "--n", "3"):
+        "14cd5c7aa64926c973d00b30f489ffced1adc0d20e16bf50f964b95a4457d41e",
+    ("roots", "solve", "--coeffs", "1,2,3,4,5,6,7,8,9,10"):
+        "c46d4bcc7121c73e11644d1154b53d5b542c2e4261ca17e57e062b62fd10713b",
+    # The chromatic polynomial of P(S(e,W),S(e,e,e)), two complex pairs.
+    ("roots", "solve", "--coeffs", "0,18,-59,85,-70,34,-9,1"):
+        "d936b66aa5127c4d9960f4e6cde5abe4095f2d7d1dadde3db16afbd34551776e",
+}
+
+
+@pytest.mark.parametrize("argv", list(ROOT_CSV_DIGESTS))
+def test_root_csv_digests(tmp_path, monkeypatch, argv):
+    out = tmp_path / "roots.csv"
+    assert run(tmp_path, monkeypatch, *argv, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ROOT_CSV_DIGESTS[argv]

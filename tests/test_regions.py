@@ -493,3 +493,13 @@ def test_cycle_counterexample_values():
     assert 2.00945 <= ce.witness_offset <= 2.00948
     assert ce.cycle_poly_degree == 94
     assert ce.verified and ce.residual < 1e-6
+
+
+def test_grid_closure_single_cell():
+    # The one cell is centred at 0, so the product threshold divides by
+    # |a| = 0; pytest turns the RuntimeWarning that would raise into an error.
+    fam = grid_closure(3 + 1j, 3, 1)
+    assert fam.converged and not fam.escaped
+    assert [int(level.sum()) for level in fam.levels] == [1, 1]
+    with pytest.raises(GraphError):
+        grid_closure(3 + 1j, 3, 0)

@@ -180,3 +180,14 @@ def test_weight_json_round_trip(tmp_path):
     path = tmp_path / "w.json"
     path.write_text(text)
     assert load_weights(path).value(0) == 0.25 + 0.5j
+
+
+def test_load_weights_long_json_string():
+    # Longer than any file name the OS accepts; must be parsed, not probed.
+    w = WeightAssignment.uniform(40, -0.5)
+    text = save_weights(w)
+    assert len(text) > 1024
+    for source in (text, "  \n" + text):
+        back = load_weights(source)
+        assert back.system == w.system
+        assert back.values == w.values
