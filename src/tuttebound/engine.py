@@ -14,10 +14,15 @@ Two routes up the tree:
   genuine 0/0 at a series node whose prefactor q + v1 + v2 vanishes; that
   outcome is reported as undefined, not raised.
 
-Both routes walk the tree in one post-order and take their leaf values from
+Both routes walk the tree's post-order once and take their leaf values from
 one rule: a single edge has (A, B) = (1, v_e); a Wheatstone leaf with all
 weights -1 has ((q-2)*(q-3), 2*(q-2)); any other leaf falls back to the
 brute-force partial oracle, which refuses leaves above brute_limit edges.
+
+Under a scalar weight (None, a number, a BigPoly or BiPoly) equal shapes
+have equal values, so each is evaluated once, at its first node; per-edge
+weights (a Mapping or a WeightAssignment) are evaluated per node.  per_node
+values of nodes with equal shapes may be the same object.
 """
 
 from __future__ import annotations
@@ -30,22 +35,20 @@ from .graphs import GraphError, Multigraph, TwoTerminalGraph, blocks
 from .oracles import partial_tutte_brute, tutte_brute
 from .poly import BigPoly
 from .sp import DecompNode, DecompTree, decompose_sp
-from .weights import INF, UNDEF, WeightAssignment, is_finite, parallel, series
+from .weights import UNDEF, WeightAssignment, is_finite, parallel, series
 
 
-def _edge_weight_fn(weights, q):
-    """Normalize the weights argument to edge_index -> v value."""
-    if weights is None:
-        return lambda i: -1
+def _weights_plan(tree: DecompTree, weights, q):
+    """Edge index -> v value, and the memo key of each node in post-order."""
     if isinstance(weights, WeightAssignment):
         if not isinstance(q, (int, float, complex, Fraction)):
             raise GraphError("system-tagged weights need numeric q; "
                              "symbolic runs take raw v values")
-        wa = weights.in_system("V", q)
-        return wa.value
+        return weights.in_system("V", q).value, tree.order
     if isinstance(weights, Mapping):
-        return lambda i: weights[i]
-    return lambda i: weights
+        return (lambda i: weights[i]), tree.order
+    v = -1 if weights is None else weights
+    return (lambda i: v), tree.shapes
 
 
 @dataclass
@@ -67,31 +70,22 @@ def _leaf_pair(tree: DecompTree, node: DecompNode, q, wfn, brute_limit: int) -> 
     return partial_tutte_brute(tree.constituent(node), q, vals, max_edges=brute_limit)
 
 
-def _post_order(tree: DecompTree) -> list[DecompNode]:
-    """Every node of the tree, children before their parent."""
-    order: list[DecompNode] = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(node.children)
-    return order[::-1]
-
-
 def tree_ab(tree: DecompTree, q, weights=None, brute_limit: int = 24) -> TreePairs:
     """Evaluate the split pairs bottom-up; exact whenever the inputs are."""
-    wfn = _edge_weight_fn(weights, q)
+    wfn, keys = _weights_plan(tree, weights, q)
     per_node: dict[DecompNode, tuple] = {}
-    for node in _post_order(tree):
-        if node.is_leaf():
-            per_node[node] = _leaf_pair(tree, node, q, wfn, brute_limit)
-            continue
-        a1, b1 = per_node[node.children[0]]
-        a2, b2 = per_node[node.children[1]]
-        if node.kind == "p":
-            per_node[node] = (a1 * a2, a1 * b2 + a2 * b1 + b1 * b2)
-        else:
-            per_node[node] = (a1 * b2 + a2 * b1 + q * a1 * a2, b1 * b2)
+    memo: dict = {}
+    for node, key in zip(tree.order, keys):
+        if key not in memo:
+            if node.is_leaf():
+                memo[key] = _leaf_pair(tree, node, q, wfn, brute_limit)
+            else:
+                (a1, b1), (a2, b2) = per_node[node.children[0]], per_node[node.children[1]]
+                if node.kind == "p":
+                    memo[key] = (a1 * a2, a1 * b2 + a2 * b1 + b1 * b2)
+                else:
+                    memo[key] = (a1 * b2 + a2 * b1 + q * a1 * a2, b1 * b2)
+        per_node[node] = memo[key]
     a, b = per_node[tree.root]
     return TreePairs(a, b, q * q * a + q * b, per_node)
 
@@ -123,49 +117,43 @@ def tree_veff(tree: DecompTree, q, weights=None,
     """
     if q == 0:
         raise GraphError("q must be nonzero")
-    wfn = _edge_weight_fn(weights, q)
+    wfn, keys = _weights_plan(tree, weights, q)
     per_node: dict[DecompNode, object] = {}
+    memo: dict = {}                   # key -> (v_eff, factor of the prefactor or None)
     prefactor = 1
 
-    def fail(partial: dict) -> TreeEffective:
-        return TreeEffective(UNDEF, prefactor, UNDEF, False, partial)
+    def fail() -> TreeEffective:
+        return TreeEffective(UNDEF, prefactor, UNDEF, False, per_node)
 
-    for node in _post_order(tree):
-        if node.is_leaf():
-            a, b = _leaf_pair(tree, node, q, wfn, brute_limit)
-            if a == 0:
-                raise GraphError("leaf A value is zero; the effective-weight route needs A != 0")
-            prefactor = prefactor * a
-            if b is INF or b is UNDEF:
-                per_node[node] = b if b is UNDEF else INF
+    for node, key in zip(tree.order, keys):
+        if key not in memo:
+            factor = None
+            if node.is_leaf():
+                a, b = _leaf_pair(tree, node, q, wfn, brute_limit)
+                if a == 0:
+                    raise GraphError("leaf A value is zero; the effective-weight route needs A != 0")
+                factor, v = a, (b / a if is_finite(b) else b)
             else:
-                per_node[node] = b / a
-            continue
-        v1 = per_node[node.children[0]]
-        v2 = per_node[node.children[1]]
-        if v1 is UNDEF or v2 is UNDEF:
-            return fail(per_node)
-        if node.kind == "p":
-            v = parallel(v1, v2, "V", q)
-        else:
-            if is_finite(v1) and is_finite(v2):
-                pref = q + v1 + v2
-                if _prefactor_is_zero(pref, q):
+                v1, v2 = per_node[node.children[0]], per_node[node.children[1]]
+                if v1 is UNDEF or v2 is UNDEF:
+                    return fail()
+                if node.kind == "p":
+                    v = parallel(v1, v2, "V", q)
+                elif (is_finite(v1) and is_finite(v2)
+                      and not _prefactor_is_zero(pref := q + v1 + v2, q)):
+                    factor, v = pref, series(v1, v2, "V", q)
+                else:                 # a zero prefactor, or none (an infinite operand)
+                    v = UNDEF
+                if v is UNDEF:
                     per_node[node] = UNDEF
-                    return fail(per_node)
-                prefactor = prefactor * pref
-                v = series(v1, v2, "V", q)
-            else:
-                # An infinite operand leaves no usable scalar prefactor.
-                per_node[node] = UNDEF
-                return fail(per_node)
-        if v is UNDEF:
-            per_node[node] = UNDEF
-            return fail(per_node)
-        per_node[node] = v
+                    return fail()
+            memo[key] = (v, factor)
+        per_node[node], factor = memo[key]
+        if factor is not None:
+            prefactor = prefactor * factor
     v_root = per_node[tree.root]
     if not is_finite(v_root):
-        return fail(per_node)
+        return fail()
     z = q * (q + v_root) * prefactor
     return TreeEffective(v_root, prefactor, z, True, per_node)
 

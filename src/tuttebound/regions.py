@@ -544,6 +544,8 @@ def boundary_rho(lam: int, theta: float, tol: float = 1e-6,
     """
     if lam < 3:
         raise GraphError("boundary scan needs lam >= 3")
+    if resolution < 1:
+        raise GraphError("resolution must be >= 1")
 
     def feasible(rho: float) -> bool:
         q = 1.0 - cmath.exp(-1j * theta) / rho

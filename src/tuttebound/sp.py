@@ -12,7 +12,12 @@ linear in its edge count at any depth.
 Trees are built without recursion.  `realize` walks an expression with an
 explicit stack; `decompose_sp` recognises a graph by a worklist series /
 parallel reduction and orients the result once, from s.  Both hand one
-post-order list to the same node builder.
+post-order list to the same node builder, which stores that order on the
+tree and interns a shape id per node (hash-consing; Filliatre & Conchon, ML
+Workshop 2006): kind, leaf base and the children's shape ids in order, not
+edge labels or terminals.  A gadget leaf never shares its shape.  The engine
+evaluates each shape once under a scalar weight, each node under per-edge
+weights.
 
 The DSL grammar:
 
@@ -27,7 +32,7 @@ N-ary S(...) / P(...) fold left into binary nodes; whitespace is free.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from typing import Iterator
 
@@ -76,34 +81,42 @@ def _subtree(node: DecompNode) -> Iterator[DecompNode]:
         stack.extend(reversed(node.children))
 
 
-def _assemble(post: list) -> DecompNode:
+def _assemble(graph: TwoTerminalGraph, post: list) -> DecompTree:
     """Build a tree from a post-order list of leaf nodes and 's' / 'p' marks.
 
     A mark composes the last two nodes built: series keeps the left node's
     s and the right node's t, parallel keeps the left node's terminals.
     """
-    stack: list[DecompNode] = []
+    order: list[DecompNode] = []
+    shapes: list[int] = []
+    table: dict[tuple, int] = {}       # (kind, base or child shape ids) -> shape id
+    stack: list[int] = []              # positions of the subtrees not yet composed
     for item in post:
         if isinstance(item, DecompNode):
-            stack.append(item)
-            continue
-        right = stack.pop()
-        left = stack.pop()
-        if item == SERIES:
-            node = DecompNode(SERIES, left.s, right.t, (), (left, right),
-                              min(left.flow, right.flow))
+            node, key = item, (LEAF, item.base or item)    # a gadget is its own shape
         else:
-            node = DecompNode(PARALLEL, left.s, left.t, (), (left, right),
-                              left.flow + right.flow)
-        stack.append(node)
+            i, j = stack.pop(-2), stack.pop()
+            left, right = order[i], order[j]
+            if item == SERIES:
+                node = DecompNode(SERIES, left.s, right.t, (), (left, right),
+                                  min(left.flow, right.flow))
+            else:
+                node = DecompNode(PARALLEL, left.s, left.t, (), (left, right),
+                                  left.flow + right.flow)
+            key = (item, shapes[i], shapes[j])
+        stack.append(len(order))
+        order.append(node)
+        shapes.append(table.setdefault(key, len(table)))
     (root,) = stack
-    return root
+    return DecompTree(graph, order[root], tuple(order), tuple(shapes))
 
 
 @dataclass(frozen=True)
 class DecompTree:
     graph: TwoTerminalGraph
     root: DecompNode
+    order: tuple[DecompNode, ...] = field(compare=False, repr=False)  # post-order
+    shapes: tuple[int, ...] = field(compare=False, repr=False)  # shape id of order[k]
 
     def nodes(self) -> Iterator[DecompNode]:
         return _subtree(self.root)
@@ -235,12 +248,14 @@ def realize(ast: SPExpr) -> tuple[TwoTerminalGraph, DecompTree]:
         return DecompNode(LEAF, label[s], label[t], tuple(span), (), flow, base)
 
     post = [item if isinstance(item, str) else leaf(*item) for item in post]
-    return tt, DecompTree(tt, _assemble(post))
+    return tt, _assemble(tt, post)
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+_REPETITIONS = (("||", PARALLEL), ("><", SERIES), ("⋈", SERIES))   # unicode bowtie
 
 def parse_sp_expression(text: str) -> SPExpr:
     """Parse DSL text to an AST (n-ary ops, repetition sugar expanded)."""
@@ -279,15 +294,10 @@ def parse_sp_expression(text: str) -> SPExpr:
         while peek() == "^":
             pos += 1
             skip_ws()
-            if text.startswith("||", pos):
-                kind = PARALLEL
-                pos += 2
-            elif text.startswith("><", pos):
-                kind = SERIES
-                pos += 2
-            elif pos < n and text[pos] == "⋈":   # bowtie
-                kind = SERIES
-                pos += 1
+            for token, kind in _REPETITIONS:
+                if text.startswith(token, pos):
+                    pos += len(token)
+                    break
             else:
                 raise ParseError("expected '||' or '><' after '^'", pos)
             count = parse_int()
@@ -303,12 +313,9 @@ def parse_sp_expression(text: str) -> SPExpr:
         if pos >= n:
             raise ParseError("unexpected end of expression", pos)
         ch = text[pos]
-        if ch == "e":
+        if ch in "eW":
             pos += 1
-            return SPLeaf("e")
-        if ch == "W":
-            pos += 1
-            return SPLeaf("W")
+            return SPLeaf(ch)
         if ch in "SP":
             kind = SERIES if ch == "S" else PARALLEL
             pos += 1
@@ -446,7 +453,7 @@ def decompose_sp(tt: TwoTerminalGraph) -> DecompTree | None:
             work += [kind, (e2, w), (e1, x)]
         else:
             work += [kind, (e1, w), (e2, x)]
-    return DecompTree(tt, _assemble(post))
+    return _assemble(tt, post)
 
 
 def is_nice(tt: TwoTerminalGraph) -> bool:

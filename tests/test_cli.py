@@ -290,6 +290,16 @@ def test_region_grid_rejects_resolution_zero(tmp_path, monkeypatch, capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("resolution", ["0", "-3"])
+def test_region_boundary_rejects_resolution_below_one(tmp_path, monkeypatch, capsys, resolution):
+    code = run(tmp_path, monkeypatch, "region", "boundary", "--theta-steps", "2",
+               "--resolution", resolution, "--out", str(tmp_path / "boundary.csv"))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: resolution must be >= 1\n"
+
+
 ROOT_CSV_DIGESTS = {
     # SHA-256 of each CSV: root location, verification and CSV formatting
     # must not move a byte of these outputs.

@@ -1,5 +1,9 @@
+import cmath
+import importlib.util
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +13,8 @@ from tuttebound.graphs import (GraphError, Multigraph, TwoTerminalGraph, banana,
                                cycle_graph, disjoint_union, glue_at_vertex)
 from tuttebound.oracles import tutte_brute
 from tuttebound.poly import BigPoly
-from tuttebound.sp import SPLeaf, SPOp, gen_wheatstone, parse_sp, realize
+from tuttebound.sp import (SPLeaf, SPOp, decompose_sp, gen_wheatstone, leaf_joined_tree_ast,
+                           parse_sp, realize)
 from tuttebound.weights import UNDEF, WeightAssignment
 
 Q = BigPoly.variable()
@@ -209,3 +214,58 @@ def test_series_order_is_irrelevant_for_z():
         _, t1 = realize(SPOp("s", (left, right)))
         _, t2 = realize(SPOp("s", (right, left)))
         assert tree_ab(t1, Q, w).z == tree_ab(t2, Q, w).z
+
+
+# The benchmark's evaluation ring around q = 1, copied from bench/inputs.py.
+RING = [1.0 + 2.5 * cmath.exp(2j * math.pi * (k + 0.5) / 64) for k in range(64)]
+
+
+def _bench_inputs():
+    """bench/inputs.py, the seeded DSL texts the benchmark feeds the library."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _route_reprs(route, tree, q, weights):
+    """repr of each output of one route call, per_node node by node, or of its error."""
+    try:
+        out = route(tree, q, weights)
+    except GraphError as exc:
+        return repr(exc)
+    head = ((out.a, out.b, out.z) if route is tree_ab
+            else (out.veff, out.prefactor, out.z, out.defined))
+    return repr(head), [(node, repr(value)) for node, value in out.per_node.items()]
+
+
+def test_shape_route_matches_node_route():
+    # A scalar weight evaluates each shape once, a per-edge map each node:
+    # both must give the same values, partial per_node and errors, to the bit.
+    inputs = _bench_inputs()
+    texts = inputs.big_graphs_inputs(7) + inputs.big_graphs_inputs(11) + inputs.sp_w_catalogue()
+    points = RING + [2.0, 3 + 0j, 0.5, Fraction(1, 3), Fraction(5, 2)]
+    undefined = raised = 0
+    for text in texts:
+        tt, tree = parse_sp(text)
+        tree = decompose_sp(tt) or tree
+        per_edge = {i: -1 for i in range(tt.graph.edge_count)}
+        for q in points:
+            for route in (tree_ab, tree_veff):
+                shared = _route_reprs(route, tree, q, -1)
+                assert shared == _route_reprs(route, tree, q, per_edge), (text, q)
+                if isinstance(shared, str):
+                    raised += 1
+                elif shared[0].endswith(", False)"):
+                    undefined += 1
+    assert undefined > 0 and raised > 0
+
+
+def test_scalar_weights_share_values_per_shape():
+    _, tree = realize(leaf_joined_tree_ast(2, 7))
+    per_edge = {i: -1 for i in range(tree.graph.graph.edge_count)}
+    for route in (tree_ab, tree_veff):
+        shared = route(tree, 1.5 + 0.5j, -1).per_node
+        assert len(shared) == 507 and len({id(v) for v in shared.values()}) == 14
+        assert len({id(v) for v in route(tree, 1.5 + 0.5j, per_edge).per_node.values()}) == 507

@@ -332,3 +332,41 @@ def test_realize_matches_recorded_digests():
         assert _tree_digest(*parse_sp(text)) == digest, text
     assert _tree_digest(*realize(leaf_joined_tree_ast(3, 3))) == \
         "aa0ac9553ae9a9f05441aaffc4b108d089707318119f69a6fbebb2651ae13143"
+
+
+def _shape_of(tree: DecompTree) -> dict:
+    return dict(zip(tree.order, tree.shapes))
+
+
+def test_post_order_and_shapes_cover_every_node():
+    for text in ("e", "P(S(e,W),S(e,W))", "e^><7^||3"):
+        _, tree = parse_sp(text)
+        assert len(tree.order) == len(tree.shapes) == sum(1 for _ in tree.nodes())
+        assert set(tree.order) == set(tree.nodes()) and tree.order[-1] is tree.root
+        seen = set()
+        for node in tree.order:
+            assert all(child in seen for child in node.children)
+            seen.add(node)
+
+
+@pytest.mark.parametrize("n, nodes, shapes", [(6, 251, 12), (7, 507, 14)])
+def test_leaf_joined_tree_shapes(n, nodes, shapes):
+    _, tree = realize(leaf_joined_tree_ast(2, n))
+    assert (len(tree.order), len(set(tree.shapes))) == (nodes, shapes)
+    decomposed = decompose_sp(tree.graph)
+    assert (len(decomposed.order), len(set(decomposed.shapes))) == (nodes, shapes)
+
+
+def test_shapes_keep_child_order():
+    _, tree = parse_sp("P(S(e,P(e,e)),S(P(e,e),e))")
+    shape = _shape_of(tree)
+    left, right = tree.root.children
+    assert shape[left] != shape[right]
+    assert shape[left.children[0]] == shape[right.children[1]]     # the two e leaves
+
+
+def test_gadget_leaves_never_share_a_shape():
+    _, tree = gen_gadget_cycle(gen_wheatstone(), 2)
+    shape = _shape_of(tree)
+    gadgets = [n for n in tree.order if n.is_leaf() and n.base is None]
+    assert len(gadgets) == 2 and shape[gadgets[0]] != shape[gadgets[1]]
