@@ -1,17 +1,25 @@
 """Command-line front end.
 
-Every run writes the primary artifact (JSON or CSV) plus a manifest JSON
-recording the exact inputs, tool version, and tolerances, so any output
-can be regenerated byte-for-byte.  Numeric output uses Python's shortest
-round-trip float formatting; exact polynomial coefficients are emitted as
-decimal strings.
+Each command is a function of the parsed arguments that returns its
+artifact, a dict for JSON or (header, rows) for CSV, and whether the run
+converged.  ``main`` alone writes the artifact (to --out, or to stdout)
+and a manifest JSON recording the exact inputs, tool version, and
+tolerances, so any output can be regenerated byte-for-byte.  Numeric output
+uses Python's shortest round-trip float formatting; exact polynomial
+coefficients are emitted as decimal strings.
 
 Exit codes: 0 success, 2 domain/input errors, 3 numeric non-convergence.
+The artifact and its manifest are written on exit 0 and on exit 3;
+neither is written on exit 2.
+
+``tutte eval --dsl`` falls back to the parsed tree when the graph is not
+recognised as 2-terminal series-parallel (a W leaf, say).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -28,7 +36,7 @@ from .poly import BigPoly
 from .regions import (certify, cycle_counterexample, boundary_rho, grid_closure,
                       sp_rho_threshold, wheatstone_rho_threshold)
 from .rootfind import RootSet, find_roots
-from .sp import ParseError, decompose_sp, parse_sp
+from .sp import DecompTree, ParseError, decompose_sp, parse_sp
 from .weights import is_finite, load_weights
 
 EXIT_OK = 0
@@ -48,58 +56,15 @@ def parse_complex(text: str) -> complex:
         raise GraphError(f"cannot parse complex number {text!r}") from exc
 
 
-class _Run:
-    """Collects outputs and writes the manifest at the end of a command."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.outputs: list[str] = []
-        self.out = Path(args.out) if getattr(args, "out", None) else None
-
-    def emit_text(self, text: str) -> None:
-        path = self.out
-        if path is None:
-            sys.stdout.write(text)
-            if not text.endswith("\n"):
-                sys.stdout.write("\n")
-        else:
-            path.write_text(text)
-            self.outputs.append(str(path))
-
-    def emit_json(self, payload: dict) -> None:
-        self.emit_text(json.dumps(payload, indent=2, sort_keys=True))
-
-    def emit_csv(self, header: list[str], rows: list[list]) -> None:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)     # floats are written by repr, so they round-trip
-        self.emit_text(buf.getvalue())
-
-    def finish(self) -> None:
-        config = {k: v for k, v in vars(self.args).items()
-                  if k not in ("func",) and v is not None}
-        manifest = {
-            "tool": "tuttebound",
-            "version": __version__,
-            "config": {k: (v if isinstance(v, (int, float, str, bool, list)) else str(v))
-                       for k, v in config.items()},
-            "outputs": self.outputs,
-        }
-        path = (Path(str(self.out) + ".manifest.json") if self.out is not None
-                else Path("tuttebound.manifest.json"))
-        path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-
-
-def _input_graph(args) -> TwoTerminalGraph | Multigraph:
-    if getattr(args, "dsl", None):
-        tt, _tree = parse_sp(args.dsl)
-        return tt
-    if getattr(args, "graph", None):
+def _input_graph(args) -> tuple[TwoTerminalGraph | Multigraph, DecompTree | None]:
+    """The input graph, and the tree parse_sp built for it (None from --graph)."""
+    if args.dsl:
+        return parse_sp(args.dsl)
+    if args.graph:
         g, s, t = load_graph(Path(args.graph))
         if s is not None and t is not None:
-            return TwoTerminalGraph(g, s, t)
-        return g
+            return TwoTerminalGraph(g, s, t), None
+        return g, None
     raise GraphError("provide --dsl or --graph")
 
 
@@ -110,21 +75,20 @@ def _as_two_terminal(g) -> TwoTerminalGraph:
 
 
 def _weights_arg(args, q):
-    if getattr(args, "weights", None):
+    if args.weights:
         wa = load_weights(Path(args.weights))
         return wa.in_system("V", q)
-    if getattr(args, "v", None) is not None:
+    if args.v is not None:
         return complex(parse_complex(args.v))
     return -1
 
 
 # --------------------------------------------------------------------------
-# Commands
+# Commands: each returns (artifact, converged)
 # --------------------------------------------------------------------------
 
-def cmd_flow(args) -> int:
-    run = _Run(args)
-    g = _input_graph(args)
+def cmd_flow(args):
+    g, _tree = _input_graph(args)
     payload: dict = {}
     graph = g.graph if isinstance(g, TwoTerminalGraph) else g
     if args.pair:
@@ -135,9 +99,7 @@ def cmd_flow(args) -> int:
         payload["pair"] = [g.s, g.t]
         payload["flow"] = max_flow(g)
     payload["maxmaxflow"] = maxmaxflow(graph)
-    run.emit_json(payload)
-    run.finish()
-    return EXIT_OK
+    return payload, True
 
 
 def _poly_payload(p: BigPoly) -> dict:
@@ -148,10 +110,10 @@ def _poly_payload(p: BigPoly) -> dict:
     }
 
 
-def cmd_tutte_eval(args) -> int:
-    run = _Run(args)
-    tt = _as_two_terminal(_input_graph(args))
-    tree = decompose_sp(tt)
+def cmd_tutte_eval(args):
+    g, tree = _input_graph(args)
+    # The recognised tree first: the parsed one may round z and v_eff differently.
+    tree = decompose_sp(_as_two_terminal(g)) or tree
     if tree is None:
         raise GraphError("graph is not 2-terminal series-parallel")
     q = parse_complex(args.q)
@@ -166,18 +128,12 @@ def cmd_tutte_eval(args) -> int:
     if eff.defined and is_finite(eff.veff):
         v = complex(eff.veff)
         payload["v_eff"] = {"re": v.real, "im": v.imag}
-    run.emit_json(payload)
-    run.finish()
-    return EXIT_OK
+    return payload, True
 
 
-def cmd_tutte_chromatic(args) -> int:
-    run = _Run(args)
-    g = _input_graph(args)
-    p = chromatic_poly(g)
-    run.emit_json(_poly_payload(p))
-    run.finish()
-    return EXIT_OK
+def cmd_tutte_chromatic(args):
+    g, _tree = _input_graph(args)
+    return _poly_payload(chromatic_poly(g)), True
 
 
 def _tree_json(tree, node) -> dict:
@@ -190,20 +146,15 @@ def _tree_json(tree, node) -> dict:
     return out
 
 
-def cmd_sp_decompose(args) -> int:
-    run = _Run(args)
-    tt = _as_two_terminal(_input_graph(args))
-    tree = decompose_sp(tt)
+def cmd_sp_decompose(args):
+    g, _tree = _input_graph(args)
+    tree = decompose_sp(_as_two_terminal(g))
     if tree is None:
-        run.emit_json({"series_parallel": False})
-    else:
-        run.emit_json({"series_parallel": True, "tree": _tree_json(tree, tree.root)})
-    run.finish()
-    return EXIT_OK
+        return {"series_parallel": False}, True
+    return {"series_parallel": True, "tree": _tree_json(tree, tree.root)}, True
 
 
-def cmd_region_certify(args) -> int:
-    run = _Run(args)
+def cmd_region_certify(args):
     result = certify(parse_complex(args.q), args.lam, args.mode)
     payload = {
         "certified": result.certified,
@@ -219,52 +170,40 @@ def cmd_region_certify(args) -> int:
         payload["required_center2_offset"] = result.wheatstone_cut
     if result.family is not None:
         payload["radii"] = list(result.family.radii)
-    run.emit_json(payload)
-    run.finish()
-    return EXIT_OK
+    return payload, True
 
 
-def cmd_region_grid(args) -> int:
-    run = _Run(args)
+def cmd_region_grid(args):
     fam = grid_closure(parse_complex(args.q), args.lam, args.resolution)
     rows = []
     for k in range(1, fam.lam):
         for ix, iy in fam.cells(k):
             c = fam.center(ix, iy)
             rows.append([k, c.real, c.imag])
-    run.emit_csv(["level", "t_re", "t_im"], rows)
     summary = {"escaped": fam.escaped, "converged": fam.converged,
                "sweeps": fam.sweeps, "reason": fam.reason}
     print(json.dumps(summary), file=sys.stderr)
-    run.finish()
-    return EXIT_OK if fam.converged else EXIT_NUMERIC
+    return (["level", "t_re", "t_im"], rows), fam.converged
 
 
-def cmd_region_boundary(args) -> int:
-    run = _Run(args)
+def cmd_region_boundary(args):
     thetas = [2.0 * 3.141592653589793 * k / args.theta_steps
               for k in range(args.theta_steps)]
     values = [boundary_rho(args.lam, theta, args.tol, args.resolution) for theta in thetas]
-    run.emit_csv(["theta", "rho_max"], [[t, v] for t, v in zip(thetas, values)])
-    run.finish()
-    return EXIT_OK
+    return (["theta", "rho_max"], [[t, v] for t, v in zip(thetas, values)]), True
 
 
-def cmd_region_rho_table(args) -> int:
-    run = _Run(args)
+def cmd_region_rho_table(args):
     rows = []
     for lam in range(2, args.lambda_max + 1):
         rs = sp_rho_threshold(lam)
         rw = wheatstone_rho_threshold(lam)
         rows.append([lam, rs, rw, 1.0 / rs, 1.0 / rw])
-    run.emit_csv(["lambda", "rho_sp", "rho_wheatstone", "inv_rho_sp",
-                  "inv_rho_wheatstone"], rows)
-    run.finish()
-    return EXIT_OK
+    return (["lambda", "rho_sp", "rho_wheatstone", "inv_rho_sp",
+             "inv_rho_wheatstone"], rows), True
 
 
-def cmd_region_counterexample(args) -> int:
-    run = _Run(args)
+def cmd_region_counterexample(args):
     ce = cycle_counterexample(tol=args.tol)
     payload = {
         "count": ce.count,
@@ -275,26 +214,21 @@ def cmd_region_counterexample(args) -> int:
         "verified": ce.verified,
         "roots": [{"re": z.real, "im": z.imag} for z in ce.roots],
     }
-    run.emit_json(payload)
-    run.finish()
-    return EXIT_OK if ce.verified else EXIT_NUMERIC
+    return payload, ce.verified
 
 
-def _rootset_rows(rs: RootSet) -> list[list]:
-    return [[z.real, z.imag, res, m]
+def _rootset_csv(rs: RootSet):
+    rows = [[z.real, z.imag, res, m]
             for z, res, m in zip(rs.roots, rs.residuals, rs.multiplicities)]
+    return (["re", "im", "residual", "multiplicity"], rows), rs.converged
 
 
-def cmd_leaftree_roots(args) -> int:
-    run = _Run(args)
+def cmd_leaftree_roots(args):
     rs = tree_chromatic_roots(args.r, args.n, tol=args.tol)
-    run.emit_csv(["re", "im", "residual", "multiplicity"], _rootset_rows(rs))
-    run.finish()
-    return EXIT_OK if rs.converged else EXIT_NUMERIC
+    return _rootset_csv(rs)
 
 
-def cmd_leaftree_teff(args) -> int:
-    run = _Run(args)
+def cmd_leaftree_teff(args):
     num, den = t_eff_exact(args.r, args.n)
     payload = {
         "numerator": [str(c) for c in num.coeffs],
@@ -305,22 +239,16 @@ def cmd_leaftree_teff(args) -> int:
         t = t_eff_at(q, args.r, args.n)
         payload["at_q"] = ({"re": complex(t).real, "im": complex(t).imag}
                            if is_finite(t) else str(t))
-    run.emit_json(payload)
-    run.finish()
-    return EXIT_OK
+    return payload, True
 
 
-def cmd_leaftree_loci(args) -> int:
-    run = _Run(args)
+def cmd_leaftree_loci(args):
     curve = multiplier_loci(args.r, args.kind, args.samples)
     rows = [[curve.kind, phi, z.real, z.imag] for phi, z in curve.points]
-    run.emit_csv(["kind", "phi", "q_re", "q_im"], rows)
-    run.finish()
-    return EXIT_OK
+    return (["kind", "phi", "q_re", "q_im"], rows), True
 
 
-def cmd_leaftree_scan(args) -> int:
-    run = _Run(args)
+def cmd_leaftree_scan(args):
     report = conjecture_scan(args.r, args.n_max, tol=args.tol)
     payload = {
         "r": report.r,
@@ -330,13 +258,10 @@ def cmd_leaftree_scan(args) -> int:
         "offsets_nondecreasing": report.offsets_nondecreasing,
         "total_violations": report.total_violations,
     }
-    run.emit_json(payload)
-    run.finish()
-    return EXIT_OK
+    return payload, True
 
 
-def cmd_roots_solve(args) -> int:
-    run = _Run(args)
+def cmd_roots_solve(args):
     if args.coeffs_file:
         coeffs = [int(c) for c in json.loads(Path(args.coeffs_file).read_text())]
     elif args.coeffs:
@@ -344,14 +269,21 @@ def cmd_roots_solve(args) -> int:
     else:
         raise GraphError("provide --coeffs or --coeffs-file")
     rs = find_roots(BigPoly(coeffs), tol=args.tol)
-    run.emit_csv(["re", "im", "residual", "multiplicity"], _rootset_rows(rs))
-    run.finish()
-    return EXIT_OK if rs.converged else EXIT_NUMERIC
+    return _rootset_csv(rs)
 
 
 # --------------------------------------------------------------------------
 # Parser
 # --------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def _command(group, name: str, func, summary: str):
+    """Add subcommand name; its options go in the with block, then --out."""
+    p = group.add_parser(name, help=summary)
+    yield p
+    p.add_argument("--out")
+    p.set_defaults(func=func)
+
 
 def _add_graph_inputs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dsl", help="series-parallel expression, e.g. P(S(e,e),S(e,e))")
@@ -363,94 +295,71 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     groups = parser.add_subparsers(dest="group", required=True)
 
-    p = groups.add_parser("flow", help="maxmaxflow and terminal flows")
-    _add_graph_inputs(p)
-    p.add_argument("--pair", nargs=2, type=int, metavar=("X", "Y"))
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_flow)
+    with _command(groups, "flow", cmd_flow, "maxmaxflow and terminal flows") as p:
+        _add_graph_inputs(p)
+        p.add_argument("--pair", nargs=2, type=int, metavar=("X", "Y"))
 
     tutte = groups.add_parser("tutte").add_subparsers(dest="cmd", required=True)
-    p = tutte.add_parser("eval", help="numeric partition value at q")
-    _add_graph_inputs(p)
-    p.add_argument("--q", required=True)
-    p.add_argument("--weights", help="weight JSON file")
-    p.add_argument("--v", help="uniform edge weight (default -1)")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_tutte_eval)
-    p = tutte.add_parser("chromatic", help="exact proper-coloring polynomial")
-    _add_graph_inputs(p)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_tutte_chromatic)
+    with _command(tutte, "eval", cmd_tutte_eval, "numeric partition value at q") as p:
+        _add_graph_inputs(p)
+        p.add_argument("--q", required=True)
+        p.add_argument("--weights", help="weight JSON file")
+        p.add_argument("--v", help="uniform edge weight (default -1)")
+    with _command(tutte, "chromatic", cmd_tutte_chromatic,
+                  "exact proper-coloring polynomial") as p:
+        _add_graph_inputs(p)
 
     sp = groups.add_parser("sp").add_subparsers(dest="cmd", required=True)
-    p = sp.add_parser("decompose", help="series-parallel decomposition tree")
-    _add_graph_inputs(p)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_sp_decompose)
+    with _command(sp, "decompose", cmd_sp_decompose, "series-parallel decomposition tree") as p:
+        _add_graph_inputs(p)
 
     region = groups.add_parser("region").add_subparsers(dest="cmd", required=True)
-    p = region.add_parser("certify", help="zero-free disc membership")
-    p.add_argument("--q", required=True)
-    p.add_argument("--lambda", dest="lam", type=int, required=True)
-    p.add_argument("--mode", choices=["chromatic", "antiferro", "wheatstone"],
-                   default="chromatic")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_region_certify)
-    p = region.add_parser("grid", help="raster closure of the minimal regions")
-    p.add_argument("--q", required=True)
-    p.add_argument("--lambda", dest="lam", type=int, default=3)
-    p.add_argument("--resolution", type=int, default=256)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_region_grid)
-    p = region.add_parser("boundary", help="per-angle best point+disc radius")
-    p.add_argument("--lambda", dest="lam", type=int, default=3)
-    p.add_argument("--theta-steps", type=int, default=64)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--resolution", type=int, default=4096)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_region_boundary)
-    p = region.add_parser("rho-table", help="certification thresholds per maxmaxflow")
-    p.add_argument("--lambda-max", type=int, default=10)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_region_rho_table)
-    p = region.add_parser("counterexample", help="94-vertex cycle counterexample")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_region_counterexample)
+    with _command(region, "certify", cmd_region_certify, "zero-free disc membership") as p:
+        p.add_argument("--q", required=True)
+        p.add_argument("--lambda", dest="lam", type=int, required=True)
+        p.add_argument("--mode", choices=["chromatic", "antiferro", "wheatstone"],
+                       default="chromatic")
+    with _command(region, "grid", cmd_region_grid, "raster closure of the minimal regions") as p:
+        p.add_argument("--q", required=True)
+        p.add_argument("--lambda", dest="lam", type=int, default=3)
+        p.add_argument("--resolution", type=int, default=256)
+    with _command(region, "boundary", cmd_region_boundary,
+                  "per-angle best point+disc radius") as p:
+        p.add_argument("--lambda", dest="lam", type=int, default=3)
+        p.add_argument("--theta-steps", type=int, default=64)
+        p.add_argument("--tol", type=float, default=1e-6)
+        p.add_argument("--resolution", type=int, default=4096)
+    with _command(region, "rho-table", cmd_region_rho_table,
+                  "certification thresholds per maxmaxflow") as p:
+        p.add_argument("--lambda-max", type=int, default=10)
+    with _command(region, "counterexample", cmd_region_counterexample,
+                  "94-vertex cycle counterexample") as p:
+        p.add_argument("--tol", type=float, default=1e-6)
 
     leaftree = groups.add_parser("leaftree").add_subparsers(dest="cmd", required=True)
-    p = leaftree.add_parser("roots", help="coloring roots of a leaf-joined tree")
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_leaftree_roots)
-    p = leaftree.add_parser("teff", help="exact effective transmissivity")
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_leaftree_teff)
-    p = leaftree.add_parser("loci", help="marginality loci in the q plane")
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--kind", choices=list(LOCUS_KINDS), required=True)
-    p.add_argument("--samples", type=int, default=720)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_leaftree_loci)
-    p = leaftree.add_parser("scan", help="root-location report over depths")
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_leaftree_scan)
+    with _command(leaftree, "roots", cmd_leaftree_roots,
+                  "coloring roots of a leaf-joined tree") as p:
+        p.add_argument("--r", type=int, default=2)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--tol", type=float, default=1e-8)
+    with _command(leaftree, "teff", cmd_leaftree_teff, "exact effective transmissivity") as p:
+        p.add_argument("--r", type=int, default=2)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--q")
+    with _command(leaftree, "loci", cmd_leaftree_loci, "marginality loci in the q plane") as p:
+        p.add_argument("--r", type=int, default=2)
+        p.add_argument("--kind", choices=list(LOCUS_KINDS), required=True)
+        p.add_argument("--samples", type=int, default=720)
+    with _command(leaftree, "scan", cmd_leaftree_scan, "root-location report over depths") as p:
+        p.add_argument("--r", type=int, default=2)
+        p.add_argument("--n-max", type=int, required=True)
+        p.add_argument("--tol", type=float, default=1e-8)
 
     roots = groups.add_parser("roots").add_subparsers(dest="cmd", required=True)
-    p = roots.add_parser("solve", help="all roots of an integer polynomial")
-    p.add_argument("--coeffs", help="ascending, comma separated")
-    p.add_argument("--coeffs-file", help="JSON array of coefficient strings")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_roots_solve)
+    with _command(roots, "solve", cmd_roots_solve, "all roots of an integer polynomial") as p:
+        p.add_argument("--coeffs", help="ascending, comma separated")
+        p.add_argument("--coeffs-file", help="JSON array of coefficient strings")
+        p.add_argument("--tol", type=float, default=1e-10)
 
     return parser
 
@@ -461,10 +370,43 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _render(artifact) -> str:
+    if isinstance(artifact, dict):
+        return json.dumps(artifact, indent=2, sort_keys=True)
+    header, rows = artifact
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)     # floats are written by repr, so they round-trip
+    return buf.getvalue()
+
+
+def _write(args, artifact) -> None:
+    """Write the artifact to --out or stdout, then its manifest."""
+    text = _render(artifact)
+    out = Path(args.out) if args.out else None
+    if out is None:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    else:
+        out.write_text(text)
+    config = {k: (v if isinstance(v, (int, float, str, bool, list)) else str(v))
+              for k, v in vars(args).items() if k != "func" and v is not None}
+    manifest = {
+        "tool": "tuttebound",
+        "version": __version__,
+        "config": config,
+        "outputs": [] if out is None else [str(out)],
+    }
+    path = Path("tuttebound.manifest.json") if out is None else Path(f"{out}.manifest.json")
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        artifact, converged = args.func(args)
+        _write(args, artifact)
+        return EXIT_OK if converged else EXIT_NUMERIC
     except (GraphError, ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

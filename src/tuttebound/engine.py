@@ -17,7 +17,8 @@ Two routes up the tree:
 Both routes walk the tree's post-order once and take their leaf values from
 one rule: a single edge has (A, B) = (1, v_e); a Wheatstone leaf with all
 weights -1 has ((q-2)*(q-3), 2*(q-2)); any other leaf falls back to the
-brute-force partial oracle, which refuses leaves above brute_limit edges.
+brute-force partial oracle, which refuses leaves above
+oracles.DEFAULT_EDGE_LIMIT edges.
 
 Under a scalar weight (None, a number, a BigPoly or BiPoly) equal shapes
 have equal values, so each is evaluated once, at its first node; per-edge
@@ -60,17 +61,17 @@ class TreePairs:
     per_node: dict[DecompNode, tuple]
 
 
-def _leaf_pair(tree: DecompTree, node: DecompNode, q, wfn, brute_limit: int) -> tuple:
+def _leaf_pair(tree: DecompTree, node: DecompNode, q, wfn) -> tuple:
     """(A, B) of a leaf: closed forms for an edge and an all -1 Wheatstone leaf."""
     if node.base == "e":
         return (1, wfn(node.edges[0]))
     vals = [wfn(i) for i in node.edges]
     if node.base == "W" and all(v == -1 for v in vals):
         return ((q - 2) * (q - 3), 2 * (q - 2))
-    return partial_tutte_brute(tree.constituent(node), q, vals, max_edges=brute_limit)
+    return partial_tutte_brute(tree.constituent(node), q, vals)
 
 
-def tree_ab(tree: DecompTree, q, weights=None, brute_limit: int = 24) -> TreePairs:
+def tree_ab(tree: DecompTree, q, weights=None) -> TreePairs:
     """Evaluate the split pairs bottom-up; exact whenever the inputs are."""
     wfn, keys = _weights_plan(tree, weights, q)
     per_node: dict[DecompNode, tuple] = {}
@@ -78,7 +79,7 @@ def tree_ab(tree: DecompTree, q, weights=None, brute_limit: int = 24) -> TreePai
     for node, key in zip(tree.order, keys):
         if key not in memo:
             if node.is_leaf():
-                memo[key] = _leaf_pair(tree, node, q, wfn, brute_limit)
+                memo[key] = _leaf_pair(tree, node, q, wfn)
             else:
                 (a1, b1), (a2, b2) = per_node[node.children[0]], per_node[node.children[1]]
                 if node.kind == "p":
@@ -106,8 +107,7 @@ def _prefactor_is_zero(pref, q) -> bool:
     return abs(pref) < 1e-14 * (1.0 + abs(q))
 
 
-def tree_veff(tree: DecompTree, q, weights=None,
-              brute_limit: int = 24) -> TreeEffective:
+def tree_veff(tree: DecompTree, q, weights=None) -> TreeEffective:
     """Label nodes with v_eff, collecting series prefactors and leaf A values.
 
     Requires q != 0 and a nonzero A value at every leaf.  When a series
@@ -129,7 +129,7 @@ def tree_veff(tree: DecompTree, q, weights=None,
         if key not in memo:
             factor = None
             if node.is_leaf():
-                a, b = _leaf_pair(tree, node, q, wfn, brute_limit)
+                a, b = _leaf_pair(tree, node, q, wfn)
                 if a == 0:
                     raise GraphError("leaf A value is zero; the effective-weight route needs A != 0")
                 factor, v = a, (b / a if is_finite(b) else b)
@@ -167,15 +167,14 @@ def _chromatic_from_tree(tree: DecompTree) -> BigPoly:
     return tree_ab(tree, q, weights=-1).z
 
 
-def chromatic_poly(g: Multigraph | TwoTerminalGraph | DecompTree,
-                   brute_limit: int = 24) -> BigPoly:
+def chromatic_poly(g: Multigraph | TwoTerminalGraph | DecompTree) -> BigPoly:
     """Exact chromatic polynomial (all weights -1).
 
     Decomposition trees and decomposable 2-terminal graphs go through the
     pair route symbolically; general multigraphs factor over components and
     blocks first, and any non-series-parallel block falls back to the
-    subset oracle (guarded by brute_limit).  Loops are rejected: a loop
-    makes the polynomial identically zero.
+    subset oracle (guarded by its DEFAULT_EDGE_LIMIT).  Loops are rejected:
+    a loop makes the polynomial identically zero.
     """
     if isinstance(g, DecompTree):
         return _chromatic_from_tree(g)
@@ -184,7 +183,7 @@ def chromatic_poly(g: Multigraph | TwoTerminalGraph | DecompTree,
         tree = decompose_sp(g) if g.graph.is_connected() else None
         if tree is not None:
             return _chromatic_from_tree(tree)
-        return chromatic_poly(g.graph, brute_limit)
+        return chromatic_poly(g.graph)
 
     g.require_loopless("chromatic_poly")
     # P(G) = q^(#components) * prod over blocks with edges of P(B)/q.
@@ -198,6 +197,6 @@ def chromatic_poly(g: Multigraph | TwoTerminalGraph | DecompTree,
         if tree is not None:
             zb = _chromatic_from_tree(tree)
         else:
-            zb = tutte_brute(bg, qpoly, -1, max_edges=brute_limit)
+            zb = tutte_brute(bg, qpoly, -1)
         result = result * BigPoly(zb.coeffs[1:])
     return result

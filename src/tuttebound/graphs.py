@@ -120,16 +120,24 @@ class TwoTerminalGraph:
             raise GraphError("terminals must be distinct")
 
 
+def json_source_text(source: str | Path) -> str:
+    """JSON text of a path or a JSON string.
+
+    A string whose first non-space character is ``{`` is the text itself;
+    anything else is read as a path.
+    """
+    if isinstance(source, Path) or not source.lstrip().startswith("{"):
+        return Path(source).read_text()
+    return source
+
+
 def load_graph(source: str | Path) -> tuple[Multigraph, int | None, int | None]:
     """Parse the JSON record {"vertices": n, "edges": [[a,b],...], "s":?, "t":?}.
 
-    ``source`` may be a path or a JSON string: a string whose first
-    non-space character is ``{`` is parsed, anything else is read as a path.
+    ``source`` may be a path or a JSON string (see json_source_text).
     Returns (graph, s, t) with the terminals None when absent.
     """
-    text = source
-    if isinstance(source, Path) or not source.lstrip().startswith("{"):
-        text = Path(source).read_text()
+    text = json_source_text(source)
     try:
         record = json.loads(text)
         g = Multigraph(int(record["vertices"]), tuple((int(a), int(b)) for a, b in record["edges"]))
@@ -335,22 +343,16 @@ def _make_block(g: Multigraph, edge_members: list[int]) -> Block:
 # Gadget insertion
 # ---------------------------------------------------------------------------
 
-def insert_2term(h: Multigraph, e_star: int, g: TwoTerminalGraph,
-                 orientation: tuple[int, int] | None = None) -> Multigraph:
+def insert_2term(h: Multigraph, e_star: int, g: TwoTerminalGraph) -> Multigraph:
     """Replace edge e_star of h by the 2-terminal graph g.
 
     The edge is deleted and g is glued in with s on the first endpoint and t
-    on the second (or on the given orientation, which must list e_star's
-    endpoints).  Edge order of the result: h's edges without e_star, in their
-    original order, then g's edges.
+    on the second.  Edge order of the result: h's edges without e_star, in
+    their original order, then g's edges.
     """
     if not (0 <= e_star < h.edge_count):
         raise GraphError("invalid edge index")
     a, b = h.edges[e_star]
-    if orientation is not None:
-        if set(orientation) != {a, b} and orientation != (a, b):
-            raise GraphError("orientation must list the endpoints of e_star")
-        a, b = orientation
     gg = g.graph
     # Nonterminal vertices of g get fresh ids after h's.
     fresh = h.vertex_count

@@ -94,21 +94,20 @@ def _pow_r(z: complex, r: int):
     return z ** r
 
 
-def iterate_step(y, q: complex, r: int, y_sharp: complex = 0.0):
+def iterate_step(y, q: complex, r: int):
     """One step of the effective-weight map in the y variable."""
     if y is UNDEF:
         return UNDEF
     if y is INF:
-        # Ratio of leading terms: (y# * y) / y.
-        return _pow_r(y_sharp, r) if y_sharp != 0 else 0.0
-    den = q - 2 + y_sharp + y
-    num = q - 1 + y_sharp * y
+        return 0.0                    # (q - 1) / (q - 2 + y) -> 0
+    den = q - 2 + y
+    num = q - 1
     if den == 0:
         return UNDEF if num == 0 else INF
     return _pow_r(num / den, r)
 
 
-def iterate_effective_y(q: complex, r: int, n: int, y_sharp: complex = 0.0):
+def iterate_effective_y(q: complex, r: int, n: int):
     """y_n starting from y_0 = inf; q in {0, 1} is rejected.
 
     The partition value at depth n vanishes iff the result equals 1 - q.
@@ -117,7 +116,7 @@ def iterate_effective_y(q: complex, r: int, n: int, y_sharp: complex = 0.0):
         raise GraphError("iteration needs q outside {0, 1}")
     y = INF
     for _ in range(n):
-        y = iterate_step(y, q, r, y_sharp)
+        y = iterate_step(y, q, r)
     return y
 
 

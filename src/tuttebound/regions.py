@@ -759,7 +759,7 @@ class CycleCounterexample:
     cycle_poly_degree: int
 
 
-def cycle_counterexample(tol: float = 1e-6, root_tol: float = 1e-10) -> CycleCounterexample:
+def cycle_counterexample(tol: float = 1e-6) -> CycleCounterexample:
     """Roots of t_eff(depth-5 tree) = exp(2 pi i/3) and the cycle witness.
 
     Clears denominators of the reduced exact transmissivity, solves the
@@ -776,7 +776,7 @@ def cycle_counterexample(tol: float = 1e-6, root_tol: float = 1e-10) -> CycleCou
             cn = num.coeffs[k] if k <= num.degree else 0
             cd = den.coeffs[k] if k <= den.degree else 0
             cleared.append(mp.mpc(cn) - omega * mp.mpc(cd))
-    rs = solve_complex_coeffs(cleared, tol=root_tol)
+    rs = solve_complex_coeffs(cleared, tol=1e-10)
     witness = max(rs.roots, key=lambda z: abs(z - 1.0))
 
     # The 94-vertex cycle is series-parallel, so the engine builds its

@@ -51,6 +51,7 @@ from .poly import BigPoly
 
 MAX_SWEEPS = 400        # cap of one aberth_sweeps call
 MAX_DPS = 400           # working-precision cap of the multiprecision phase
+_MP_MAX_SWEEPS = 160    # cap of one _mp_aberth call
 
 
 class RootFindingError(ValueError):
@@ -215,14 +216,13 @@ def newton_residuals(coeffs, roots, dps: int = 40, tol: float | None = None
     return out, res
 
 
-def _mp_aberth(coeffs, starts: list[complex], dps: int, max_sweeps: int = 160
-               ) -> list[complex]:
+def _mp_aberth(coeffs, starts: list[complex], dps: int) -> list[complex]:
     """Aberth sweeps at working precision dps, Jacobi update order."""
     with mp.workdps(dps):
         z = [mp.mpc(s) for s in starts]
         n = len(z)
         stop = mp.mpf(10) ** (-dps + 8)
-        for _ in range(max_sweeps):
+        for _ in range(_MP_MAX_SWEEPS):
             corrs = []
             for i in range(n):
                 p, dp = _mp_eval(coeffs, z[i])

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .graphs import GraphError, Multigraph
+from .graphs import GraphError, Multigraph, json_source_text
 
 
 class _Marker:
@@ -214,12 +214,9 @@ def save_weights(w: WeightAssignment) -> str:
 def load_weights(source: str | Path) -> WeightAssignment:
     """Parse the JSON weight map {"system": "V", "0": {"re":..,"im":..}, ...}.
 
-    ``source`` may be a path or a JSON string: a string whose first
-    non-space character is ``{`` is parsed, anything else is read as a path.
+    ``source`` may be a path or a JSON string (see graphs.json_source_text).
     """
-    text = source
-    if isinstance(source, Path) or not source.lstrip().startswith("{"):
-        text = Path(source).read_text()
+    text = json_source_text(source)
     try:
         record = json.loads(text)
         system = record.pop("system")

@@ -4,12 +4,16 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import tuttebound
+from tuttebound import cli
 from tuttebound.cli import main, parse_complex
+from tuttebound.engine import chromatic_poly
 from tuttebound.graphs import GraphError
-from tuttebound.sp import gen_leaf_joined_tree
+from tuttebound.regions import GridFamily
+from tuttebound.sp import gen_leaf_joined_tree, parse_sp
 
 
 def run(tmp_path, monkeypatch, *argv) -> int:
@@ -83,6 +87,17 @@ def test_tutte_eval_with_weight_file(tmp_path, monkeypatch, capsys):
                "--q", "4+0i", "--weights", str(wfile)) == 0
     out = json.loads(capsys.readouterr().out)
     assert abs(out["z"]["re"] - 12.0) < 1e-9     # q(q-1) at q=4
+
+
+def test_tutte_eval_falls_back_to_the_parsed_tree(tmp_path, monkeypatch, capsys):
+    # decompose_sp does not recognise the W leaf of P(e,W), so the tree that
+    # parse_sp built is evaluated; the oracle route checks its value.
+    assert run(tmp_path, monkeypatch, "tutte", "eval", "--dsl", "P(e,W)", "--q", "2.5") == 0
+    out = json.loads(capsys.readouterr().out)
+    want = float(chromatic_poly(parse_sp("P(e,W)")[0])(2.5))
+    assert out["z"]["im"] == 0.0
+    assert abs(out["z"]["re"] - want) <= 1e-12 * (1 + abs(want))
+    assert out["effective_route_defined"]
 
 
 def test_sp_decompose_json(tmp_path, monkeypatch, capsys):
@@ -288,6 +303,7 @@ def test_region_grid_rejects_resolution_zero(tmp_path, monkeypatch, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []       # neither the CSV nor a manifest
 
 
 @pytest.mark.parametrize("resolution", ["0", "-3"])
@@ -322,3 +338,26 @@ def test_root_csv_digests(tmp_path, monkeypatch, argv):
     out = tmp_path / "roots.csv"
     assert run(tmp_path, monkeypatch, *argv, "--out", str(out)) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ROOT_CSV_DIGESTS[argv]
+
+
+def test_unconverged_grid_exits_three_and_writes_both_files(tmp_path, monkeypatch, capsys):
+    level1 = np.zeros((4, 4), dtype=bool)
+    level1[1, 2] = True
+    level2 = level1.copy()
+    level2[3, 0] = True
+    fam = GridFamily(3, 3 + 1j, 4, (level1, level2), escaped=False, converged=False,
+                     sweeps=7, reason="")
+    monkeypatch.setattr(cli, "grid_closure", lambda q, lam, resolution: fam)
+    assert run(tmp_path, monkeypatch, "region", "grid", "--q=3+1i", "--resolution", "4",
+               "--out", "grid.csv") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"escaped": False, "converged": False, "sweeps": 7,
+                                        "reason": ""}
+    assert (tmp_path / "grid.csv").read_text() == (
+        "level,t_re,t_im\n1,0.25,-0.25\n2,0.25,-0.25\n2,-0.75,0.75\n")
+    manifest = {"config": {"cmd": "grid", "group": "region", "lam": 3, "out": "grid.csv",
+                           "q": "3+1i", "resolution": 4},
+                "outputs": ["grid.csv"], "tool": "tuttebound", "version": tuttebound.__version__}
+    assert ((tmp_path / "grid.csv.manifest.json").read_text()
+            == json.dumps(manifest, indent=2, sort_keys=True))
