@@ -345,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     with _command(leaftree, "teff", cmd_leaftree_teff, "exact effective transmissivity") as p:
         p.add_argument("--r", type=int, default=2)
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--q")
+        p.add_argument("--q", help="complex point such as 1+2i; a value that starts with "
+                                   "'-' and is not a plain number needs --q=-0.5+0.3i")
     with _command(leaftree, "loci", cmd_leaftree_loci, "marginality loci in the q plane") as p:
         p.add_argument("--r", type=int, default=2)
         p.add_argument("--kind", choices=list(LOCUS_KINDS), required=True)
@@ -357,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     roots = groups.add_parser("roots").add_subparsers(dest="cmd", required=True)
     with _command(roots, "solve", cmd_roots_solve, "all roots of an integer polynomial") as p:
-        p.add_argument("--coeffs", help="ascending, comma separated")
+        p.add_argument("--coeffs", help="ascending, comma separated; a list that "
+                                        "starts with '-' needs --coeffs=-1,0,1")
         p.add_argument("--coeffs-file", help="JSON array of coefficient strings")
         p.add_argument("--tol", type=float, default=1e-10)
 

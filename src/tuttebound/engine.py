@@ -81,11 +81,17 @@ def tree_ab(tree: DecompTree, q, weights=None) -> TreePairs:
             if node.is_leaf():
                 memo[key] = _leaf_pair(tree, node, q, wfn)
             else:
-                (a1, b1), (a2, b2) = per_node[node.children[0]], per_node[node.children[1]]
-                if node.kind == "p":
-                    memo[key] = (a1 * a2, a1 * b2 + a2 * b1 + b1 * b2)
+                left, right = per_node[node.children[0]], per_node[node.children[1]]
+                (a1, b1), (a2, b2) = left, right
+                if left is right:     # one shape: a1*b2 + a2*b1 is exactly ab + ab
+                    ab = a1 * b1
+                    cross = ab + ab
                 else:
-                    memo[key] = (a1 * b2 + a2 * b1 + q * a1 * a2, b1 * b2)
+                    cross = a1 * b2 + a2 * b1
+                if node.kind == "p":
+                    memo[key] = (a1 * a2, cross + b1 * b2)
+                else:
+                    memo[key] = (cross + q * a1 * a2, b1 * b2)
         per_node[node] = memo[key]
     a, b = per_node[tree.root]
     return TreePairs(a, b, q * q * a + q * b, per_node)

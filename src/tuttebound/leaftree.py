@@ -182,6 +182,10 @@ def ratio_at(num: BigPoly, den: BigPoly, q) -> object:
 # steer an Aberth iteration; the pair is rescaled between levels (the step
 # is homogeneous of degree r in (A, B), so P/P' is unchanged) to stay in
 # range.  Exact coefficients are used only for the final Newton verification.
+# poly.Jet runs engine.tree_ab on any tree the same way, but it keeps a
+# binary exponent per point instead of this per-level rescale; the roots
+# come out the same while the Newton residuals of the root CSVs move in
+# their last digits, so this step keeps its own jet.
 
 class _Jet:
     """Values and q-derivatives at many points, under + - * and integer **."""

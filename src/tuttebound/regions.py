@@ -28,11 +28,12 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .engine import chromatic_poly
+from .engine import chromatic_poly, tree_ab
 from .graphs import GraphError
 from .leaftree import t_eff_exact
-from .rootfind import solve_complex_coeffs, _mp_eval
-from .sp import gen_gadget_cycle, gen_leaf_joined_tree
+from .poly import BigPoly, Jet
+from .rootfind import aberth_sweeps, solve_complex_coeffs, _mp_eval
+from .sp import gen_gadget_cycle, gen_leaf_joined_tree, leaf_joined_tree_ast, realize
 
 LOG2 = math.log(2.0)
 
@@ -214,9 +215,6 @@ class StalkDiscFamily:
     lam: int
     q: complex
     radii: tuple[float, ...]
-
-    def arc_point(self, v: float) -> complex:
-        return v / (self.q + v)
 
 
 @dataclass(frozen=True)
@@ -759,15 +757,8 @@ class CycleCounterexample:
     cycle_poly_degree: int
 
 
-def cycle_counterexample(tol: float = 1e-6) -> CycleCounterexample:
-    """Roots of t_eff(depth-5 tree) = exp(2 pi i/3) and the cycle witness.
-
-    Clears denominators of the reduced exact transmissivity, solves the
-    resulting polynomial, picks the root of largest |q-1|, and confirms it
-    against the independently built coloring polynomial of the 94-vertex
-    graph (three depth-5 trees plus an edge in a cycle).
-    """
-    num, den = t_eff_exact(2, 5)
+def _cleared(num: BigPoly, den: BigPoly) -> list:
+    """Ascending coefficients of num - omega*den at 40 digits, omega = exp(2 pi i/3)."""
     with mp.workdps(40):
         omega = mp.expjpi(mp.mpf(2) / 3)
         degree = max(num.degree, den.degree)
@@ -776,7 +767,36 @@ def cycle_counterexample(tol: float = 1e-6) -> CycleCounterexample:
             cn = num.coeffs[k] if k <= num.degree else 0
             cd = den.coeffs[k] if k <= den.degree else 0
             cleared.append(mp.mpc(cn) - omega * mp.mpc(cd))
-    rs = solve_complex_coeffs(cleared, tol=1e-10)
+    return cleared
+
+
+def cycle_counterexample(tol: float = 1e-6) -> CycleCounterexample:
+    """Roots of t_eff(depth-5 tree) = exp(2 pi i/3) and the cycle witness.
+
+    Clears denominators of the reduced exact transmissivity, solves the
+    resulting polynomial, picks the root of largest |q-1|, and confirms it
+    against the independently built coloring polynomial of the 94-vertex
+    graph (three depth-5 trees plus an edge in a cycle).  The solver starts
+    from an Aberth run on F/F', F = B - omega(qA + B), which the engine's
+    pair route gives on jets of the tree; the exact coefficients only
+    verify.
+    """
+    num, den = t_eff_exact(2, 5)
+    cleared = _cleared(num, den)
+    _tt, tree = realize(leaf_joined_tree_ast(2, 5))
+    omega = cmath.exp(2j * math.pi / 3)
+
+    # B and qA + B have no common factor at depth 5 (a test checks the
+    # degrees), so F is the cleared polynomial up to a constant.
+    def ratio(z):
+        q = Jet.variable(z)
+        pairs = tree_ab(tree, q, -1)
+        return (pairs.b - omega * (q * pairs.a + pairs.b)).ratio()
+
+    count = len(cleared) - 1
+    ring = 1.0 + 2.0 * np.exp(2j * np.pi * (np.arange(count) + 0.37) / count)
+    starts, _ = aberth_sweeps(ratio, ring)
+    rs = solve_complex_coeffs(cleared, tol=1e-10, starts=list(starts))
     witness = max(rs.roots, key=lambda z: abs(z - 1.0))
 
     # The 94-vertex cycle is series-parallel, so the engine builds its

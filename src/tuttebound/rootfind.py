@@ -5,8 +5,9 @@ previous sweep, so a sweep is deterministic and trivially data-parallel).
 The double-precision loop, aberth_sweeps, takes the Newton ratio p/p' as a
 callable, so one driver serves every evaluator: Horner on the scaled
 coefficients here, started from perturbed circles whose radii come from the
-upper convex hull of (k, log|a_k|), and the pair recursion of a leaf-joined
-tree in tuttebound.leaftree.
+upper convex hull of (k, log|a_k|), the pair recursion of a leaf-joined
+tree in tuttebound.leaftree, and engine.tree_ab on poly.Jet, which gives
+p and p' of any decomposition tree (regions.cycle_counterexample).
 
 Polynomials whose roots fill a disc, like the coloring polynomials handled
 here, are brutally ill-conditioned in the monomial basis: near the root
@@ -39,6 +40,7 @@ clustered root needs more steps, not more digits.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -52,6 +54,7 @@ from .poly import BigPoly
 MAX_SWEEPS = 400        # cap of one aberth_sweeps call
 MAX_DPS = 400           # working-precision cap of the multiprecision phase
 _MP_MAX_SWEEPS = 160    # cap of one _mp_aberth call
+_NUDGE = 1e-3           # relative offset that separates two collided roots
 
 
 class RootFindingError(ValueError):
@@ -265,7 +268,10 @@ def solve_complex_coeffs(coeffs, tol: float = 1e-10,
     Double-precision sweeps first (skipped when starting points are
     supplied); precision escalates geometrically from _auto_dps(degree)
     until every Newton-step residual passes tol or MAX_DPS is hit (the
-    result is then flagged unconverged rather than trimmed).  The
+    result is then flagged unconverged rather than trimmed).  Roots within
+    tol*(1+|z|) of each other are taken for two approximations of one root:
+    one is nudged aside once and the simultaneous iteration reruns, and a
+    collision that survives also flags the result unconverged.  The
     coefficients may be inexact, so no multiplicity is claimed: every root
     is reported with multiplicity 1.
     """
@@ -287,17 +293,37 @@ def solve_complex_coeffs(coeffs, tol: float = 1e-10,
         raw, _ = aberth_sweeps(lambda z: _horner_ratio(c, z), _initial_points(c))
     roots, residuals = newton_residuals(cs, raw, dps=dps, tol=tol)
     level = dps
-    while max(residuals) > tol and level < MAX_DPS:
-        # Per-root polishing was not enough: approximations are likely
-        # collided or far off, so rerun the simultaneous iteration.
-        level = min(MAX_DPS, int(level * 2.2))
+    nudged = False
+    while True:
+        clash = _clashes(roots, tol)
+        if clash and not nudged:
+            # Two points on one root get identical Jacobi updates, so the
+            # simultaneous iteration separates them only after a nudge.
+            nudged = True
+            for k, j in enumerate(clash):
+                roots[j] += _NUDGE * (1 + abs(roots[j])) * cmath.exp(1j * (k + 1))
+        elif max(residuals) > tol and level < MAX_DPS:
+            # Per-root polishing was not enough: approximations are likely
+            # collided or far off, so rerun the simultaneous iteration.
+            level = min(MAX_DPS, int(level * 2.2))
+        else:
+            break
         refined = _mp_aberth(cs, roots, dps=level)
         roots, residuals = newton_residuals(cs, refined, dps=level, tol=tol)
     order = sorted(range(len(roots)), key=lambda i: (roots[i].real, roots[i].imag))
     roots = [roots[i] for i in order]
     residuals = [residuals[i] for i in order]
     return RootSet(roots, residuals, [1] * len(roots), len(cs) - 1, tol,
-                   max(residuals) <= tol)
+                   max(residuals) <= tol and not clash)
+
+
+def _clashes(roots: list[complex], tol: float) -> list[int]:
+    """Indices j of roots within tol*(1+|z_j|) of a root listed before them."""
+    if len(roots) < 2:
+        return []
+    z = np.array(roots, dtype=np.complex128)
+    near = np.abs(z[None, :] - z[:, None]) <= tol * (1 + np.abs(z))[None, :]
+    return np.flatnonzero(np.triu(near, 1).any(axis=0)).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,15 @@ import hashlib
 import math
 import random
 
+from itertools import combinations
+
+import mpmath as mp
 import numpy as np
 import pytest
 
 from tuttebound.graphs import GraphError
+from tuttebound.leaftree import leaf_tree_ab, t_eff_exact
+from tuttebound.rootfind import _mp_eval
 from tuttebound.regions import (CHROMATIC, ANTIFERRO, WHEATSTONE, MAXIMAL, MINIMAL,
                                 PointDiscFamily, RadiiBlowup,
                                 boundary_rho, certify, cycle_counterexample,
@@ -16,7 +21,7 @@ from tuttebound.regions import (CHROMATIC, ANTIFERRO, WHEATSTONE, MAXIMAL, MINIM
                                 sp_bound_margin, sp_rho_threshold,
                                 transmissivity_circle_max, verify_family,
                                 wheatstone_bound_margin, wheatstone_rho_threshold,
-                                _t_parallel)
+                                _cleared, _t_parallel)
 
 LOG2 = math.log(2.0)
 
@@ -493,6 +498,28 @@ def test_cycle_counterexample_values():
     assert 2.00945 <= ce.witness_offset <= 2.00948
     assert ce.cycle_poly_degree == 94
     assert ce.verified and ce.residual < 1e-6
+
+
+def test_cycle_counterexample_roots_are_distinct():
+    # Starts from the tree's jets put one approximation on each of the 31
+    # roots; Horner starts on the cleared coefficients used to land pairs
+    # on the same root.
+    ce = cycle_counterexample()
+    cleared = _cleared(*t_eff_exact(2, 5))
+    assert min(abs(a - b) for a, b in combinations(ce.roots, 2)) >= 1e-3
+    with mp.workdps(40):
+        for z in ce.roots:
+            p, dp = _mp_eval(cleared, mp.mpc(z))
+            assert abs(p / dp) / (1 + abs(z)) <= 1e-10
+
+
+def test_counterexample_transmissivity_is_in_lowest_terms():
+    # cycle_counterexample steers its starts by B - omega(qA + B) of the
+    # unreduced pair, which matches the cleared polynomial only while
+    # t_eff_exact has nothing to cancel at depth 5.
+    state = leaf_tree_ab(2, 5)
+    num, den = t_eff_exact(2, 5)
+    assert (num.degree, den.degree) == (state.b.degree, state.a.degree + 1)
 
 
 def test_grid_closure_single_cell():

@@ -1,14 +1,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from tuttebound import rootfind
 from tuttebound.engine import chromatic_poly
 from tuttebound.graphs import cycle_graph
-from tuttebound.leaftree import tree_chromatic_roots
+from tuttebound.leaftree import t_eff_exact, tree_chromatic_roots
 from tuttebound.poly import BigPoly
-from tuttebound.regions import cycle_counterexample
+from tuttebound.regions import _cleared
 from tuttebound.rootfind import (RootFindingError, find_roots, newton_residuals,
                                  solve_complex_coeffs, squarefree_factors)
 from tuttebound.sp import gen_wheatstone, parse_sp
@@ -104,9 +105,15 @@ def test_newton_verification_stops_at_tolerance(monkeypatch):
 
 
 def test_newton_keeps_stepping_while_values_are_resolved(monkeypatch):
-    # The counterexample's double-precision starts sit near clustered roots:
-    # Newton approaches them slowly, with values far above the rounding
-    # floor, so it needs more steps at the first precision, not more digits.
+    # Horner-sweep starts for the counterexample's cleared polynomial sit
+    # near clustered roots: Newton approaches them slowly, with values far
+    # above the rounding floor, so it needs more steps at the first
+    # precision, not more digits.
+    cleared = _cleared(*t_eff_exact(2, 5))
+    c = rootfind._scaled_float_coeffs(cleared)
+    c = c / np.max(np.abs(c))
+    raw, _ = rootfind.aberth_sweeps(lambda z: rootfind._horner_ratio(c, z),
+                                    rootfind._initial_points(c))
     levels = []
     once = rootfind._newton_once
 
@@ -115,9 +122,26 @@ def test_newton_keeps_stepping_while_values_are_resolved(monkeypatch):
         return once(coeffs, z0, dps, tol)
 
     monkeypatch.setattr(rootfind, "_newton_once", logged)
-    ce = cycle_counterexample()
-    assert ce.count == 31 and ce.verified
+    _roots, residuals = newton_residuals(cleared, raw, dps=rootfind._auto_dps(31), tol=1e-10)
+    assert max(residuals) <= 1e-10
     assert len(levels) == 31 and len(set(levels)) == 1
+
+
+def test_collided_starts_are_separated():
+    # (q-2)(q-3)(q+1) with two starts on the root 2: Newton polishes both
+    # to it, and only a nudge lets the simultaneous iteration find 3.
+    coeffs = [6, 1, -4, 1]
+    rs = solve_complex_coeffs(coeffs, tol=1e-12, starts=[2.1, 2.1, -0.9])
+    assert rs.converged
+    assert [round(z.real, 9) for z in rs.roots] == [-1, 2, 3]
+    assert max(abs(z.imag) for z in rs.roots) < 1e-9
+
+
+def test_collision_that_persists_is_not_converged(monkeypatch):
+    monkeypatch.setattr(rootfind, "_mp_aberth", lambda coeffs, starts, dps: list(starts))
+    monkeypatch.setattr(rootfind, "_NUDGE", 0.0)
+    rs = solve_complex_coeffs([6, 1, -4, 1], tol=1e-12, starts=[2.1, 2.1, -0.9])
+    assert max(rs.residuals) <= 1e-12 and not rs.converged
 
 
 def test_root_count_always_equals_degree():
