@@ -19,6 +19,7 @@ recognised as 2-terminal series-parallel (a W leaf, say).
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import csv
 import functools
@@ -45,15 +46,18 @@ EXIT_NUMERIC = 3
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 'a+bi' style input; accepts i or j and plain reals."""
+    """Parse 'a+bi' style input; accepts i or j and plain reals, finite only."""
     s = text.strip().replace(" ", "").replace("I", "i").replace("j", "i")
     s = s.replace("i", "j")
     if s == "j" or s.endswith("+j") or s.endswith("-j"):
         s = s[:-1] + "1j"
     try:
-        return complex(s)
+        z = complex(s)
     except ValueError as exc:
         raise GraphError(f"cannot parse complex number {text!r}") from exc
+    if not cmath.isfinite(z):
+        raise GraphError(f"complex number {text!r} is not finite")
+    return z
 
 
 def _input_graph(args) -> tuple[TwoTerminalGraph | Multigraph, DecompTree | None]:
@@ -290,6 +294,10 @@ def _add_graph_inputs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", help="graph JSON file {vertices, edges, s?, t?}")
 
 
+_Q_HELP = ("complex point such as 1+2i; a value that starts with '-' and is not "
+           "a plain number needs --q=-0.5+0.3i")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tuttebound")
     parser.add_argument("--version", action="version", version=__version__)
@@ -302,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     tutte = groups.add_parser("tutte").add_subparsers(dest="cmd", required=True)
     with _command(tutte, "eval", cmd_tutte_eval, "numeric partition value at q") as p:
         _add_graph_inputs(p)
-        p.add_argument("--q", required=True)
+        p.add_argument("--q", required=True, help=_Q_HELP)
         p.add_argument("--weights", help="weight JSON file")
         p.add_argument("--v", help="uniform edge weight (default -1)")
     with _command(tutte, "chromatic", cmd_tutte_chromatic,
@@ -315,12 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     region = groups.add_parser("region").add_subparsers(dest="cmd", required=True)
     with _command(region, "certify", cmd_region_certify, "zero-free disc membership") as p:
-        p.add_argument("--q", required=True)
+        p.add_argument("--q", required=True, help=_Q_HELP)
         p.add_argument("--lambda", dest="lam", type=int, required=True)
         p.add_argument("--mode", choices=["chromatic", "antiferro", "wheatstone"],
                        default="chromatic")
     with _command(region, "grid", cmd_region_grid, "raster closure of the minimal regions") as p:
-        p.add_argument("--q", required=True)
+        p.add_argument("--q", required=True, help=_Q_HELP)
         p.add_argument("--lambda", dest="lam", type=int, default=3)
         p.add_argument("--resolution", type=int, default=256)
     with _command(region, "boundary", cmd_region_boundary,
@@ -345,8 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     with _command(leaftree, "teff", cmd_leaftree_teff, "exact effective transmissivity") as p:
         p.add_argument("--r", type=int, default=2)
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--q", help="complex point such as 1+2i; a value that starts with "
-                                   "'-' and is not a plain number needs --q=-0.5+0.3i")
+        p.add_argument("--q", help=_Q_HELP)
     with _command(leaftree, "loci", cmd_leaftree_loci, "marginality loci in the q plane") as p:
         p.add_argument("--r", type=int, default=2)
         p.add_argument("--kind", choices=list(LOCUS_KINDS), required=True)

@@ -36,7 +36,7 @@ from .graphs import GraphError, Multigraph, TwoTerminalGraph, blocks
 from .oracles import partial_tutte_brute, tutte_brute
 from .poly import BigPoly
 from .sp import DecompNode, DecompTree, decompose_sp
-from .weights import UNDEF, WeightAssignment, is_finite, parallel, series
+from .weights import INF, UNDEF, WeightAssignment, is_finite, parallel, series
 
 
 def _weights_plan(tree: DecompTree, weights, q):
@@ -72,8 +72,17 @@ def _leaf_pair(tree: DecompTree, node: DecompNode, q, wfn) -> tuple:
 
 
 def tree_ab(tree: DecompTree, q, weights=None) -> TreePairs:
-    """Evaluate the split pairs bottom-up; exact whenever the inputs are."""
-    wfn, keys = _weights_plan(tree, weights, q)
+    """Evaluate the split pairs bottom-up; exact whenever the inputs are.
+
+    Unlike tree_veff, this refuses INF and UNDEF weights (GraphError).
+    """
+    given, keys = _weights_plan(tree, weights, q)
+
+    def wfn(i):
+        if (v := given(i)) is INF or v is UNDEF:
+            raise GraphError(f"edge {i} has weight {v!r}; the pair route needs finite weights")
+        return v
+
     per_node: dict[DecompNode, tuple] = {}
     memo: dict = {}
     for node, key in zip(tree.order, keys):

@@ -16,7 +16,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 
 class GraphError(ValueError):
@@ -92,10 +92,6 @@ class Multigraph:
 
     def with_edge(self, a: int, b: int) -> "Multigraph":
         return Multigraph(self.vertex_count, self.edges + ((a, b),))
-
-    def relabeled(self, vertex_map: Sequence[int], new_count: int) -> "Multigraph":
-        """Apply vertex_map[old] -> new to every endpoint."""
-        return Multigraph(new_count, tuple((vertex_map[a], vertex_map[b]) for a, b in self.edges))
 
     def to_json(self, s: int | None = None, t: int | None = None) -> str:
         record: dict = {"vertices": self.vertex_count, "edges": [list(e) for e in self.edges]}

@@ -12,7 +12,7 @@ Exact coefficients come from the engine's pair route on the realized tree
 (engine.tree_ab): BigPoly at w = -1, BiPoly for a symbolic w.  For root
 location, one private step runs the recursion on jets of doubles that carry
 each value with its q-derivative; it gives P/P' to the solver's own Aberth
-loop (rootfind.aberth_sweeps).
+loop, started from a ring around q = 1 (rootfind.ring_starts).
 
 The same growth is a one-dimensional iteration of the effective weight in
 the y = 1+v variable: y_0 = inf, y_{n+1} = ((q-1+y#*y)/(q-2+y#+y))^r, which
@@ -35,7 +35,7 @@ import numpy as np
 from .engine import tree_ab
 from .graphs import GraphError
 from .poly import BigPoly, BiPoly
-from .rootfind import RootSet, aberth_sweeps, find_roots, solve_complex_coeffs
+from .rootfind import RootSet, find_roots, ring_starts, solve_complex_coeffs
 from .sp import leaf_joined_tree_ast, realize
 from .weights import INF, UNDEF, is_finite
 
@@ -182,10 +182,10 @@ def ratio_at(num: BigPoly, den: BigPoly, q) -> object:
 # steer an Aberth iteration; the pair is rescaled between levels (the step
 # is homogeneous of degree r in (A, B), so P/P' is unchanged) to stay in
 # range.  Exact coefficients are used only for the final Newton verification.
-# poly.Jet runs engine.tree_ab on any tree the same way, but it keeps a
-# binary exponent per point instead of this per-level rescale; the roots
-# come out the same while the Newton residuals of the root CSVs move in
-# their last digits, so this step keeps its own jet.
+# poly.Jet runs engine.tree_ab on any tree the same way and gives the same
+# root CSVs here, but it keeps a binary exponent per point instead of this
+# per-level rescale, which makes each of its products about four times as
+# costly, so this step keeps its own lighter jet.
 
 class _Jet:
     """Values and q-derivatives at many points, under + - * and integer **."""
@@ -254,10 +254,8 @@ def tree_chromatic_roots(r: int, n: int, tol: float = 1e-8) -> RootSet:
         w = 1.0 / (1.0 / _newton_ratio(z, r, n) - 1.0 / z - 1.0 / (z - 1.0))
         return np.where(np.isfinite(w), w, 0.0)
 
-    count = poly.degree - 2
-    angles = (np.arange(count) + 0.37) / count
-    ring = 1.0 + r * np.exp(2j * np.pi * angles)      # near the root ring
-    starts, _ = aberth_sweeps(deflated_ratio, ring, step_tol=1e-13)
+    # The roots gather near the ring |q - 1| = r.
+    starts = ring_starts(deflated_ratio, poly.degree - 2, r, 1e-13)
     return find_roots(poly, tol=tol, starts=starts)
 
 

@@ -40,8 +40,8 @@ class BigPoly:
         return cls((0, 1))
 
     @classmethod
-    def monomial(cls, k: int, c=1) -> "BigPoly":
-        return cls((0,) * k + (c,))
+    def monomial(cls, k: int) -> "BigPoly":
+        return cls((0,) * k + (1,))
 
     # -- basics -------------------------------------------------------------
 
@@ -137,16 +137,7 @@ class BigPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "BigPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = BigPoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, n, BigPoly((1,)))
 
     def __call__(self, x):
         """Horner evaluation; works for int, Fraction, complex, mpmath types."""
@@ -224,6 +215,19 @@ class BigPoly:
     def to_int(self) -> "BigPoly":
         """Cast Fraction coefficients with unit denominators back to int."""
         return BigPoly(tuple(_normalize_fraction(c) for c in self.coeffs))
+
+
+def _power(base, n: int, one):
+    """base ** n by square-and-multiply from the unit one, for any ring here."""
+    if n < 0:
+        raise ValueError("negative power")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return result
 
 
 def _coerce(x):
@@ -337,16 +341,7 @@ class BiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "BiPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = BiPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, n, BiPoly.const(1))
 
     def __call__(self, qv, wv):
         acc = 0
@@ -440,13 +435,4 @@ class Jet:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Jet":
-        if n < 0:
-            raise ValueError("negative power")
-        result = self._const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, n, self._const(1))

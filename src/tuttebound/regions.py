@@ -30,10 +30,9 @@ import numpy as np
 
 from .engine import chromatic_poly, tree_ab
 from .graphs import GraphError
-from .leaftree import t_eff_exact
 from .poly import BigPoly, Jet
-from .rootfind import aberth_sweeps, solve_complex_coeffs, _mp_eval
-from .sp import gen_gadget_cycle, gen_leaf_joined_tree, leaf_joined_tree_ast, realize
+from .rootfind import ring_starts, solve_complex_coeffs, _mp_eval
+from .sp import gen_gadget_cycle, gen_leaf_joined_tree
 
 LOG2 = math.log(2.0)
 
@@ -46,17 +45,27 @@ class RadiiBlowup(GraphError):
 # Thresholds
 # ---------------------------------------------------------------------------
 
-def _bisect_unit(f, tol: float = 1e-13) -> float:
-    """Find the sign change of f on (0, 1); f < 0 left of it, > 0 right."""
+def _bisect(inside, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Halve [lo, hi] to width tol, moving lo where inside(mid) holds, else hi."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if inside(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _bisect_unit(lam, f) -> float:
+    """The sign change of f on (0, 1), f < 0 left of it; 1 at L = 2 by convention."""
+    if not isinstance(lam, int) or lam < 2:
+        raise GraphError("need integer lam >= 2")
+    if lam == 2:
+        return 1.0
     lo, hi = 1e-15, 1.0 - 1e-15
     if f(lo) > 0 or f(hi) < 0:
         raise GraphError("no bracketed threshold in (0,1)")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _bisect(lambda rho: not f(rho) > 0, lo, hi, 1e-13)
     return 0.5 * (lo + hi)
 
 
@@ -66,13 +75,9 @@ def sp_rho_threshold(lam: int) -> float:
     Largest contraction rate 1/|q-1| at which the nested-disc radii exist,
     hence the series-parallel certification threshold.
     """
-    if not isinstance(lam, int) or lam < 2:
-        raise GraphError("need integer lam >= 2")
-    if lam == 2:
-        return 1.0
     def gap(rho: float) -> float:
         return lam * math.log1p(rho) - (lam - 1) * math.log1p(rho * rho) - LOG2
-    rho = _bisect_unit(gap)
+    rho = _bisect_unit(lam, gap)
     assert rho > LOG2 / (lam - 1.5 * LOG2)
     return rho
 
@@ -83,15 +88,11 @@ def wheatstone_rho_threshold(lam: int) -> float:
     Certification threshold when Wheatstone bridges join the plain edge as
     building blocks; 1 at L=2 by the same boundary convention as above.
     """
-    if not isinstance(lam, int) or lam < 2:
-        raise GraphError("need integer lam >= 2")
-    if lam == 2:
-        return 1.0
     def gap(rho: float) -> float:
         return ((lam + 1) * math.log1p(rho)
                 - (lam - 1) * math.log(1.0 - rho + 2.0 * rho * rho)
                 - 2.0 * LOG2)
-    rho = _bisect_unit(gap)
+    rho = _bisect_unit(lam, gap)
     assert rho > LOG2 / (lam - LOG2)
     return rho
 
@@ -263,8 +264,6 @@ def certify(q: complex, lam: int, mode: str = CHROMATIC) -> CertifyResult:
         raise GraphError("certification needs q outside {0, 1}")
     if mode not in (CHROMATIC, ANTIFERRO, WHEATSTONE):
         raise GraphError(f"unknown mode {mode!r}")
-    if not isinstance(lam, int) or lam < 2:
-        raise GraphError("need integer lam >= 2")
     rho_star = sp_rho_threshold(lam)
     threshold = 1.0 / rho_star
     offset = abs(q - 1.0)
@@ -366,8 +365,7 @@ class _FamilySets:
         return ok
 
 
-def verify_family(family, q: complex | None = None, lam: int | None = None,
-                  samples: int = 10_000, seed: int = 7) -> bool:
+def verify_family(family, samples: int = 10_000) -> bool:
     """Sampled audit of the four nesting/closure conditions.
 
     Exact checks where the disc structure allows (rho^2 <= r_1,
@@ -376,9 +374,8 @@ def verify_family(family, q: complex | None = None, lam: int | None = None,
     Monte-Carlo plus boundary sampling for the parallel condition.
     """
     if isinstance(family, GridFamily):
-        return _verify_grid(family, samples, seed)
-    q = family.q if q is None else complex(q)
-    lam = family.lam if lam is None else lam
+        return _verify_grid(family, samples)
+    q, lam = family.q, family.lam
     radii = family.radii
     if len(radii) != lam - 1 or any(radii[i] > radii[i + 1] + 1e-15 for i in range(len(radii) - 1)):
         return False
@@ -388,8 +385,7 @@ def verify_family(family, q: complex | None = None, lam: int | None = None,
         return False
     if radii[-1] >= 1.0 - 1e-12 or rho >= 1.0:
         return False                      # t = 1 must stay outside
-    rng = np.random.default_rng(seed)
-    sets = _FamilySets(family, rng)
+    sets = _FamilySets(family, np.random.default_rng(7))
     per_pair = max(64, samples // max(1, (lam - 1) ** 2))
     for k in range(1, lam):
         for ell in range(k, lam):
@@ -421,12 +417,12 @@ def verify_family(family, q: complex | None = None, lam: int | None = None,
     return True
 
 
-def _verify_grid(family: GridFamily, samples: int, seed: int) -> bool:
+def _verify_grid(family: GridFamily, samples: int) -> bool:
     if family.escaped or not family.converged:
         return False
     res = family.resolution
     h = 2.0 / res
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     lam = family.lam
     pts = []
     for k in range(1, lam):
@@ -565,13 +561,7 @@ def boundary_rho(lam: int, theta: float, tol: float = 1e-6,
         raise GraphError("uniform threshold unexpectedly infeasible")
     if feasible(hi):
         return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _bisect(feasible, lo, hi, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -773,35 +763,29 @@ def _cleared(num: BigPoly, den: BigPoly) -> list:
 def cycle_counterexample(tol: float = 1e-6) -> CycleCounterexample:
     """Roots of t_eff(depth-5 tree) = exp(2 pi i/3) and the cycle witness.
 
-    Clears denominators of the reduced exact transmissivity, solves the
-    resulting polynomial, picks the root of largest |q-1|, and confirms it
-    against the independently built coloring polynomial of the 94-vertex
-    graph (three depth-5 trees plus an edge in a cycle).  The solver starts
-    from an Aberth run on F/F', F = B - omega(qA + B), which the engine's
-    pair route gives on jets of the tree; the exact coefficients only
-    verify.
+    One depth-5 tree gives the exact pair (A, B), hence the cleared
+    polynomial F = B - omega(qA + B) (B and qA + B are coprime there, which
+    a test checks), and F/F' on jets for ring_starts; the exact coefficients
+    verify.  The root of largest |q-1| is confirmed against the coloring
+    polynomial of the 94-vertex graph: three such trees and an edge in a cycle.
     """
-    num, den = t_eff_exact(2, 5)
-    cleared = _cleared(num, den)
-    _tt, tree = realize(leaf_joined_tree_ast(2, 5))
+    gadget, tree = gen_leaf_joined_tree(2, 5)
+    q = BigPoly.variable()
+    exact = tree_ab(tree, q, -1)
+    cleared = _cleared(exact.b, q * exact.a + exact.b)
     omega = cmath.exp(2j * math.pi / 3)
 
-    # B and qA + B have no common factor at depth 5 (a test checks the
-    # degrees), so F is the cleared polynomial up to a constant.
     def ratio(z):
-        q = Jet.variable(z)
-        pairs = tree_ab(tree, q, -1)
-        return (pairs.b - omega * (q * pairs.a + pairs.b)).ratio()
+        qj = Jet.variable(z)
+        pairs = tree_ab(tree, qj, -1)
+        return (pairs.b - omega * (qj * pairs.a + pairs.b)).ratio()
 
-    count = len(cleared) - 1
-    ring = 1.0 + 2.0 * np.exp(2j * np.pi * (np.arange(count) + 0.37) / count)
-    starts, _ = aberth_sweeps(ratio, ring)
+    starts = ring_starts(ratio, len(cleared) - 1, 2.0, 1e-14)
     rs = solve_complex_coeffs(cleared, tol=1e-10, starts=list(starts))
     witness = max(rs.roots, key=lambda z: abs(z - 1.0))
 
     # The 94-vertex cycle is series-parallel, so the engine builds its
     # polynomial from the graph alone.
-    gadget, _tree = gen_leaf_joined_tree(2, 5)
     cycle_tt, _cycle_tree = gen_gadget_cycle(gadget, 3)
     poly = chromatic_poly(cycle_tt.graph)
     with mp.workdps(60):

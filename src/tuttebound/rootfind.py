@@ -7,7 +7,8 @@ callable, so one driver serves every evaluator: Horner on the scaled
 coefficients here, started from perturbed circles whose radii come from the
 upper convex hull of (k, log|a_k|), the pair recursion of a leaf-joined
 tree in tuttebound.leaftree, and engine.tree_ab on poly.Jet, which gives
-p and p' of any decomposition tree (regions.cycle_counterexample).
+p and p' of any decomposition tree (regions.cycle_counterexample).  The
+two tree callers start it from one ring around q = 1 (ring_starts).
 
 Polynomials whose roots fill a disc, like the coloring polynomials handled
 here, are brutally ill-conditioned in the monomial basis: near the root
@@ -142,6 +143,18 @@ def aberth_sweeps(ratio: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
     return z, False
 
 
+def ring_starts(ratio: Callable[[np.ndarray], np.ndarray], count: int,
+                radius: float, step_tol: float) -> np.ndarray:
+    """aberth_sweeps from count points on |z - 1| = radius, off the real axis.
+
+    The flag is dropped: callers verify on exact coefficients.
+    """
+    angles = (np.arange(count) + 0.37) / count
+    ring = 1.0 + radius * np.exp(2j * np.pi * angles)
+    starts, _ = aberth_sweeps(ratio, ring, step_tol=step_tol)
+    return starts
+
+
 # ---------------------------------------------------------------------------
 # Multiprecision phase
 # ---------------------------------------------------------------------------
@@ -257,7 +270,7 @@ def _scaled_float_coeffs(coeffs: Sequence) -> np.ndarray:
 
 
 def _auto_dps(degree: int) -> int:
-    # Root-filled discs cost about 0.3 digits of cancellation per degree.
+    # Root-filled discs cost about 0.45 digits of cancellation per degree.
     return max(40, 30 + int(0.45 * degree))
 
 
@@ -402,7 +415,7 @@ def squarefree_factors(f: BigPoly) -> list[tuple[BigPoly, int]]:
 
 def find_roots(p: BigPoly, tol: float = 1e-10,
                starts: Sequence[complex] | None = None) -> RootSet:
-    """All complex roots of an exact integer polynomial.
+    """All complex roots of an exact integer polynomial (integral Fractions pass).
 
     Roots at q = 0 and q = 1 are stripped by exact synthetic division first
     and reported with residual 0.  The rest is split exactly into squarefree
@@ -419,7 +432,9 @@ def find_roots(p: BigPoly, tol: float = 1e-10,
         raise RootFindingError("zero polynomial")
     if p.degree < 1:
         raise RootFindingError("constant polynomial has no roots")
-    coeffs = list(p.coeffs)
+    coeffs = list(p.to_int().coeffs)
+    if not all(isinstance(c, int) for c in coeffs):
+        raise RootFindingError("find_roots needs integer coefficients")
     roots: list[complex] = []
     residuals: list[float] = []
     mult: list[int] = []

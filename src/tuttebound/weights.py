@@ -118,17 +118,22 @@ def _sphere_mul(a, b):
     return a * b
 
 
+def _combine(a, b, system: str, q, via: str):
+    """Map a and b from system into via, multiply on the sphere, map back."""
+    system = _check_system(system)
+    _check_q(q)
+    into = _matrix(system, via, q)
+    return _mobius(_matrix(via, system, q),
+                   _sphere_mul(_mobius(into, a), _mobius(into, b)))
+
+
 def parallel(a, b, system: str, q):
     """Parallel combination; multiplication transported from the y system.
 
     Undefined pairs per system: V at (-1, INF); Y at (0, INF);
     T at (1/(1-q), 1) -- plus the mirror images.
     """
-    system = _check_system(system)
-    _check_q(q)
-    ya = convert(a, system, "Y", q)
-    yb = convert(b, system, "Y", q)
-    return convert(_sphere_mul(ya, yb), "Y", system, q)
+    return _combine(a, b, system, q, "Y")
 
 
 def series(a, b, system: str, q):
@@ -137,11 +142,7 @@ def series(a, b, system: str, q):
     Undefined pairs per system: V at (0, -q); Y at (1, 1-q); T at (0, INF)
     -- plus the mirror images.
     """
-    system = _check_system(system)
-    _check_q(q)
-    ta = convert(a, system, "T", q)
-    tb = convert(b, system, "T", q)
-    return convert(_sphere_mul(ta, tb), "T", system, q)
+    return _combine(a, b, system, q, "T")
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +160,9 @@ class WeightAssignment:
         object.__setattr__(self, "values", dict(self.values))
 
     @classmethod
-    def uniform(cls, g: Multigraph | int, value, system: str = "V") -> "WeightAssignment":
+    def uniform(cls, g: Multigraph | int, value) -> "WeightAssignment":
         m = g if isinstance(g, int) else g.edge_count
-        return cls(system, {i: value for i in range(m)})
+        return cls("V", {i: value for i in range(m)})
 
     def value(self, edge: int):
         try:

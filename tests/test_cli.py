@@ -32,6 +32,22 @@ def test_parse_complex_forms():
         parse_complex("spam")
 
 
+@pytest.mark.parametrize("argv", [
+    ("region", "certify", "--q", "nan", "--lambda", "3"),
+    ("region", "certify", "--q", "1e309", "--lambda", "3"),
+    ("tutte", "eval", "--dsl", "S(e,e)", "--q", "nan"),
+    ("tutte", "eval", "--dsl", "S(e,e)", "--q", "2", "--v", "1e309"),
+    ("leaftree", "teff", "--n", "2", "--q", "nan"),
+])
+def test_non_finite_complex_input_is_an_input_error(tmp_path, monkeypatch, capsys, argv):
+    assert run(tmp_path, monkeypatch, *argv, "--out", "a.json") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "not finite" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_flow_command(tmp_path, monkeypatch, capsys):
     assert run(tmp_path, monkeypatch, "flow", "--dsl", "P(e,e,e,e)") == 0
     out = json.loads(capsys.readouterr().out)
@@ -87,6 +103,20 @@ def test_tutte_eval_with_weight_file(tmp_path, monkeypatch, capsys):
                "--q", "4+0i", "--weights", str(wfile)) == 0
     out = json.loads(capsys.readouterr().out)
     assert abs(out["z"]["re"] - 12.0) < 1e-9     # q(q-1) at q=4
+
+
+@pytest.mark.parametrize("system, value", [("V", "inf"), ("T", {"re": 1.0})])
+def test_tutte_eval_rejects_an_infinite_weight(tmp_path, monkeypatch, capsys, system, value):
+    # T = 1 maps to v = INF, which the pair route cannot multiply.
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps({"system": system, "0": value, "1": {"re": 0.5}}))
+    assert run(tmp_path, monkeypatch, "tutte", "eval", "--dsl", "P(e,e)", "--q", "2",
+               "--weights", str(wfile), "--out", "z.json") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["w.json"]
 
 
 def test_tutte_eval_falls_back_to_the_parsed_tree(tmp_path, monkeypatch, capsys):

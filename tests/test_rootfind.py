@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -217,10 +218,17 @@ def test_high_cancellation_polynomial_is_recovered():
 
 
 def test_rejects_degenerate_inputs():
-    with pytest.raises(RootFindingError):
-        find_roots(BigPoly())
-    with pytest.raises(RootFindingError):
-        find_roots(BigPoly((5,)))
+    # Zero, constant, and non-integer coefficients.
+    for coeffs in [(), (5,), (Fraction(1, 2), 1), (Fraction(-1, 4), 0, 1),
+                   (Fraction(1, 3), Fraction(-4, 3), 1)]:
+        with pytest.raises(RootFindingError):
+            find_roots(BigPoly(coeffs))
+
+
+def test_accepts_integral_fraction_coefficients():
+    rs = find_roots(BigPoly((Fraction(-4, 2), 0, Fraction(1))))
+    assert rs.converged and rs.multiplicities == [1, 1]
+    assert sorted(z.real for z in rs.roots) == pytest.approx([-math.sqrt(2), math.sqrt(2)])
 
 
 def test_deterministic_output():
