@@ -123,13 +123,16 @@ def cmd_tutte_eval(args):
     q = parse_complex(args.q)
     weights = _weights_arg(args, q)
     pairs = tree_ab(tree, q, weights)
-    eff = tree_veff(tree, q, weights)
+    try:
+        eff = tree_veff(tree, q, weights)
+    except GraphError:      # q = 0 or a zero leaf A value: only z is defined
+        eff = None
     payload = {
         "q": {"re": q.real, "im": q.imag},
         "z": {"re": complex(pairs.z).real, "im": complex(pairs.z).imag},
-        "effective_route_defined": eff.defined,
+        "effective_route_defined": eff is not None and eff.defined,
     }
-    if eff.defined and is_finite(eff.veff):
+    if eff is not None and eff.defined and is_finite(eff.veff):
         v = complex(eff.veff)
         payload["v_eff"] = {"re": v.real, "im": v.imag}
     return payload, True

@@ -66,6 +66,9 @@ def _leaf_pair(tree: DecompTree, node: DecompNode, q, wfn) -> tuple:
     if node.base == "e":
         return (1, wfn(node.edges[0]))
     vals = [wfn(i) for i in node.edges]
+    for i, v in zip(node.edges, vals):
+        if v is INF or v is UNDEF:
+            raise GraphError(f"edge {i} has weight {v!r}; a leaf of several edges needs finite weights")
     if node.base == "W" and all(v == -1 for v in vals):
         return ((q - 2) * (q - 3), 2 * (q - 2))
     return partial_tutte_brute(tree.constituent(node), q, vals)

@@ -182,10 +182,10 @@ def ratio_at(num: BigPoly, den: BigPoly, q) -> object:
 # steer an Aberth iteration; the pair is rescaled between levels (the step
 # is homogeneous of degree r in (A, B), so P/P' is unchanged) to stay in
 # range.  Exact coefficients are used only for the final Newton verification.
-# poly.Jet runs engine.tree_ab on any tree the same way and gives the same
-# root CSVs here, but it keeps a binary exponent per point instead of this
-# per-level rescale, which makes each of its products about four times as
-# costly, so this step keeps its own lighter jet.
+# poly.Jet through engine.tree_ab gives the same roots but other residuals
+# (19 of the 32 rows of the (2,5) root CSV), and it keeps a binary exponent
+# per point instead of this per-level rescale, which makes each of its
+# products about four times as costly, so this step keeps its own jet.
 
 class _Jet:
     """Values and q-derivatives at many points, under + - * and integer **."""

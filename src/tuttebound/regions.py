@@ -31,7 +31,7 @@ import numpy as np
 from .engine import chromatic_poly, tree_ab
 from .graphs import GraphError
 from .poly import BigPoly, Jet
-from .rootfind import ring_starts, solve_complex_coeffs, _mp_eval
+from .rootfind import ring_starts, solve_complex_coeffs, _horner
 from .sp import gen_gadget_cycle, gen_leaf_joined_tree
 
 LOG2 = math.log(2.0)
@@ -790,7 +790,7 @@ def cycle_counterexample(tol: float = 1e-6) -> CycleCounterexample:
     poly = chromatic_poly(cycle_tt.graph)
     with mp.workdps(60):
         z = mp.mpc(witness)
-        p, dp = _mp_eval(list(poly.coeffs), z)
+        p, dp = _horner(list(poly.coeffs), z)
         residual = float(abs(p / dp) / (1 + abs(z))) if dp != 0 else float(abs(p))
     return CycleCounterexample(
         roots=rs.roots,

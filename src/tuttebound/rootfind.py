@@ -2,13 +2,16 @@
 
 Aberth-Ehrlich iteration with Jacobi-style sweeps (every update reads the
 previous sweep, so a sweep is deterministic and trivially data-parallel).
-The double-precision loop, aberth_sweeps, takes the Newton ratio p/p' as a
-callable, so one driver serves every evaluator: Horner on the scaled
-coefficients here, started from perturbed circles whose radii come from the
-upper convex hull of (k, log|a_k|), the pair recursion of a leaf-joined
-tree in tuttebound.leaftree, and engine.tree_ab on poly.Jet, which gives
-p and p' of any decomposition tree (regions.cycle_counterexample).  The
-two tree callers start it from one ring around q = 1 (ring_starts).
+The one loop, aberth_sweeps, takes the Newton ratio p/p' as a callable and
+runs in the points' own arithmetic, complex128 or mpc, so it serves every
+evaluator and precision: the one Horner (_horner) on the coefficients,
+started from perturbed circles whose radii come from the upper convex hull
+of (k, log|a_k|), the pair recursion of a leaf-joined tree in
+tuttebound.leaftree, and engine.tree_ab on poly.Jet, which gives p and p'
+of any decomposition tree (regions.cycle_counterexample).  The two tree
+callers start it from one ring around q = 1 (ring_starts).  Like MPSolve
+(Bini & Fiorentino 2000), a call also stops at its rounding floor: in the
+fast local phase, a sweep that fails to halve the largest correction.
 
 Polynomials whose roots fill a disc, like the coloring polynomials handled
 here, are brutally ill-conditioned in the monomial basis: near the root
@@ -16,7 +19,7 @@ region the value is smaller than the coefficient scale sum |a_k||z|^k by a
 factor exponential in the degree, so double precision cannot even decide
 whether a point is near a root.  The solver therefore runs a cheap double
 sweep first, validates with a scale-free criterion, and escalates the
-working precision of an mpmath Aberth phase until every root passes.
+working precision of the same Aberth loop over mpc until every root passes.
 
 Exact integer input is reduced before any numerics.  Roots at q = 0 and
 q = 1 are deflated exactly (coloring polynomials of graphs with an edge
@@ -52,9 +55,9 @@ import numpy as np
 from .poly import BigPoly
 
 
-MAX_SWEEPS = 400        # cap of one aberth_sweeps call
+MAX_SWEEPS = 400        # cap of one aberth_sweeps call, at any precision
 MAX_DPS = 400           # working-precision cap of the multiprecision phase
-_MP_MAX_SWEEPS = 160    # cap of one _mp_aberth call
+_LOCAL = 1e-7           # relative correction from which Aberth must halve it
 _NUDGE = 1e-3           # relative offset that separates two collided roots
 
 
@@ -73,7 +76,7 @@ class RootSet:
 
 
 # ---------------------------------------------------------------------------
-# Double-precision sweeps
+# Aberth sweeps
 # ---------------------------------------------------------------------------
 
 def _initial_points(coeffs: np.ndarray) -> np.ndarray:
@@ -106,40 +109,52 @@ def _initial_points(coeffs: np.ndarray) -> np.ndarray:
     return points
 
 
-def _horner_ratio(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """p/p' at the points z by Horner, 0 where p' vanishes."""
-    p = np.zeros_like(z)
-    dp = np.zeros_like(z)
-    for c in coeffs[::-1]:
+def _horner(coeffs, z):
+    """p(z) and p'(z) by Horner at a point or an array, double or mpc."""
+    p = dp = z * 0
+    for c in reversed(coeffs):
         dp = dp * z + p
         p = p * z + c
+    return p, dp
+
+
+def _horner_ratio(coeffs, z: np.ndarray) -> np.ndarray:
+    """p/p' at the points z by Horner, 0 where p' vanishes."""
+    p, dp = _horner(coeffs, z)
     return np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.0)
 
 
 def aberth_sweeps(ratio: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
-                  step_tol: float = 1e-14) -> tuple[np.ndarray, bool]:
-    """Double-precision Aberth from the start points z.
+                  step_tol=1e-14) -> tuple[np.ndarray, bool]:
+    """Aberth from the start points z: complex128, or mpc under mp.workdps.
 
-    ratio(z) returns the Newton ratios p(z)/p'(z) at an array of points;
-    any evaluator of p will do.  Stops when every correction is below
-    step_tol relatively, or after MAX_SWEEPS sweeps with the flag False.
-    Adequate only where double precision resolves p, so callers validate.
+    ratio(z) returns the Newton ratios p(z)/p'(z) at an array of points; any
+    evaluator of p will do.  Stops with the flag True when every correction
+    is below step_tol relatively.  It stops with the flag False at the
+    rounding floor, once the largest relative correction is at most _LOCAL
+    and a sweep fails to halve it, or after MAX_SWEEPS sweeps.  Adequate
+    only where the arithmetic resolves p, so callers validate.
     """
-    z = np.asarray(z, dtype=np.complex128)
+    z = np.asarray(z)
+    last = np.inf
     for _sweep in range(MAX_SWEEPS):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             w = ratio(z)
+            # Coincident points, each with itself included, add no repulsion.
             diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, 1.0)
-            inv = 1.0 / diff
-            np.fill_diagonal(inv, 0.0)
-            repulse = inv.sum(axis=1)
-            corr = w / (1.0 - w * repulse)
+            apart = diff != 0
+            repulse = np.where(apart, 1 / np.where(apart, diff, 1), 0).sum(axis=1)
+            den = 1 - w * repulse
+            corr = np.where(den != 0, w / np.where(den != 0, den, 1), w)
         # Overflowed evaluations (far initial points) drift inward instead.
-        corr = np.where(np.isfinite(corr), corr, 0.2 * z)
+        corr = np.where(np.abs(corr) < np.inf, corr, 0.2 * z)
         z = z - corr
         if np.all(np.abs(corr) <= step_tol * (1.0 + np.abs(z))):
             return z, True
+        size = np.max(np.abs(corr) / (1.0 + np.abs(z)))
+        if last <= _LOCAL and 2 * size > last:
+            return z, False
+        last = size
     return z, False
 
 
@@ -156,17 +171,8 @@ def ring_starts(ratio: Callable[[np.ndarray], np.ndarray], count: int,
 
 
 # ---------------------------------------------------------------------------
-# Multiprecision phase
+# Multiprecision verification
 # ---------------------------------------------------------------------------
-
-def _mp_eval(coeffs, z):
-    p = mp.mpc(0)
-    dp = mp.mpc(0)
-    for c in reversed(coeffs):
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
-
 
 def _newton_once(coeffs, z0: complex, dps: int, tol: float | None = None
                  ) -> tuple[complex, float]:
@@ -188,7 +194,7 @@ def _newton_once(coeffs, z0: complex, dps: int, tol: float | None = None
         z = mp.mpc(z0)
         eta = mp.mpf("inf")
         for _ in range(30):
-            p, dp = _mp_eval(coeffs, z)
+            p, dp = _horner(coeffs, z)
             if p == 0:
                 eta = mp.mpf(0)
                 break
@@ -230,33 +236,6 @@ def newton_residuals(coeffs, roots, dps: int = 40, tol: float | None = None
         out.append(z)
         res.append(eta)
     return out, res
-
-
-def _mp_aberth(coeffs, starts: list[complex], dps: int) -> list[complex]:
-    """Aberth sweeps at working precision dps, Jacobi update order."""
-    with mp.workdps(dps):
-        z = [mp.mpc(s) for s in starts]
-        n = len(z)
-        stop = mp.mpf(10) ** (-dps + 8)
-        for _ in range(_MP_MAX_SWEEPS):
-            corrs = []
-            for i in range(n):
-                p, dp = _mp_eval(coeffs, z[i])
-                if dp == 0:
-                    corrs.append(mp.mpc(0) if p == 0 else mp.mpc("1e-3"))
-                    continue
-                w = p / dp
-                s = mp.mpc(0)
-                zi = z[i]
-                for j in range(n):
-                    if j != i and zi != z[j]:
-                        s += 1 / (zi - z[j])
-                den = 1 - w * s
-                corrs.append(w / den if den != 0 else w)
-            z = [zi - c for zi, c in zip(z, corrs)]
-            if all(abs(c) <= stop * (1 + abs(zi)) for zi, c in zip(z, corrs)):
-                break
-        return [complex(zi) for zi in z]
 
 
 def _scaled_float_coeffs(coeffs: Sequence) -> np.ndarray:
@@ -321,7 +300,11 @@ def solve_complex_coeffs(coeffs, tol: float = 1e-10,
             level = min(MAX_DPS, int(level * 2.2))
         else:
             break
-        refined = _mp_aberth(cs, roots, dps=level)
+        with mp.workdps(level):
+            refined, _ = aberth_sweeps(lambda z: _horner_ratio(cs, z),
+                                       np.array([mp.mpc(r) for r in roots], dtype=object),
+                                       step_tol=mp.mpf(10) ** (8 - level))
+            refined = [complex(r) for r in refined]
         roots, residuals = newton_residuals(cs, refined, dps=level, tol=tol)
     order = sorted(range(len(roots)), key=lambda i: (roots[i].real, roots[i].imag))
     roots = [roots[i] for i in order]

@@ -119,6 +119,18 @@ def test_tutte_eval_rejects_an_infinite_weight(tmp_path, monkeypatch, capsys, sy
     assert sorted(p.name for p in tmp_path.iterdir()) == ["w.json"]
 
 
+@pytest.mark.parametrize("dsl, q", [("W", "2"), ("P(e,W)", "2"), ("P(e,e)", "0")])
+def test_tutte_eval_reports_z_when_only_the_effective_route_fails(
+        tmp_path, monkeypatch, capsys, dsl, q):
+    # A leaf A value of zero (the W leaf at q = 2) or q = 0 stops tree_veff;
+    # the pair route still gives z, the chromatic polynomial's value.
+    assert run(tmp_path, monkeypatch, "tutte", "eval", "--dsl", dsl, "--q", q) == 0
+    out = json.loads(capsys.readouterr().out)
+    want = float(chromatic_poly(parse_sp(dsl)[0])(int(q)))
+    assert out["z"] == {"re": want, "im": 0.0}
+    assert out["effective_route_defined"] is False and "v_eff" not in out
+
+
 def test_tutte_eval_falls_back_to_the_parsed_tree(tmp_path, monkeypatch, capsys):
     # decompose_sp does not recognise the W leaf of P(e,W), so the tree that
     # parse_sp built is evaluated; the oracle route checks its value.

@@ -17,7 +17,7 @@ from tuttebound.oracles import tutte_brute
 from tuttebound.poly import BigPoly, Jet
 from tuttebound.sp import (SPLeaf, SPOp, decompose_sp, gen_wheatstone, leaf_joined_tree_ast,
                            parse_sp, realize)
-from tuttebound.weights import UNDEF, WeightAssignment
+from tuttebound.weights import INF, UNDEF, WeightAssignment
 
 Q = BigPoly.variable()
 
@@ -108,6 +108,15 @@ def test_effective_route_rejects_zero_leaf_a():
     _, tree = realize(SPLeaf("W"))
     with pytest.raises(GraphError):
         tree_veff(tree, 2.0, -1)      # leaf A = (q-2)(q-3) vanishes at q=2
+
+
+def test_effective_route_rejects_an_infinite_weight_on_a_w_leaf():
+    # An edge leaf takes v = INF (its A value is 1); a W leaf's oracle cannot.
+    _, tree = parse_sp("P(e,W)")
+    weights = {i: -1 for i in range(6)}
+    with pytest.raises(GraphError, match="edge 3"):
+        tree_veff(tree, 2.5, {**weights, 3: INF})
+    assert not tree_veff(tree, 2.5, {**weights, 0: INF}).defined
 
 
 def test_weight_assignment_input_conversion():

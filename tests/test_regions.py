@@ -11,7 +11,7 @@ import pytest
 
 from tuttebound.graphs import GraphError
 from tuttebound.leaftree import leaf_tree_ab, t_eff_exact
-from tuttebound.rootfind import _mp_eval
+from tuttebound.rootfind import _horner
 from tuttebound.regions import (CHROMATIC, ANTIFERRO, WHEATSTONE, MAXIMAL, MINIMAL,
                                 PointDiscFamily, RadiiBlowup,
                                 boundary_rho, certify, cycle_counterexample,
@@ -509,7 +509,7 @@ def test_cycle_counterexample_roots_are_distinct():
     assert min(abs(a - b) for a, b in combinations(ce.roots, 2)) >= 1e-3
     with mp.workdps(40):
         for z in ce.roots:
-            p, dp = _mp_eval(cleared, mp.mpc(z))
+            p, dp = _horner(cleared, mp.mpc(z))
             assert abs(p / dp) / (1 + abs(z)) <= 1e-10
 
 

@@ -2,13 +2,14 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from tuttebound import rootfind
 from tuttebound.engine import chromatic_poly
 from tuttebound.graphs import cycle_graph
-from tuttebound.leaftree import t_eff_exact, tree_chromatic_roots
+from tuttebound.leaftree import chromatic_leaf_tree, t_eff_exact, tree_chromatic_roots
 from tuttebound.poly import BigPoly
 from tuttebound.regions import _cleared
 from tuttebound.rootfind import (RootFindingError, find_roots, newton_residuals,
@@ -90,13 +91,13 @@ def test_squarefree_factors_recompose():
 
 def test_newton_verification_stops_at_tolerance(monkeypatch):
     calls = []
-    evaluate = rootfind._mp_eval
+    evaluate = rootfind._horner
 
     def counted(coeffs, z):
         calls.append(z)
         return evaluate(coeffs, z)
 
-    monkeypatch.setattr(rootfind, "_mp_eval", counted)
+    monkeypatch.setattr(rootfind, "_horner", counted)
     for n, inner in ((5, 30), (7, 126)):
         calls.clear()
         rs = tree_chromatic_roots(2, n)
@@ -139,10 +140,61 @@ def test_collided_starts_are_separated():
 
 
 def test_collision_that_persists_is_not_converged(monkeypatch):
-    monkeypatch.setattr(rootfind, "_mp_aberth", lambda coeffs, starts, dps: list(starts))
+    monkeypatch.setattr(rootfind, "aberth_sweeps", lambda ratio, z, step_tol: (z, False))
     monkeypatch.setattr(rootfind, "_NUDGE", 0.0)
     rs = solve_complex_coeffs([6, 1, -4, 1], tol=1e-12, starts=[2.1, 2.1, -0.9])
     assert max(rs.residuals) <= 1e-12 and not rs.converged
+
+
+def _count_sweeps(monkeypatch) -> list[list]:
+    """Record (dtype, sweeps) of every aberth_sweeps call; a sweep is one ratio call."""
+    calls = []
+    sweeps = rootfind.aberth_sweeps
+
+    def counted(ratio, z, step_tol=1e-14):
+        record = [np.asarray(z).dtype.name, 0]
+        calls.append(record)
+
+        def counted_ratio(points):
+            record[1] += 1
+            return ratio(points)
+
+        return sweeps(counted_ratio, z, step_tol=step_tol)
+
+    monkeypatch.setattr(rootfind, "aberth_sweeps", counted)
+    return calls
+
+
+def test_double_sweeps_stop_at_their_rounding_floor(monkeypatch):
+    # q(q-1) times a degree-7 factor: the double corrections reach about
+    # 1e-14 and then bounce just above step_tol, which used to run 400 sweeps.
+    calls = _count_sweeps(monkeypatch)
+    rs = find_roots(BigPoly([0, 30, -135, 280, -350, 286, -155, 54, -11, 1]))
+    assert rs.converged and calls
+    assert all(sweeps < 50 for _, sweeps in calls)
+
+
+def test_multiprecision_sweeps_stop_at_their_rounding_floor(monkeypatch):
+    # Horner starts do not resolve the degree-32 (2,5) polynomial, so the
+    # multiprecision phase runs; its floor is far above 10^(8-dps).
+    calls = _count_sweeps(monkeypatch)
+    rs = find_roots(chromatic_leaf_tree(2, 5), tol=1e-10)
+    mp_sweeps = [sweeps for dtype, sweeps in calls if dtype == "object"]
+    assert mp_sweeps and all(sweeps <= 10 for sweeps in mp_sweeps)
+    ref = tree_chromatic_roots(2, 5, tol=1e-10)
+    assert rs.multiplicities == ref.multiplicities
+    for z, w in zip(rs.roots, ref.roots):
+        assert abs(z - w) <= 1e-12 * (1 + abs(w))
+
+
+@pytest.mark.parametrize("arithmetic", [complex, mp.mpc])
+def test_equal_start_points_stay_finite(arithmetic):
+    # Coincident points add no repulsion to each other, so two equal starts
+    # on (q-2)(q-3)(q+1) neither raise nor leave the finite plane.
+    coeffs = [6, 1, -4, 1]
+    starts = np.array([arithmetic(2.1), arithmetic(2.1), arithmetic(-0.9)])
+    z, _ = rootfind.aberth_sweeps(lambda p: rootfind._horner_ratio(coeffs, p), starts)
+    assert all(isinstance(x, arithmetic) and math.isfinite(abs(complex(x))) for x in z)
 
 
 def test_root_count_always_equals_degree():
