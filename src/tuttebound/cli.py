@@ -139,8 +139,9 @@ def cmd_tutte_eval(args):
 
 
 def cmd_tutte_chromatic(args):
-    g, _tree = _input_graph(args)
-    return _poly_payload(chromatic_poly(g)), True
+    # The parsed tree, W leaves and all; a --graph input goes by its blocks.
+    g, tree = _input_graph(args)
+    return _poly_payload(chromatic_poly(g if tree is None else tree)), True
 
 
 def _tree_json(tree, node) -> dict:

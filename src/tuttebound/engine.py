@@ -188,20 +188,17 @@ def _chromatic_from_tree(tree: DecompTree) -> BigPoly:
 def chromatic_poly(g: Multigraph | TwoTerminalGraph | DecompTree) -> BigPoly:
     """Exact chromatic polynomial (all weights -1).
 
-    Decomposition trees and decomposable 2-terminal graphs go through the
-    pair route symbolically; general multigraphs factor over components and
-    blocks first, and any non-series-parallel block falls back to the
-    subset oracle (guarded by its DEFAULT_EDGE_LIMIT).  Loops are rejected:
-    a loop makes the polynomial identically zero.
+    A decomposition tree goes through the pair route symbolically, whatever
+    its leaves.  A graph (of a 2-terminal one, its graph) factors over
+    components and blocks, each block through decompose_sp and the pair
+    route; only a block with a K4 minor, which no s-t series-parallel graph
+    has, falls back to the subset oracle (guarded by its DEFAULT_EDGE_LIMIT).
+    Loops are rejected: a loop makes the polynomial identically zero.
     """
     if isinstance(g, DecompTree):
         return _chromatic_from_tree(g)
     if isinstance(g, TwoTerminalGraph):
-        g.graph.require_loopless("chromatic_poly")
-        tree = decompose_sp(g) if g.graph.is_connected() else None
-        if tree is not None:
-            return _chromatic_from_tree(tree)
-        return chromatic_poly(g.graph)
+        g = g.graph
 
     g.require_loopless("chromatic_poly")
     # P(G) = q^(#components) * prod over blocks with edges of P(B)/q.

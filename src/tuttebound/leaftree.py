@@ -131,22 +131,21 @@ def is_partition_zero(q: complex, r: int, n: int, tol: float = 1e-6) -> bool:
 # ---------------------------------------------------------------------------
 
 def t_eff_exact(r: int, n: int) -> tuple[BigPoly, BigPoly]:
-    """Transmissivity of the depth-n tree as a reduced exact rational function.
+    """Transmissivity B_n / (q A_n + B_n) of the depth-n tree, in lowest terms.
 
-    Returns (numerator, denominator) of B_n / (q A_n + B_n) in lowest terms,
-    denominator with positive leading coefficient.
+    Returns the pair (B_n, q A_n + B_n) as the pair route gives it, already
+    reduced, at w = -1:
+
+    * A and B have no common root.  At q0 != 1, A_{k+1} = B_{k+1} = 0 forces
+      (q0 - 1) A_k = 0, hence A_k = B_k = 0, and so on down to A_1 = 1.  At
+      q = 1, |A_k| = |B_k| = 1.
+    * B(0) = P'(0) != 0, because the graph is connected.
+
+    So gcd(B, qA + B) = 1.  Also qA + B = P/q is monic, so the denominator's
+    leading coefficient is already positive.
     """
     state = leaf_tree_ab(r, n)
-    q = BigPoly.variable()
-    num = state.b
-    den = q * state.a + state.b
-    g = BigPoly.gcd(num, den)
-    if g.degree >= 1:
-        num = num.exact_div(g)
-        den = den.exact_div(g)
-    if den.lead < 0:
-        num, den = -num, -den
-    return num, den
+    return state.b, BigPoly.variable() * state.a + state.b
 
 
 def t_eff_at(q: complex, r: int, n: int):

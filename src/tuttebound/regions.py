@@ -30,6 +30,7 @@ import numpy as np
 
 from .engine import chromatic_poly, tree_ab
 from .graphs import GraphError
+from .leaftree import t_eff_exact
 from .poly import BigPoly, Jet
 from .rootfind import ring_starts, solve_complex_coeffs, _horner
 from .sp import gen_gadget_cycle, gen_leaf_joined_tree
@@ -763,16 +764,14 @@ def _cleared(num: BigPoly, den: BigPoly) -> list:
 def cycle_counterexample(tol: float = 1e-6) -> CycleCounterexample:
     """Roots of t_eff(depth-5 tree) = exp(2 pi i/3) and the cycle witness.
 
-    One depth-5 tree gives the exact pair (A, B), hence the cleared
-    polynomial F = B - omega(qA + B) (B and qA + B are coprime there, which
-    a test checks), and F/F' on jets for ring_starts; the exact coefficients
-    verify.  The root of largest |q-1| is confirmed against the coloring
-    polynomial of the 94-vertex graph: three such trees and an edge in a cycle.
+    t_eff_exact gives the transmissivity B/(qA + B) in lowest terms, hence
+    the cleared polynomial F = B - omega(qA + B), whose exact coefficients
+    verify.  The realized depth-5 tree gives F/F' on jets for ring_starts.
+    The root of largest |q-1| is confirmed against the coloring polynomial
+    of the 94-vertex graph: three such trees and an edge in a cycle.
     """
     gadget, tree = gen_leaf_joined_tree(2, 5)
-    q = BigPoly.variable()
-    exact = tree_ab(tree, q, -1)
-    cleared = _cleared(exact.b, q * exact.a + exact.b)
+    cleared = _cleared(*t_eff_exact(2, 5))
     omega = cmath.exp(2j * math.pi / 3)
 
     def ratio(z):

@@ -37,9 +37,9 @@ stays meaningful when coefficients span hundreds of digits.  Newton
 verification stops once that residual drops below tol*1e-3 (or the working
 precision's floor), or when a step no longer halves it and either the
 residual is at most tol or |g(z)| is within Horner's rounding error at this
-precision; a residual still above tol then escalates the precision.  Values
-that are still resolved keep Newton stepping, since a slow approach to a
-clustered root needs more steps, not more digits.
+precision; only a stop at that floor above tol escalates the precision.
+Values that are still resolved keep Newton stepping, since a slow approach
+to a clustered root needs more steps, not more digits.
 """
 
 from __future__ import annotations
@@ -175,21 +175,22 @@ def ring_starts(ratio: Callable[[np.ndarray], np.ndarray], count: int,
 # ---------------------------------------------------------------------------
 
 def _newton_once(coeffs, z0: complex, dps: int, tol: float | None = None
-                 ) -> tuple[complex, float]:
-    """Newton from z0 at dps digits; returns the point and its last eta.
+                 ) -> tuple[complex, float, bool]:
+    """Newton from z0 at dps digits: the point, its last eta, and whether it
+    stopped at this precision's floor.
 
     Stops once eta is below 10^(4-dps) or tol*1e-3.  A step that no longer
     halves eta also stops it when eta is at most tol, or when |p(z)| is
     within Horner's worst-case rounding error 4 n eps sum |c_k| |z|^k: then
     cancellation has left a floor that more steps at this precision cannot
-    get under, and the caller escalates the precision.  A slow approach to
-    a clustered root, whose values are still resolved, keeps stepping up to
-    the 30-step cap.
+    get under, and only more digits can help.  A slow approach to a
+    clustered root, whose values are still resolved, keeps stepping up to
+    the 30-step cap, and a stop there is not at the floor.
     """
     with mp.workdps(dps):
         floor = mp.mpf(10) ** (-dps + 4)
-        if tol is not None:
-            floor = max(floor, mp.mpf(tol) * mp.mpf("1e-3"))
+        goal = floor if tol is None else max(floor, mp.mpf(tol) * mp.mpf("1e-3"))
+        at_floor = False
         noise = None
         z = mp.mpc(z0)
         eta = mp.mpf("inf")
@@ -209,11 +210,11 @@ def _newton_once(coeffs, z0: complex, dps: int, tol: float | None = None
                 if noise is None:
                     mags = [abs(c) for c in reversed(coeffs)]
                     noise = 4 * len(coeffs) * mp.eps * mp.polyval(mags, abs(z))
-                stalled = abs(p) <= noise
+                stalled = at_floor = abs(p) <= noise
             z = z - step
-            if eta < floor or stalled:
+            if eta < goal or stalled:
                 break
-        return complex(z), float(eta)
+        return complex(z), float(eta), at_floor or eta < floor
 
 
 def newton_residuals(coeffs, roots, dps: int = 40, tol: float | None = None
@@ -221,18 +222,18 @@ def newton_residuals(coeffs, roots, dps: int = 40, tol: float | None = None
     """Newton-polish each point and report relative Newton-step residuals.
 
     The polynomial value near a root can sit far below the coefficient
-    scale, and the shortfall varies across the plane, so precision is
-    escalated per root (restarting from the original point) until the
-    residual passes tol or MAX_DPS is reached.
+    scale, and the shortfall varies across the plane, so a root whose
+    Newton stops at the rounding floor above tol is redone from its
+    original point at twice the digits, up to MAX_DPS.
     """
     out: list[complex] = []
     res: list[float] = []
     for z0 in roots:
         level = dps
-        z, eta = _newton_once(coeffs, z0, level, tol)
-        while tol is not None and eta > tol and level < MAX_DPS:
+        z, eta, at_floor = _newton_once(coeffs, z0, level, tol)
+        while tol is not None and eta > tol and at_floor and level < MAX_DPS:
             level = min(MAX_DPS, 2 * level)
-            z, eta = _newton_once(coeffs, z0, level, tol)
+            z, eta, at_floor = _newton_once(coeffs, z0, level, tol)
         out.append(z)
         res.append(eta)
     return out, res

@@ -86,6 +86,16 @@ def test_tutte_chromatic_matches_brute(tmp_path, monkeypatch, capsys):
     assert payload["coefficients"] == ["0", "-3", "6", "-4", "1"]
 
 
+def test_tutte_chromatic_evaluates_the_parsed_tree(tmp_path, monkeypatch, capsys):
+    # Five W leaves in series, in parallel with an edge: 26 edges, above the
+    # subset oracle's limit, and the graph's one block has a K4 minor.
+    dsl = "P(e,S(W,W,W,W,W))"
+    assert run(tmp_path, monkeypatch, "tutte", "chromatic", "--dsl", dsl) == 0
+    payload = json.loads(capsys.readouterr().out)
+    want = chromatic_poly(parse_sp(dsl)[1])
+    assert payload["coefficients"] == [str(c) for c in want.coeffs]
+
+
 def test_tutte_eval(tmp_path, monkeypatch, capsys):
     assert run(tmp_path, monkeypatch, "tutte", "eval", "--dsl", "S(e,e)",
                "--q", "3", "--v", "-1") == 0

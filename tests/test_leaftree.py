@@ -166,9 +166,22 @@ def test_zero_test_matches_roots():
 
 
 def test_pair_gcd_is_trivial():
-    for n in range(1, 6):
-        st = leaf_tree_ab(2, n)
-        assert BigPoly.gcd(st.a, st.b).degree == 0
+    # The reference check of the coprimality that t_eff_exact relies on.
+    for r, n_max in ((2, 5), (3, 3), (4, 2)):
+        for n in range(1, n_max + 1):
+            st = leaf_tree_ab(r, n)
+            assert BigPoly.gcd(st.a, st.b).degree == 0
+
+
+def test_transmissivity_exact_needs_no_gcd(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("t_eff_exact must not run a gcd")
+
+    monkeypatch.setattr(BigPoly, "gcd", staticmethod(refuse))
+    for r, n_max in ((2, 6), (3, 4), (4, 3)):
+        for n in range(1, n_max + 1):
+            st = leaf_tree_ab(r, n)
+            assert t_eff_exact(r, n) == (st.b, Q * st.a + st.b)
 
 
 def test_fixed_point_multiplier_derivative():

@@ -514,9 +514,9 @@ def test_cycle_counterexample_roots_are_distinct():
 
 
 def test_counterexample_transmissivity_is_in_lowest_terms():
-    # cycle_counterexample solves B - omega(qA + B) of the unreduced pair,
-    # which is the cleared transmissivity only while t_eff_exact has
-    # nothing to cancel at depth 5.
+    # cycle_counterexample solves B - omega(qA + B) from t_eff_exact, which
+    # returns the pair itself: gcd(B, qA + B) = 1, as its docstring proves
+    # from the coprimality of A and B (test_pair_gcd_is_trivial).
     state = leaf_tree_ab(2, 5)
     num, den = t_eff_exact(2, 5)
     assert (num.degree, den.degree) == (state.b.degree, state.a.degree + 1)

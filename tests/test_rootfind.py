@@ -106,6 +106,19 @@ def test_newton_verification_stops_at_tolerance(monkeypatch):
         assert rs.converged and max(rs.residuals) <= rs.tol
 
 
+def _newton_levels(monkeypatch) -> list[int]:
+    """Record the working precision of every _newton_once call."""
+    levels = []
+    once = rootfind._newton_once
+
+    def logged(coeffs, z0, dps, tol=None):
+        levels.append(dps)
+        return once(coeffs, z0, dps, tol)
+
+    monkeypatch.setattr(rootfind, "_newton_once", logged)
+    return levels
+
+
 def test_newton_keeps_stepping_while_values_are_resolved(monkeypatch):
     # Horner-sweep starts for the counterexample's cleared polynomial sit
     # near clustered roots: Newton approaches them slowly, with values far
@@ -116,17 +129,20 @@ def test_newton_keeps_stepping_while_values_are_resolved(monkeypatch):
     c = c / np.max(np.abs(c))
     raw, _ = rootfind.aberth_sweeps(lambda z: rootfind._horner_ratio(c, z),
                                     rootfind._initial_points(c))
-    levels = []
-    once = rootfind._newton_once
-
-    def logged(coeffs, z0, dps, tol=None):
-        levels.append(dps)
-        return once(coeffs, z0, dps, tol)
-
-    monkeypatch.setattr(rootfind, "_newton_once", logged)
+    levels = _newton_levels(monkeypatch)
     _roots, residuals = newton_residuals(cleared, raw, dps=rootfind._auto_dps(31), tol=1e-10)
     assert max(residuals) <= 1e-10
     assert len(levels) == 31 and len(set(levels)) == 1
+
+
+def test_newton_escalates_only_at_the_rounding_floor(monkeypatch):
+    # From a start far outside the roots of (q-2)(q-3)(q+1), 30 Newton steps
+    # leave a residual above tol with values well above the rounding floor:
+    # more digits cannot help, so the precision is not raised.
+    levels = _newton_levels(monkeypatch)
+    _roots, residuals = newton_residuals([6, 1, -4, 1], [1e12 + 1e12j], dps=40, tol=1e-10)
+    assert residuals[0] > 1e-10
+    assert levels == [40]
 
 
 def test_collided_starts_are_separated():
