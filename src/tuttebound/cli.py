@@ -147,7 +147,7 @@ def cmd_tutte_chromatic(args):
 def _tree_json(tree, node) -> dict:
     out: dict = {"kind": node.kind, "s": node.s, "t": node.t, "flow": node.flow}
     if node.is_leaf():
-        out["base"] = node.base or "gadget"
+        out["base"] = node.base
         out["edges"] = list(node.edges)
     else:
         out["children"] = [_tree_json(tree, c) for c in node.children]

@@ -16,9 +16,8 @@ Two routes up the tree:
 
 Both routes walk the tree's post-order once and take their leaf values from
 one rule: a single edge has (A, B) = (1, v_e); a Wheatstone leaf with all
-weights -1 has ((q-2)*(q-3), 2*(q-2)); any other leaf falls back to the
-brute-force partial oracle, which refuses leaves above
-oracles.DEFAULT_EDGE_LIMIT edges.
+weights -1 has ((q-2)*(q-3), 2*(q-2)); a Wheatstone leaf under any other
+weights falls back to the brute-force partial oracle on its five edges.
 
 Under a scalar weight (None, a number, a BigPoly or BiPoly) equal shapes
 have equal values, so each is evaluated once, at its first node; per-edge

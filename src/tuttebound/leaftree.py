@@ -244,8 +244,6 @@ def tree_chromatic_roots(r: int, n: int, tol: float = 1e-8) -> RootSet:
     through the polynomial solver (Newton residuals at working precision).
     """
     poly = chromatic_leaf_tree(r, n)
-    if poly.degree <= 2:
-        return find_roots(poly, tol=tol)
 
     def deflated_ratio(z):
         # The roots at 0 and 1 are divided out of P; a non-finite ratio

@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import mpmath as mp
 import numpy as np
@@ -33,7 +34,7 @@ from .graphs import GraphError
 from .leaftree import t_eff_exact
 from .poly import BigPoly, Jet
 from .rootfind import ring_starts, solve_complex_coeffs, _horner
-from .sp import gen_gadget_cycle, gen_leaf_joined_tree
+from .sp import gen_gadget_cycle, leaf_joined_tree_ast, realize
 
 LOG2 = math.log(2.0)
 
@@ -70,11 +71,13 @@ def _bisect_unit(lam, f) -> float:
     return 0.5 * (lo + hi)
 
 
+@cache
 def sp_rho_threshold(lam: int) -> float:
     """The unique rho in (0,1) with (1+rho)^L = 2(1+rho^2)^(L-1); 1 for L=2.
 
     Largest contraction rate 1/|q-1| at which the nested-disc radii exist,
-    hence the series-parallel certification threshold.
+    hence the series-parallel certification threshold.  Cached per lam:
+    certify asks for it on every call.
     """
     def gap(rho: float) -> float:
         return lam * math.log1p(rho) - (lam - 1) * math.log1p(rho * rho) - LOG2
@@ -768,9 +771,11 @@ def cycle_counterexample(tol: float = 1e-6) -> CycleCounterexample:
     the cleared polynomial F = B - omega(qA + B), whose exact coefficients
     verify.  The realized depth-5 tree gives F/F' on jets for ring_starts.
     The root of largest |q-1| is confirmed against the coloring polynomial
-    of the 94-vertex graph: three such trees and an edge in a cycle.
+    of the 94-vertex graph: three such trees and an edge in a cycle, whose
+    own tree gives that polynomial.
     """
-    gadget, tree = gen_leaf_joined_tree(2, 5)
+    gadget = leaf_joined_tree_ast(2, 5)
+    tree = realize(gadget)[1]
     cleared = _cleared(*t_eff_exact(2, 5))
     omega = cmath.exp(2j * math.pi / 3)
 
@@ -783,10 +788,7 @@ def cycle_counterexample(tol: float = 1e-6) -> CycleCounterexample:
     rs = solve_complex_coeffs(cleared, tol=1e-10, starts=list(starts))
     witness = max(rs.roots, key=lambda z: abs(z - 1.0))
 
-    # The 94-vertex cycle is series-parallel, so the engine builds its
-    # polynomial from the graph alone.
-    cycle_tt, _cycle_tree = gen_gadget_cycle(gadget, 3)
-    poly = chromatic_poly(cycle_tt.graph)
+    poly = chromatic_poly(gen_gadget_cycle(gadget, 3)[1])
     with mp.workdps(60):
         z = mp.mpc(witness)
         p, dp = _horner(list(poly.coeffs), z)

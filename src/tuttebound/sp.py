@@ -3,11 +3,11 @@
 A decomposition tree is a rooted binary tree whose nodes are 2-terminal
 subgraphs of a host graph: an s-node is the series composition of its
 ordered children, a p-node the parallel composition, and a leaf is an
-undecomposed constituent (a single edge, a Wheatstone bridge, or a general
-gadget).  Every node caches its between-terminals flow, computed from leaf
-flows by the series-min / parallel-sum rule.  Nodes compare and hash by
-identity, and only leaves list their host edges, so a tree takes memory
-linear in its edge count at any depth.
+undecomposed constituent: a single edge or a Wheatstone bridge.  Every
+node caches its between-terminals flow, computed from leaf flows by the
+series-min / parallel-sum rule.  Nodes compare and hash by identity, and
+only leaves list their host edges, so a tree takes memory linear in its
+edge count at any depth.
 
 Trees are built without recursion.  `realize` walks an expression with an
 explicit stack; `decompose_sp` recognises a graph by a worklist series /
@@ -15,9 +15,9 @@ parallel reduction and orients the result once, from s.  Both hand one
 post-order list to the same node builder, which stores that order on the
 tree and interns a shape id per node (hash-consing; Filliatre & Conchon, ML
 Workshop 2006): kind, leaf base and the children's shape ids in order, not
-edge labels or terminals.  A gadget leaf never shares its shape.  The engine
-evaluates each shape once under a scalar weight, each node under per-edge
-weights.
+edge labels or terminals.  The engine evaluates each shape once under a
+scalar weight, each node under per-edge weights.  A gadget is an expression
+like any other, so the copies in a gadget cycle share their shapes.
 
 The DSL grammar:
 
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from typing import Iterator
 
-from .graphs import GraphError, Multigraph, TwoTerminalGraph, blocks, max_flow
+from .graphs import GraphError, Multigraph, TwoTerminalGraph, blocks
 
 
 class ParseError(ValueError):
@@ -66,7 +66,7 @@ class DecompNode:
     edges: tuple[int, ...]            # leaves only: host edge indices, sorted
     children: tuple["DecompNode", ...]
     flow: int
-    base: str | None = None           # leaves only: 'e', 'W', or None (gadget)
+    base: str | None = None           # leaves only: 'e' or 'W'
 
     def is_leaf(self) -> bool:
         return self.kind == LEAF
@@ -93,7 +93,7 @@ def _assemble(graph: TwoTerminalGraph, post: list) -> DecompTree:
     stack: list[int] = []              # positions of the subtrees not yet composed
     for item in post:
         if isinstance(item, DecompNode):
-            node, key = item, (LEAF, item.base or item)    # a gadget is its own shape
+            node, key = item, (LEAF, item.base)
         else:
             i, j = stack.pop(-2), stack.pop()
             left, right = order[i], order[j]
@@ -158,8 +158,7 @@ def check_proper_flow_bound(tree: DecompTree, lam: int) -> bool:
 
 @dataclass(frozen=True)
 class SPLeaf:
-    base: str | None                   # 'e', 'W', or None for a gadget
-    gadget: TwoTerminalGraph | None = None
+    base: str                          # 'e' or 'W'
 
 
 @dataclass(frozen=True)
@@ -178,32 +177,15 @@ _TEMPLATES = {
 }
 
 
-def _template(leaf: SPLeaf) -> tuple[tuple[tuple[int, int], ...], int, int]:
-    gadget = leaf.gadget
-    if gadget is None:
-        if leaf.base not in _TEMPLATES:
-            raise GraphError(f"unknown leaf base {leaf.base!r}")
-        return _TEMPLATES[leaf.base]
-    if leaf.base is not None:
-        raise GraphError("a gadget leaf takes base None")
-    g = gadget.graph
-    inner = (v for v in range(g.vertex_count) if v not in (gadget.s, gadget.t))
-    vmap = {gadget.s: 0, gadget.t: 1, **{v: k for k, v in enumerate(inner, 2)}}
-    return (tuple((vmap[a], vmap[b]) for a, b in g.edges), g.vertex_count,
-            max_flow(gadget))
-
-
 def realize(ast: SPExpr) -> tuple[TwoTerminalGraph, DecompTree]:
     """Build the denoted 2-terminal graph plus its decomposition tree.
 
     Terminals are assigned top-down, every leaf copies its template, and
-    vertices are numbered by first appearance along the edge list.  A gadget
-    leaf, SPLeaf(None, gadget), copies the gadget with its terminals glued
-    to the leaf's and has the gadget's s-t flow.
+    vertices are numbered by first appearance along the edge list.  Anything
+    but an SPOp or an 'e' or 'W' leaf is refused (GraphError).
     """
     edges: list[tuple[int, int]] = []
     post: list = []                    # leaf records and 's' / 'p' marks
-    templates: dict[int, tuple] = {}
     fresh = 2                          # abstract vertices; 0 and 1 are s and t
     work: list = [(ast, 0, 1)]
     while work:
@@ -226,9 +208,9 @@ def realize(ast: SPExpr) -> tuple[TwoTerminalGraph, DecompTree]:
                 todo += [(arg, *span), expr.kind]
             work.extend(reversed(todo))
             continue
-        if id(expr) not in templates:
-            templates[id(expr)] = _template(expr)
-        pairs, count, flow = templates[id(expr)]
+        if not isinstance(expr, SPLeaf) or expr.base not in _TEMPLATES:
+            raise GraphError(f"not an SP expression: {expr!r:.60}")
+        pairs, count, flow = _TEMPLATES[expr.base]
         vmap = [s, t, *range(fresh, fresh + count - 2)]
         fresh += count - 2
         first = len(edges)
@@ -239,12 +221,10 @@ def realize(ast: SPExpr) -> tuple[TwoTerminalGraph, DecompTree]:
     for a, b in edges:
         label.setdefault(a, len(label))
         label.setdefault(b, len(label))
-    for v in range(fresh):             # isolated gadget vertices come last
-        label.setdefault(v, len(label))
     graph = Multigraph(len(label), tuple((label[a], label[b]) for a, b in edges))
     tt = TwoTerminalGraph(graph, label[0], label[1])
 
-    def leaf(s: int, t: int, span: range, flow: int, base: str | None) -> DecompNode:
+    def leaf(s: int, t: int, span: range, flow: int, base: str) -> DecompNode:
         return DecompNode(LEAF, label[s], label[t], tuple(span), (), flow, base)
 
     post = [item if isinstance(item, str) else leaf(*item) for item in post]
@@ -518,15 +498,15 @@ def gen_leaf_joined_tree(r: int, n: int,
     return tt, tree
 
 
-def gen_gadget_cycle(gadget: TwoTerminalGraph, copies: int
+def gen_gadget_cycle(gadget: SPExpr, copies: int
                      ) -> tuple[TwoTerminalGraph, DecompTree]:
     """copies chained gadget instances plus one plain edge, closed in a cycle.
 
-    Terminals are the endpoints of the plain edge, so the result is the
-    parallel composition of that edge with the gadget chain.
+    The gadget is an expression, so the result realizes
+    P(e, S(gadget, ..., gadget)): its tree has only 'e' and 'W' leaves, and
+    the copies share their shapes.  Terminals are the ends of the plain edge.
     """
     if copies < 1:
         raise GraphError("need at least one gadget copy")
-    unit = SPLeaf(None, gadget)
-    chain = unit if copies == 1 else SPOp(SERIES, (unit,) * copies)
+    chain = gadget if copies == 1 else SPOp(SERIES, (gadget,) * copies)
     return realize(SPOp(PARALLEL, (SPLeaf("e"), chain)))

@@ -282,11 +282,18 @@ def test_scalar_weights_share_values_per_shape():
         assert len({id(v) for v in route(tree, 1.5 + 0.5j, per_edge).per_node.values()}) == 507
 
 
+def _brute_force_leaf():
+    # A W leaf whose weights are not all -1 goes to partial_tutte_brute.
+    _, tree = parse_sp("P(S(W,e),e)")
+    weights = {i: -1 for i in range(tree.graph.graph.edge_count)}
+    weights[2] = Fraction(-1, 2)
+    return tree, weights
+
+
 JET_TREES = {
-    "leaf-joined": lambda: realize(leaf_joined_tree_ast(2, 6))[1],
-    "W leaves": lambda: parse_sp("P(S(e,W),S(W,e,e),W)")[1],
-    "brute-force leaf": lambda: realize(SPOp("p", (
-        SPOp("s", (SPLeaf(None, gen_wheatstone()), SPLeaf("e"))), SPLeaf("e"))))[1],
+    "leaf-joined": lambda: (realize(leaf_joined_tree_ast(2, 6))[1], -1),
+    "W leaves": lambda: (parse_sp("P(S(e,W),S(W,e,e),W)")[1], -1),
+    "brute-force leaf": _brute_force_leaf,
 }
 
 
@@ -294,12 +301,14 @@ JET_TREES = {
 def test_jet_route_matches_multiprecision(name):
     # The pair route on jets gives P and P' at many points with no
     # evaluator of its own: values carry a binary exponent per point.
-    tree = JET_TREES[name]()
-    poly = tree_ab(tree, Q, -1).z
+    tree, weights = JET_TREES[name]()
+    poly = tree_ab(tree, Q, weights).z
     dpoly = poly.derivative()
     points = [1 + rad * np.exp(2j * np.pi * (k + 0.29) / 8)
               for rad in (0.5, 2.5, 4.0) for k in range(8)]
-    jet = tree_ab(tree, Jet.variable(points), -1).z
+    # Jets take float constants; -1/2 is exact in binary.
+    floats = weights if weights == -1 else {i: float(v) for i, v in weights.items()}
+    jet = tree_ab(tree, Jet.variable(points), floats).z
     with mp.workdps(400):
         for z, v, d, e in zip(points, jet.v, jet.d, jet.e):
             p, dp = poly(mp.mpc(z)), dpoly(mp.mpc(z))

@@ -191,6 +191,13 @@ def test_certify_validation():
     assert not certify(9.0, 2, WHEATSTONE).certified
 
 
+def test_cached_threshold_still_validates_lambda():
+    assert sp_rho_threshold(3) == sp_rho_threshold(3)
+    for lam in (3.0, 1, 2.5):
+        with pytest.raises(GraphError):
+            sp_rho_threshold(lam)
+
+
 def test_certify_s1_radius_beats_rho_squared():
     # Under certification the admissible weight radius is at least rho^2.
     for lam in (3, 4, 5):

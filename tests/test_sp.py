@@ -1,16 +1,20 @@
 import hashlib
 import random
 
+import mpmath as mp
+import numpy as np
 import pytest
 
 from conftest import is_2tsp_definitional, random_sp_ast
+from tuttebound.engine import chromatic_poly, tree_ab
 from tuttebound.graphs import (GraphError, Multigraph, TwoTerminalGraph, banana,
                                max_flow, maxmaxflow, path_graph)
-from tuttebound.sp import (DecompTree, ParseError, check_proper_flow_bound,
+from tuttebound.poly import Jet
+from tuttebound.sp import (DecompTree, ParseError, SPLeaf, check_proper_flow_bound,
                            constituent_flows, decompose_sp, gen_gadget_cycle,
                            gen_leaf_joined_tree, gen_theta, gen_wheatstone,
                            is_nice, leaf_joined_tree_ast, leaf_joined_vertex_count,
-                           parse_sp, realize)
+                           parse_sp, parse_sp_expression, realize)
 
 
 def test_parse_parallel_edges():
@@ -271,14 +275,33 @@ def test_wheatstone_generator():
 
 
 def test_gadget_cycle_94_vertices():
-    g52, _ = gen_leaf_joined_tree(2, 5)
-    h, tree = gen_gadget_cycle(g52, 3)
+    h, tree = gen_gadget_cycle(leaf_joined_tree_ast(2, 5), 3)
     assert h.graph.vertex_count == 94
     assert maxmaxflow(h.graph) == 3
-    gadget_leaves = [n for n in tree.leaves() if n.base is None]
-    assert len(gadget_leaves) == 3
-    edge_leaves = [n for n in tree.leaves() if n.base == "e"]
-    assert len(edge_leaves) == 1
+    assert chromatic_poly(tree) == chromatic_poly(h.graph)
+
+
+def test_gadget_cycle_218_vertices_evaluates_by_shape():
+    h, tree = gen_gadget_cycle(leaf_joined_tree_ast(2, 5), 7)
+    assert h.graph.vertex_count == 218
+    assert maxmaxflow(h.graph) == 3
+    assert (len(tree.order), len(set(tree.shapes))) == (869, 17)
+    poly = chromatic_poly(tree)
+    assert poly == chromatic_poly(h.graph)
+    dpoly = poly.derivative()
+    points = [1 + 2.5 * np.exp(2j * np.pi * (k + 0.29) / 8) for k in range(8)]
+    ratio = tree_ab(tree, Jet.variable(points), -1).z.ratio()
+    with mp.workdps(400):
+        for z, w in zip(points, ratio):
+            exact = poly(mp.mpc(z)) / dpoly(mp.mpc(z))
+            assert abs(w - exact) <= 1e-9 * abs(exact), z
+
+
+def test_realize_refuses_what_is_not_an_expression():
+    with pytest.raises(GraphError):
+        realize(SPLeaf("x"))
+    with pytest.raises(GraphError):
+        gen_gadget_cycle(gen_wheatstone(), 2)       # a graph, not an expression
 
 
 def test_long_series_repetition():
@@ -300,10 +323,10 @@ def test_decompose_long_path_and_theta():
 
 
 def test_long_gadget_cycle():
-    h, tree = gen_gadget_cycle(gen_wheatstone(), 2000)
+    h, tree = gen_gadget_cycle(SPLeaf("W"), 2000)
     assert (h.graph.vertex_count, h.graph.edge_count) == (6001, 10_001)
     assert tree.root.flow == 3
-    assert sum(1 for n in tree.leaves() if n.base is None) == 2000
+    assert sum(1 for n in tree.leaves() if n.base == "W") == 2000
     _check_tree(h, tree)
 
 
@@ -365,8 +388,8 @@ def test_shapes_keep_child_order():
     assert shape[left.children[0]] == shape[right.children[1]]     # the two e leaves
 
 
-def test_gadget_leaves_never_share_a_shape():
-    _, tree = gen_gadget_cycle(gen_wheatstone(), 2)
+def test_gadget_copies_share_a_shape():
+    _, tree = gen_gadget_cycle(parse_sp_expression("P(e,S(e,W))"), 2)
     shape = _shape_of(tree)
-    gadgets = [n for n in tree.order if n.is_leaf() and n.base is None]
-    assert len(gadgets) == 2 and shape[gadgets[0]] != shape[gadgets[1]]
+    chain = tree.root.children[1]
+    assert chain.kind == "s" and shape[chain.children[0]] == shape[chain.children[1]]
