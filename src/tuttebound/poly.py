@@ -395,7 +395,7 @@ class Jet:
         return cls(z, np.ones_like(z), np.zeros(z.shape, dtype=np.int64))
 
     def _const(self, c) -> "Jet":
-        v = np.full_like(self.v, c)
+        v = np.full_like(self.v, complex(c))
         return Jet(v, np.zeros_like(v), np.zeros_like(self.e))
 
     def ratio(self) -> np.ndarray:
@@ -423,7 +423,8 @@ class Jet:
 
     def __mul__(self, other) -> "Jet":
         if not isinstance(other, Jet):
-            return Jet(self.v * other, self.d * other, self.e)
+            c = complex(other)
+            return Jet(self.v * c, self.d * c, self.e)
         v = self.v * other.v
         d = self.d * other.v + self.v * other.d
         top = np.maximum(np.maximum(np.abs(v.real), np.abs(v.imag)),

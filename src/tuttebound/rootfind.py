@@ -33,19 +33,22 @@ a Wheatstone bridge) never reach the numerical solver.
 The reported residual of a root z is |g(z)/g'(z)| / (1 + |z|), measured on
 the squarefree factor g that holds z: the Newton correction relative to the
 root's magnitude, a first-order bound on the distance to a true root that
-stays meaningful when coefficients span hundreds of digits.  Newton
-verification stops once that residual drops below tol*1e-3 (or the working
-precision's floor), or when a step no longer halves it and either the
-residual is at most tol or |g(z)| is within Horner's rounding error at this
-precision; only a stop at that floor above tol escalates the precision.
-Values that are still resolved keep Newton stepping, since a slow approach
-to a clustered root needs more steps, not more digits.
+stays meaningful when coefficients span hundreds of digits.  Every
+coefficient and every iterate is a dyadic rational, so Newton verification
+evaluates g and g' exactly, in Gaussian integers over a power of two
+(_exact_horner): at the start point itself, then at each iterate rounded to
+about the working precision.  Cancellation therefore costs no digits and
+there is no rounding floor: each root takes one Newton pass at the given
+digits, which stops once the residual drops below tol*1e-3, when a step no
+longer halves a residual of at most tol, or after 30 steps.  A slow
+approach to a clustered root needs more steps, not more digits.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -171,69 +174,125 @@ def ring_starts(ratio: Callable[[np.ndarray], np.ndarray], count: int,
 
 
 # ---------------------------------------------------------------------------
-# Multiprecision verification
+# Exact Newton verification
 # ---------------------------------------------------------------------------
 
-def _newton_once(coeffs, z0: complex, dps: int, tol: float | None = None
-                 ) -> tuple[complex, float, bool]:
-    """Newton from z0 at dps digits: the point, its last eta, and whether it
-    stopped at this precision's floor.
+def _dyadic(x) -> tuple[int, int]:
+    """(m, e) with x = m * 2**e exactly: a dyadic rational, a float, or an
+    mpf read at its own precision (mp.mpf(x) would round to the working one)."""
+    mpf = getattr(x, "_mpf_", None)
+    if mpf is not None:
+        sign, man, exp, bits = mpf
+        if bits < 0:
+            raise RootFindingError("non-finite value")
+        return (-int(man) if sign else int(man)), exp
+    if isinstance(x, numbers.Rational):
+        num, den = int(x.numerator), int(x.denominator)
+        if den & (den - 1):
+            raise RootFindingError(f"{x} is not a dyadic rational")
+    else:
+        if not math.isfinite(x):
+            raise RootFindingError("non-finite value")
+        num, den = float(x).as_integer_ratio()
+    return num, 1 - den.bit_length()
 
-    Stops once eta is below 10^(4-dps) or tol*1e-3.  A step that no longer
-    halves eta also stops it when eta is at most tol, or when |p(z)| is
-    within Horner's worst-case rounding error 4 n eps sum |c_k| |z|^k: then
-    cancellation has left a floor that more steps at this precision cannot
-    get under, and only more digits can help.  A slow approach to a
-    clustered root, whose values are still resolved, keeps stepping up to
-    the 30-step cap, and a stop there is not at the floor.
+
+def _gaussian(coeffs) -> tuple[list[int], list[int]]:
+    """Real and imaginary parts of the coefficients as integers over one
+    common power of two, which cancels from g/g'."""
+    parts = [(_dyadic(c.real), _dyadic(c.imag)) for c in coeffs]
+    low = min(0, *(e for pair in parts for _, e in pair))
+    return ([m << (e - low) for (m, e), _ in parts],
+            [m << (e - low) for _, (m, e) in parts])
+
+
+def _point(z, bits: int | None = None, scale: int = 0) -> tuple[int, int, int]:
+    """(x, y, s) with z/2**scale = (x + iy)/2**s and s >= 0: exact, or
+    rounded to `bits` bits relative to the larger part of z."""
+    (mr, er), (mi, ei) = _dyadic(z.real), _dyadic(z.imag)
+    er, ei = er - scale, ei - scale
+    low = min(er, ei)
+    if bits is not None and (mr or mi):
+        top = max(e + abs(m).bit_length() for m, e in ((mr, er), (mi, ei)) if m)
+        low = max(low, top - bits)
+    s = max(0, -low)
+    return _shift(mr, er + s), _shift(mi, ei + s), s
+
+
+def _shift(m: int, k: int) -> int:
+    """m * 2**k rounded to an integer, ties upward."""
+    return m << k if k >= 0 else (m + (1 << (-k - 1))) >> -k
+
+
+def _exact_horner(re: list[int], im: list[int], x: int, y: int, s: int
+                  ) -> tuple[int, int, int, int]:
+    """S^d g(z) and S^(d-1) g'(z) at z = (x + iy)/S, S = 2**s, in integers.
+
+    g has the ascending Gaussian-integer coefficients re + i im; the result
+    is (Re, Im) of the first, then of the second.  Horner on the
+    homogenised polynomial: each coefficient enters scaled by its power of S.
     """
+    d = len(re) - 1
+    pr, pi, dr, di = re[d], im[d], 0, 0
+    for k in range(d - 1, -1, -1):
+        shift = s * (d - k)
+        dr, di = dr * x - di * y + pr, dr * y + di * x + pi
+        pr, pi = pr * x - pi * y + (re[k] << shift), pr * y + pi * x + (im[k] << shift)
+    return pr, pi, dr, di
+
+
+def _newton_once(coeffs, z0, dps: int, tol: float | None = None
+                 ) -> tuple[complex, float]:
+    """Newton from z0 on the _gaussian coefficients: the point and its last eta.
+
+    Every value of g and g' is exact (_exact_horner): at z0 itself, and at
+    each later iterate, which is rounded to a dyadic of about dps digits.
+    eta = |g/g'|/(1 + |z|) is formed from those integers at dps digits and
+    rounded to a float once, so it has no rounding floor.  Stops once eta is
+    below 10^(4-dps) or tol*1e-3, at a step that no longer halves an eta of
+    at most tol, or after 30 steps.  The point returned is the last iterate
+    after its step.
+    """
+    re, im = coeffs
     with mp.workdps(dps):
         floor = mp.mpf(10) ** (-dps + 4)
         goal = floor if tol is None else max(floor, mp.mpf(tol) * mp.mpf("1e-3"))
-        at_floor = False
-        noise = None
-        z = mp.mpc(z0)
-        eta = mp.mpf("inf")
+        x, y, s = _point(z0)
+        eta = mp.inf
         for _ in range(30):
-            p, dp = _horner(coeffs, z)
-            if p == 0:
+            pr, pi, dr, di = _exact_horner(re, im, x, y, s)
+            if not (pr or pi):
                 eta = mp.mpf(0)
                 break
-            if dp == 0:
+            if not (dr or di):
                 break
-            step = p / dp
-            last, eta = eta, abs(step) / (1 + abs(z))
-            stalled = 2 * eta > last
-            if stalled and not (tol is not None and eta <= tol):
-                # Above tol, stop only at the rounding floor.  It is measured
-                # once per call: z hardly moves once the values reach it.
-                if noise is None:
-                    mags = [abs(c) for c in reversed(coeffs)]
-                    noise = 4 * len(coeffs) * mp.eps * mp.polyval(mags, abs(z))
-                stalled = at_floor = abs(p) <= noise
-            z = z - step
+            # z and step are scaled by S: S z = x + iy, and S g/g' = P/D for
+            # P = S^d g and D = S^(d-1) g'.
+            step = mp.mpc(pr, pi) / mp.mpc(dr, di)
+            z = mp.mpc(x, y)
+            last, eta = eta, abs(step) / ((1 << s) + abs(z))
+            stalled = 2 * eta > last and tol is not None and eta <= tol
+            x, y, s = _point(z - step, mp.mp.prec, s)
             if eta < goal or stalled:
                 break
-        return complex(z), float(eta), at_floor or eta < floor
+        return complex(x / (1 << s), y / (1 << s)), float(eta)
 
 
 def newton_residuals(coeffs, roots, dps: int = 40, tol: float | None = None
                      ) -> tuple[list[complex], list[float]]:
     """Newton-polish each point and report relative Newton-step residuals.
 
-    The polynomial value near a root can sit far below the coefficient
-    scale, and the shortfall varies across the plane, so a root whose
-    Newton stops at the rounding floor above tol is redone from its
-    original point at twice the digits, up to MAX_DPS.
+    The coefficients (ints, floats/complex, or mpf/mpc at their full
+    precision) become Gaussian integers once; each point then takes one
+    _newton_once pass at dps digits.  Its values are exact, so a residual
+    above tol means Newton has not reached the root, never that the
+    evaluation lost it to cancellation, and more digits would not help.
     """
+    exact = _gaussian(coeffs)
     out: list[complex] = []
     res: list[float] = []
     for z0 in roots:
-        level = dps
-        z, eta, at_floor = _newton_once(coeffs, z0, level, tol)
-        while tol is not None and eta > tol and at_floor and level < MAX_DPS:
-            level = min(MAX_DPS, 2 * level)
-            z, eta, at_floor = _newton_once(coeffs, z0, level, tol)
+        z, eta = _newton_once(exact, z0, dps, tol)
         out.append(z)
         res.append(eta)
     return out, res

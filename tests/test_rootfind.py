@@ -91,18 +91,18 @@ def test_squarefree_factors_recompose():
 
 def test_newton_verification_stops_at_tolerance(monkeypatch):
     calls = []
-    evaluate = rootfind._horner
+    evaluate = rootfind._exact_horner
 
-    def counted(coeffs, z):
-        calls.append(z)
-        return evaluate(coeffs, z)
+    def counted(re, im, x, y, s):
+        calls.append((x, y, s))
+        return evaluate(re, im, x, y, s)
 
-    monkeypatch.setattr(rootfind, "_horner", counted)
+    monkeypatch.setattr(rootfind, "_exact_horner", counted)
     for n, inner in ((5, 30), (7, 126)):
         calls.clear()
         rs = tree_chromatic_roots(2, n)
         assert rs.degree - 2 == inner
-        assert len(calls) <= 3 * inner
+        assert inner <= len(calls) <= 3 * inner
         assert rs.converged and max(rs.residuals) <= rs.tol
 
 
@@ -119,11 +119,10 @@ def _newton_levels(monkeypatch) -> list[int]:
     return levels
 
 
-def test_newton_keeps_stepping_while_values_are_resolved(monkeypatch):
+def test_newton_near_clustered_roots_takes_one_pass_at_the_given_digits(monkeypatch):
     # Horner-sweep starts for the counterexample's cleared polynomial sit
-    # near clustered roots: Newton approaches them slowly, with values far
-    # above the rounding floor, so it needs more steps at the first
-    # precision, not more digits.
+    # near clustered roots: Newton approaches them slowly and needs more
+    # steps, which each point takes in one pass at the given digits.
     cleared = _cleared(*t_eff_exact(2, 5))
     c = rootfind._scaled_float_coeffs(cleared)
     c = c / np.max(np.abs(c))
@@ -135,14 +134,54 @@ def test_newton_keeps_stepping_while_values_are_resolved(monkeypatch):
     assert len(levels) == 31 and len(set(levels)) == 1
 
 
-def test_newton_escalates_only_at_the_rounding_floor(monkeypatch):
+def test_newton_far_from_the_roots_takes_one_pass_at_the_given_digits(monkeypatch):
     # From a start far outside the roots of (q-2)(q-3)(q+1), 30 Newton steps
-    # leave a residual above tol with values well above the rounding floor:
-    # more digits cannot help, so the precision is not raised.
+    # leave a residual above tol.  The values are exact, so more digits
+    # cannot help: the point gets one pass at the given digits.
     levels = _newton_levels(monkeypatch)
     _roots, residuals = newton_residuals([6, 1, -4, 1], [1e12 + 1e12j], dps=40, tol=1e-10)
     assert residuals[0] > 1e-10
     assert levels == [40]
+
+
+def test_newton_residuals_match_400_digits_to_one_ulp(monkeypatch):
+    # Each residual is |g/g'|/(1+|z|) at the point Newton last measured,
+    # evaluated exactly: it equals the 400-digit Horner value to 1 ulp,
+    # where Horner at the working precision loses digits to cancellation.
+    captured = []
+    verify = rootfind.newton_residuals
+
+    def capture(coeffs, roots, dps=40, tol=None):
+        captured.append((coeffs, list(roots), dps, tol))
+        return verify(coeffs, roots, dps, tol)
+
+    monkeypatch.setattr(rootfind, "newton_residuals", capture)
+    tree_chromatic_roots(2, 6)
+    [(coeffs, starts, dps, tol)] = captured
+    assert len(starts) == 62
+    points = []
+    evaluate = rootfind._exact_horner
+
+    def recorded(re, im, x, y, s):
+        points.append((x, y, s))
+        return evaluate(re, im, x, y, s)
+
+    monkeypatch.setattr(rootfind, "_exact_horner", recorded)
+    for z0 in starts:
+        points.clear()
+        _, [eta] = verify(coeffs, [z0], dps, tol)
+        x, y, s = points[-1]
+        with mp.workdps(400):
+            z = mp.mpc(x, y) / mp.mpf(2) ** s
+            p, dp = rootfind._horner(coeffs, z)
+            want = float(abs(p / dp) / (1 + abs(z)))
+        assert abs(eta - want) <= math.ulp(want), z0
+
+
+def test_tree_root_residuals_have_no_rounding_floor():
+    # Working-precision Horner left (2,7) residuals up to 4.7e-10.
+    rs = tree_chromatic_roots(2, 7)
+    assert rs.converged and max(rs.residuals) <= 1e-12
 
 
 def test_collided_starts_are_separated():
