@@ -241,7 +241,7 @@ def tree_chromatic_roots(r: int, n: int, tol: float = 1e-8) -> RootSet:
 
     The solver's Aberth loop, driven by the pair step on jets, locates the
     roots in double precision; the exact coefficients then confirm them
-    through the polynomial solver (Newton residuals at working precision).
+    through the polynomial solver (Newton residuals on exact values).
     """
     poly = chromatic_leaf_tree(r, n)
 

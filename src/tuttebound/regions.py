@@ -33,7 +33,8 @@ from .engine import chromatic_poly, tree_ab
 from .graphs import GraphError
 from .leaftree import t_eff_exact
 from .poly import BigPoly, Jet
-from .rootfind import ring_starts, solve_complex_coeffs, _horner
+from .rootfind import (ring_starts, solve_complex_coeffs, _exact_horner, _exact_ratio,
+                       _gaussian, _point)
 from .sp import gen_gadget_cycle, leaf_joined_tree_ast, realize
 
 LOG2 = math.log(2.0)
@@ -789,10 +790,15 @@ def cycle_counterexample(tol: float = 1e-6) -> CycleCounterexample:
     witness = max(rs.roots, key=lambda z: abs(z - 1.0))
 
     poly = chromatic_poly(gen_gadget_cycle(gadget, 3)[1])
-    with mp.workdps(60):
-        z = mp.mpc(witness)
-        p, dp = _horner(list(poly.coeffs), z)
-        residual = float(abs(p / dp) / (1 + abs(z))) if dp != 0 else float(abs(p))
+    exact = _gaussian(poly.coeffs)
+    [ratio] = _exact_ratio(exact, np.array([witness]))
+    residual = float(abs(ratio)) / (1 + abs(witness))
+    if not ratio:
+        # g or g' vanishes at the witness, and the residual is then |g|.
+        x, y, s = _point(witness)
+        pr, pi, _, _ = _exact_horner(*exact, x, y, s)
+        scale = 1 << (s * poly.degree)
+        residual = math.hypot(pr / scale, pi / scale)
     return CycleCounterexample(
         roots=rs.roots,
         witness=witness,

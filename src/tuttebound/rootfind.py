@@ -2,24 +2,26 @@
 
 Aberth-Ehrlich iteration with Jacobi-style sweeps (every update reads the
 previous sweep, so a sweep is deterministic and trivially data-parallel).
-The one loop, aberth_sweeps, takes the Newton ratio p/p' as a callable and
-runs in the points' own arithmetic, complex128 or mpc, so it serves every
-evaluator and precision: the one Horner (_horner) on the coefficients,
+The one loop, aberth_sweeps, takes the Newton ratio p/p' as a callable, so
+it serves every evaluator: the double Horner (_horner) on the coefficients,
 started from perturbed circles whose radii come from the upper convex hull
-of (k, log|a_k|), the pair recursion of a leaf-joined tree in
-tuttebound.leaftree, and engine.tree_ab on poly.Jet, which gives p and p'
-of any decomposition tree (regions.cycle_counterexample).  The two tree
-callers start it from one ring around q = 1 (ring_starts).  Like MPSolve
-(Bini & Fiorentino 2000), a call also stops at its rounding floor: in the
-fast local phase, a sweep that fails to halve the largest correction.
+of (k, log|a_k|), exact values of g/g' (_exact_ratio), the pair recursion
+of a leaf-joined tree in tuttebound.leaftree, and engine.tree_ab on
+poly.Jet, which gives p and p' of any decomposition tree
+(regions.cycle_counterexample).  The two tree callers start it from one
+ring around q = 1 (ring_starts).  Like MPSolve (Bini & Fiorentino 2000), a
+call also stops at its rounding floor: in the fast local phase, a sweep
+that fails to halve the largest correction.
 
 Polynomials whose roots fill a disc, like the coloring polynomials handled
 here, are brutally ill-conditioned in the monomial basis: near the root
 region the value is smaller than the coefficient scale sum |a_k||z|^k by a
-factor exponential in the degree, so double precision cannot even decide
-whether a point is near a root.  The solver therefore runs a cheap double
-sweep first, validates with a scale-free criterion, and escalates the
-working precision of the same Aberth loop over mpc until every root passes.
+factor exponential in the degree, so double-precision Horner cannot even
+decide whether a point is near a root.  The solver therefore runs the
+cheap double sweeps first; when they stop unconverged, the same loop
+continues from their points on exact values of g/g', each rounded to a
+double once, so the sweeps lose nothing to cancellation and need no
+working precision.
 
 Exact integer input is reduced before any numerics.  Roots at q = 0 and
 q = 1 are deflated exactly (coloring polynomials of graphs with an edge
@@ -34,19 +36,20 @@ The reported residual of a root z is |g(z)/g'(z)| / (1 + |z|), measured on
 the squarefree factor g that holds z: the Newton correction relative to the
 root's magnitude, a first-order bound on the distance to a true root that
 stays meaningful when coefficients span hundreds of digits.  Every
-coefficient and every iterate is a dyadic rational, so Newton verification
-evaluates g and g' exactly, in Gaussian integers over a power of two
-(_exact_horner): at the start point itself, then at each iterate rounded to
-about the working precision.  Cancellation therefore costs no digits and
-there is no rounding floor: each root takes one Newton pass at the given
-digits, which stops once the residual drops below tol*1e-3, when a step no
-longer halves a residual of at most tol, or after 30 steps.  A slow
-approach to a clustered root needs more steps, not more digits.
+coefficient and every iterate is a dyadic rational, so the exact sweeps and
+Newton verification evaluate g and g' exactly, in Gaussian integers over a
+power of two (_exact_horner).  Newton starts at the point itself and
+rounds each later iterate to about the given digits.  Cancellation
+therefore costs no digits and there is no rounding floor: each root takes
+one Newton pass, which stops once the residual drops below tol*1e-3, when
+a step no longer halves a residual of at most tol, or after 30 steps.  A
+slow approach to a clustered root needs more steps, not more digits.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -58,8 +61,7 @@ import numpy as np
 from .poly import BigPoly
 
 
-MAX_SWEEPS = 400        # cap of one aberth_sweeps call, at any precision
-MAX_DPS = 400           # working-precision cap of the multiprecision phase
+MAX_SWEEPS = 400        # cap of one aberth_sweeps call, for any evaluator
 _LOCAL = 1e-7           # relative correction from which Aberth must halve it
 _NUDGE = 1e-3           # relative offset that separates two collided roots
 
@@ -241,22 +243,42 @@ def _exact_horner(re: list[int], im: list[int], x: int, y: int, s: int
     return pr, pi, dr, di
 
 
-def _newton_once(coeffs, z0, dps: int, tol: float | None = None
-                 ) -> tuple[complex, float]:
+def _exact_ratio(exact, z: np.ndarray) -> np.ndarray:
+    """g/g' at complex128 points on the _gaussian coefficients, 0 where g'
+    vanishes: exact in integers, each part rounded to a double once."""
+    re, im = exact
+    out = np.zeros(len(z), dtype=np.complex128)
+    for k, point in enumerate(z):
+        x, y, s = _point(point)
+        pr, pi, dr, di = _exact_horner(re, im, x, y, s)
+        # S g/g' = P/D for P = S^d g and D = S^(d-1) g', S = 2**s.
+        den = (dr * dr + di * di) << s
+        if den:
+            out[k] = complex((pr * dr + pi * di) / den, (pi * dr - pr * di) / den)
+    return out
+
+
+@functools.cache
+def _goal(dps: int, tol: float):
+    """The eta below which Newton stops: 10^(4-dps), or tol*1e-3 if larger."""
+    with mp.workdps(dps):
+        return max(mp.mpf(10) ** (4 - dps), mp.mpf(tol) * mp.mpf("1e-3"))
+
+
+def _newton_once(coeffs, z0, dps: int, tol: float) -> tuple[complex, float]:
     """Newton from z0 on the _gaussian coefficients: the point and its last eta.
 
     Every value of g and g' is exact (_exact_horner): at z0 itself, and at
     each later iterate, which is rounded to a dyadic of about dps digits.
     eta = |g/g'|/(1 + |z|) is formed from those integers at dps digits and
     rounded to a float once, so it has no rounding floor.  Stops once eta is
-    below 10^(4-dps) or tol*1e-3, at a step that no longer halves an eta of
-    at most tol, or after 30 steps.  The point returned is the last iterate
+    below _goal(dps, tol), at a step that no longer halves an eta of at
+    most tol, or after 30 steps.  The point returned is the last iterate
     after its step.
     """
     re, im = coeffs
+    goal = _goal(dps, tol)
     with mp.workdps(dps):
-        floor = mp.mpf(10) ** (-dps + 4)
-        goal = floor if tol is None else max(floor, mp.mpf(tol) * mp.mpf("1e-3"))
         x, y, s = _point(z0)
         eta = mp.inf
         for _ in range(30):
@@ -271,14 +293,14 @@ def _newton_once(coeffs, z0, dps: int, tol: float | None = None
             step = mp.mpc(pr, pi) / mp.mpc(dr, di)
             z = mp.mpc(x, y)
             last, eta = eta, abs(step) / ((1 << s) + abs(z))
-            stalled = 2 * eta > last and tol is not None and eta <= tol
+            stalled = 2 * eta > last and eta <= tol
             x, y, s = _point(z - step, mp.mp.prec, s)
             if eta < goal or stalled:
                 break
         return complex(x / (1 << s), y / (1 << s)), float(eta)
 
 
-def newton_residuals(coeffs, roots, dps: int = 40, tol: float | None = None
+def newton_residuals(coeffs, roots, dps: int, tol: float
                      ) -> tuple[list[complex], list[float]]:
     """Newton-polish each point and report relative Newton-step residuals.
 
@@ -309,7 +331,9 @@ def _scaled_float_coeffs(coeffs: Sequence) -> np.ndarray:
 
 
 def _auto_dps(degree: int) -> int:
-    # Root-filled discs cost about 0.45 digits of cancellation per degree.
+    # The digits of Newton's iterates.  Its values are exact, so any count
+    # well above double precision verifies; this one, once sized for Horner
+    # cancellation, is kept because it fixes the recorded root outputs.
     return max(40, 30 + int(0.45 * degree))
 
 
@@ -317,15 +341,15 @@ def solve_complex_coeffs(coeffs, tol: float = 1e-10,
                          starts: Sequence[complex] | None = None) -> RootSet:
     """All roots of a polynomial given by exact (int/mpc) ascending coeffs.
 
-    Double-precision sweeps first (skipped when starting points are
-    supplied); precision escalates geometrically from _auto_dps(degree)
-    until every Newton-step residual passes tol or MAX_DPS is hit (the
-    result is then flagged unconverged rather than trimmed).  Roots within
-    tol*(1+|z|) of each other are taken for two approximations of one root:
-    one is nudged aside once and the simultaneous iteration reruns, and a
-    collision that survives also flags the result unconverged.  The
-    coefficients may be inexact, so no multiplicity is claimed: every root
-    is reported with multiplicity 1.
+    Double-precision Horner sweeps first (skipped when starting points are
+    supplied); when they stop unconverged, the same Aberth loop continues
+    from their points on exact values (_exact_ratio).  Newton then verifies
+    every point at _auto_dps(degree) digits.  Roots within tol*(1+|z|) of
+    each other are taken for two approximations of one root and nudged
+    apart.  A clash or a residual above tol reruns the exact sweeps and
+    Newton once; what still fails flags the result unconverged rather than
+    trimmed.  The coefficients may be inexact, so no multiplicity is
+    claimed: every root is reported with multiplicity 1.
     """
     cs = list(coeffs)
     while cs and mp.mpc(cs[-1]) == 0:
@@ -333,6 +357,12 @@ def solve_complex_coeffs(coeffs, tol: float = 1e-10,
     if len(cs) < 2:
         raise RootFindingError("need degree >= 1")
     dps = _auto_dps(len(cs) - 1)
+
+    def exact_sweeps(points):
+        exact = _gaussian(cs)
+        z = np.array(points, dtype=np.complex128)
+        return aberth_sweeps(lambda p: _exact_ratio(exact, p), z, step_tol=1e-14)[0]
+
     if starts is not None:
         if len(starts) != len(cs) - 1:
             raise RootFindingError("starts must supply one point per root")
@@ -342,30 +372,18 @@ def solve_complex_coeffs(coeffs, tol: float = 1e-10,
         if c[-1] == 0:
             raise RootFindingError("leading coefficient underflows double precision")
         c = c / np.max(np.abs(c))
-        raw, _ = aberth_sweeps(lambda z: _horner_ratio(c, z), _initial_points(c))
-    roots, residuals = newton_residuals(cs, raw, dps=dps, tol=tol)
-    level = dps
-    nudged = False
-    while True:
+        raw, done = aberth_sweeps(lambda z: _horner_ratio(c, z), _initial_points(c))
+        if not done:
+            raw = exact_sweeps(raw)
+    roots, residuals = newton_residuals(cs, raw, dps, tol)
+    clash = _clashes(roots, tol)
+    if clash or max(residuals) > tol:
+        # Two points on one root get identical Jacobi updates, so the
+        # simultaneous iteration separates them only after a nudge.
+        for k, j in enumerate(clash):
+            roots[j] += _NUDGE * (1 + abs(roots[j])) * cmath.exp(1j * (k + 1))
+        roots, residuals = newton_residuals(cs, exact_sweeps(roots), dps, tol)
         clash = _clashes(roots, tol)
-        if clash and not nudged:
-            # Two points on one root get identical Jacobi updates, so the
-            # simultaneous iteration separates them only after a nudge.
-            nudged = True
-            for k, j in enumerate(clash):
-                roots[j] += _NUDGE * (1 + abs(roots[j])) * cmath.exp(1j * (k + 1))
-        elif max(residuals) > tol and level < MAX_DPS:
-            # Per-root polishing was not enough: approximations are likely
-            # collided or far off, so rerun the simultaneous iteration.
-            level = min(MAX_DPS, int(level * 2.2))
-        else:
-            break
-        with mp.workdps(level):
-            refined, _ = aberth_sweeps(lambda z: _horner_ratio(cs, z),
-                                       np.array([mp.mpc(r) for r in roots], dtype=object),
-                                       step_tol=mp.mpf(10) ** (8 - level))
-            refined = [complex(r) for r in refined]
-        roots, residuals = newton_residuals(cs, refined, dps=level, tol=tol)
     order = sorted(range(len(roots)), key=lambda i: (roots[i].real, roots[i].imag))
     roots = [roots[i] for i in order]
     residuals = [residuals[i] for i in order]

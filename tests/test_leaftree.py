@@ -284,9 +284,9 @@ def test_scan_validation():
 
 
 def test_fast_roots_agree_with_generic_solver():
-    for n in (2, 3, 4):
-        fast = tree_chromatic_roots(2, n, tol=1e-10)
-        ref = find_roots(chromatic_leaf_tree(2, n), tol=1e-10)
+    for r, n in ((2, 2), (2, 3), (2, 4), (2, 5), (3, 4)):
+        fast = tree_chromatic_roots(r, n, tol=1e-10)
+        ref = find_roots(chromatic_leaf_tree(r, n), tol=1e-10)
         a = sorted(fast.roots, key=lambda z: (z.real, z.imag))
         b = sorted(ref.roots, key=lambda z: (z.real, z.imag))
         assert max(abs(x - y) for x, y in zip(a, b)) < 1e-9

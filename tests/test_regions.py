@@ -9,9 +9,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from tuttebound import regions
+from tuttebound.engine import chromatic_poly
 from tuttebound.graphs import GraphError
 from tuttebound.leaftree import leaf_tree_ab, t_eff_exact
 from tuttebound.rootfind import _horner
+from tuttebound.sp import gen_gadget_cycle, leaf_joined_tree_ast
 from tuttebound.regions import (CHROMATIC, ANTIFERRO, WHEATSTONE, MAXIMAL, MINIMAL,
                                 PointDiscFamily, RadiiBlowup,
                                 boundary_rho, certify, cycle_counterexample,
@@ -505,6 +508,17 @@ def test_cycle_counterexample_values():
     assert 2.00945 <= ce.witness_offset <= 2.00948
     assert ce.cycle_poly_degree == 94
     assert ce.verified and ce.residual < 1e-6
+
+
+def test_counterexample_residual_is_abs_g_where_the_ratio_vanishes(monkeypatch):
+    # g/g' is 0 where g or g' vanishes, which says nothing of the witness:
+    # the residual is then |g| on the 94-vertex polynomial, never 0.
+    monkeypatch.setattr(regions, "_exact_ratio", lambda exact, z: np.zeros(len(z), complex))
+    ce = cycle_counterexample()
+    poly = chromatic_poly(gen_gadget_cycle(leaf_joined_tree_ast(2, 5), 3)[1])
+    with mp.workdps(400):
+        want = float(abs(poly(mp.mpc(ce.witness))))
+    assert ce.residual > 0 and abs(ce.residual - want) <= 1e-15 * want
 
 
 def test_cycle_counterexample_roots_are_distinct():

@@ -229,17 +229,43 @@ def test_double_sweeps_stop_at_their_rounding_floor(monkeypatch):
     assert all(sweeps < 50 for _, sweeps in calls)
 
 
-def test_multiprecision_sweeps_stop_at_their_rounding_floor(monkeypatch):
-    # Horner starts do not resolve the degree-32 (2,5) polynomial, so the
-    # multiprecision phase runs; its floor is far above 10^(8-dps).
+def test_horner_started_sweeps_continue_on_exact_values(monkeypatch):
+    # Horner starts do not resolve the degree-32 (2,5) polynomial: the double
+    # sweeps stop unconverged, and the same loop continues from their points
+    # on exact values of g/g', still in complex128, and soon stops.
     calls = _count_sweeps(monkeypatch)
     rs = find_roots(chromatic_leaf_tree(2, 5), tol=1e-10)
-    mp_sweeps = [sweeps for dtype, sweeps in calls if dtype == "object"]
-    assert mp_sweeps and all(sweeps <= 10 for sweeps in mp_sweeps)
+    assert [dtype for dtype, _ in calls] == ["complex128", "complex128"]
+    assert calls[1][1] <= 20
     ref = tree_chromatic_roots(2, 5, tol=1e-10)
-    assert rs.multiplicities == ref.multiplicities
-    for z, w in zip(rs.roots, ref.roots):
-        assert abs(z - w) <= 1e-12 * (1 + abs(w))
+    assert rs.roots == ref.roots and rs.multiplicities == ref.multiplicities
+
+
+def test_unconverged_double_sweeps_are_followed_by_exact_sweeps(monkeypatch):
+    # The double call's flag is read: Newton sees no point of a call that
+    # stopped unconverged before the exact sweeps have moved it.
+    events = []
+    sweeps, exact_ratio, once = rootfind.aberth_sweeps, rootfind._exact_ratio, rootfind._newton_once
+
+    def logged_sweeps(ratio, z, step_tol=1e-14):
+        z, done = sweeps(ratio, z, step_tol=step_tol)
+        events.append(("sweeps", done))
+        return z, done
+
+    def logged_ratio(exact, z):
+        events.append("exact")
+        return exact_ratio(exact, z)
+
+    def logged_once(coeffs, z0, dps, tol):
+        events.append("newton")
+        return once(coeffs, z0, dps, tol)
+
+    monkeypatch.setattr(rootfind, "aberth_sweeps", logged_sweeps)
+    monkeypatch.setattr(rootfind, "_exact_ratio", logged_ratio)
+    monkeypatch.setattr(rootfind, "_newton_once", logged_once)
+    rs = find_roots(chromatic_leaf_tree(2, 5), tol=1e-10)
+    assert rs.converged
+    assert events[0] == ("sweeps", False) and events[1] == "exact"
 
 
 @pytest.mark.parametrize("arithmetic", [complex, mp.mpc])
@@ -290,7 +316,7 @@ def test_conjugate_symmetry_for_real_coefficients():
 def test_residuals_reevaluated_in_extended_precision():
     p = chromatic_poly(cycle_graph(6))
     rs = find_roots(p, tol=1e-12)
-    _, res = newton_residuals(list(p.coeffs), rs.roots, dps=50)
+    _, res = newton_residuals(list(p.coeffs), rs.roots, dps=50, tol=1e-12)
     assert max(res) <= 1e-12
 
 
