@@ -197,7 +197,7 @@ def cmd_region_grid(args):
 def cmd_region_boundary(args):
     thetas = [2.0 * 3.141592653589793 * k / args.theta_steps
               for k in range(args.theta_steps)]
-    values = [boundary_rho(args.lam, theta, args.tol, args.resolution) for theta in thetas]
+    values = boundary_rho(args.lam, thetas, args.tol, args.resolution).tolist()
     return (["theta", "rho_max"], [[t, v] for t, v in zip(thetas, values)]), True
 
 
@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lambda", dest="lam", type=int, default=3)
         p.add_argument("--resolution", type=int, default=256)
     with _command(region, "boundary", cmd_region_boundary,
-                  "per-angle best point+disc radius") as p:
+                  "best point+disc radius per angle, all angles bisected in lockstep") as p:
         p.add_argument("--lambda", dest="lam", type=int, default=3)
         p.add_argument("--theta-steps", type=int, default=64)
         p.add_argument("--tol", type=float, default=1e-6)

@@ -13,10 +13,12 @@ the requirement |q-2| >= 2(1 - rho X^2)/(X^2 - 1).
 Alongside the certified families, this module carries the exploration
 tools: the exact parallel maximum on disc boundaries (the symmetric
 multiaffine form attains its polydisc maximum on the diagonal, so a
-one-dimensional boundary scan suffices), the per-angle bisection for the
-best point+disc radius, a raster closure approximating the minimal regions
-(one rule table over flat per-level rasters, every pair combined by the
-same parallel map the audits use), and the 94-vertex cycle counterexample.
+one-dimensional boundary scan suffices), the bisection for the best
+point+disc radius along each angle, with every angle bisected in lockstep
+on whole-array scans and one array golden search, a raster closure
+approximating the minimal regions (one rule table over flat per-level
+rasters, every pair combined by the same parallel map the audits use), and
+the 94-vertex cycle counterexample.
 """
 
 from __future__ import annotations
@@ -24,10 +26,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 import mpmath as mp
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .engine import chromatic_poly, tree_ab
 from .graphs import GraphError
@@ -48,15 +51,24 @@ class RadiiBlowup(GraphError):
 # Thresholds
 # ---------------------------------------------------------------------------
 
-def _bisect(inside, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Halve [lo, hi] to width tol, moving lo where inside(mid) holds, else hi."""
-    while hi - lo > tol:
+def _bisect(inside, lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Halve every bracket [lo, hi] in lockstep until it is no wider than tol.
+
+    lo and hi are equal-length arrays.  Each step asks inside(mid, idx)
+    about the midpoints of the brackets still open, idx being their
+    positions, and moves lo to a midpoint where it holds, else hi.  A
+    bracket whose midpoint rounds to one of its ends cannot shrink, so it
+    closes too.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    while True:
         mid = 0.5 * (lo + hi)
-        if inside(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+        idx = np.flatnonzero((hi - lo > tol) & (lo < mid) & (mid < hi))
+        if not len(idx):
+            return lo, hi
+        ok = np.asarray(inside(mid[idx], idx), dtype=bool)
+        lo[idx[ok]] = mid[idx[ok]]
+        hi[idx[~ok]] = mid[idx[~ok]]
 
 
 def _bisect_unit(lam, f) -> float:
@@ -68,8 +80,8 @@ def _bisect_unit(lam, f) -> float:
     lo, hi = 1e-15, 1.0 - 1e-15
     if f(lo) > 0 or f(hi) < 0:
         raise GraphError("no bracketed threshold in (0,1)")
-    lo, hi = _bisect(lambda rho: not f(rho) > 0, lo, hi, 1e-13)
-    return 0.5 * (lo + hi)
+    lo, hi = _bisect(lambda mid, _: [not f(float(rho)) > 0 for rho in mid], [lo], [hi], 1e-13)
+    return float(0.5 * (lo[0] + hi[0]))
 
 
 @cache
@@ -467,8 +479,107 @@ def _verify_grid(family: GridFamily, samples: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Exact parallel maxima and the per-angle boundary
+# Exact parallel maxima and the boundary angles
 # ---------------------------------------------------------------------------
+
+# Elements per block of a lockstep scan: an eighth of the raster closure's
+# _PAIR_CHUNK, which keeps a block's few float arrays near 2 MB each.
+_SCAN_CHUNK = 1 << 18
+
+
+@lru_cache(maxsize=4)
+def _unit_circle(resolution: int) -> tuple[np.ndarray, ...]:
+    """Scan angles phi with the real and imaginary parts of w = e^(i phi) and w^2."""
+    phi = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
+    out = phi, np.cos(phi), np.sin(phi), np.cos(2.0 * phi), np.sin(2.0 * phi)
+    for arr in out:
+        arr.flags.writeable = False     # every caller shares the cached arrays
+    return out
+
+
+def _diagonal_maxima(x: np.ndarray, q: np.ndarray, resolution: int) -> np.ndarray:
+    """Max of |t || t| over |t| = x, every pair in lockstep, in blocks of rows.
+
+    With t = x w the squared ratio is x^2 |2 + a w|^2 / |1 + b w^2|^2,
+    a = (q-2)x and b = (q-1)x^2, so each row of the (pairs x resolution)
+    scan is real arithmetic on the cached circle:
+    |2 + a w|^2 = 4 + |a|^2 + 4 Re(a w) and |1 + b w^2|^2 likewise.
+    """
+    phi, wr, wi, w2r, w2i = _unit_circle(resolution)
+    a, b = (q - 2.0) * x, (q - 1.0) * (x * x)
+    k = np.empty(len(x), dtype=np.int64)
+    step = max(1, _SCAN_CHUNK // resolution)
+    for i in range(0, len(x), step):
+        ar, ai = a.real[i:i + step, None], a.imag[i:i + step, None]
+        br, bi = b.real[i:i + step, None], b.imag[i:i + step, None]
+        num = 4.0 * ar * wr
+        num -= 4.0 * ai * wi
+        num += 4.0 + (ar * ar + ai * ai)
+        den = 2.0 * br * w2r
+        den -= 2.0 * bi * w2i
+        den += 1.0 + (br * br + bi * bi)
+        num /= den
+        k[i:i + step] = np.argmax(num, axis=1)
+
+    def pmag(th):
+        t = x * np.exp(1j * th)
+        return np.abs(_t_parallel(t, t, q))
+
+    w = 2.0 * np.pi / resolution
+    return _golden_argmax(pmag, phi[k] - w, phi[k] + w, iters=60)[1]
+
+
+def _torus_maxima(x: np.ndarray, y: np.ndarray, q: np.ndarray, resolution: int) -> np.ndarray:
+    """Max of |t || t'| over |t| = x, |t'| = y: a torus scan, then alternating refinement.
+
+    At t = x w_i, t' = y w_j on the scan grid, |t || t'| = |N| / |D| with
+    N conj(w_i w_j) = x conj(w_j) + y conj(w_i) + (q-2)xy, a row term plus
+    a column term, and D = 1 + (q-1)xy w_(i+j), a function of i + j read
+    from windows over the circle taken twice.  The pairs scan in lockstep
+    in real arithmetic, in blocks of at most _SCAN_CHUNK elements.
+    """
+    coarse = max(256, resolution // 16)
+    phi, wr, wi, _, _ = _unit_circle(coarse)
+    twice_r, twice_i = np.tile(wr, 2), np.tile(wi, 2)
+    c, e = (q - 2.0) * (x * y), (q - 1.0) * (x * y)
+    flat = np.empty(len(x), dtype=np.int64)
+    step = max(1, _SCAN_CHUNK // (coarse * coarse))
+    for i in range(0, len(x), step):
+        xs, ys = x[i:i + step, None], y[i:i + step, None]
+        cr, ci = c.real[i:i + step, None], c.imag[i:i + step, None]
+        er, ei = e.real[i:i + step, None], e.imag[i:i + step, None]
+        row_r, row_i = ys * wr + cr, ci - ys * wi
+        col_r, col_i = xs * wr, -xs * wi
+        num = np.square(row_r[:, :, None] + col_r[:, None, :])
+        num += np.square(row_i[:, :, None] + col_i[:, None, :])
+        den = np.square(1.0 + er * twice_r - ei * twice_i) + np.square(er * twice_i + ei * twice_r)
+        num /= sliding_window_view(den, coarse, axis=1)[:, :coarse]
+        flat[i:i + step] = np.argmax(num.reshape(len(num), -1), axis=1)
+
+    def pmag(u, v):
+        return np.abs(_t_parallel(x * np.exp(1j * u), y * np.exp(1j * v), q))
+
+    w = 2.0 * np.pi / coarse
+    t1, t2 = phi[flat // coarse], phi[flat % coarse]
+    for _ in range(3):
+        t1 = _golden_argmax(lambda u: pmag(u, t2), t1 - w, t1 + w)[0]
+        t2 = _golden_argmax(lambda v: pmag(t1, v), t2 - w, t2 + w)[0]
+        w = w / 8.0
+    return pmag(t1, t2)
+
+
+def _parallel_maxima(x: np.ndarray, y: np.ndarray, q: np.ndarray,
+                     resolution: int) -> np.ndarray:
+    """exact_parallel_max elementwise over arrays of pairs, all in lockstep."""
+    out = np.empty(len(x))
+    diag = x == y
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if diag.any():
+            out[diag] = _diagonal_maxima(x[diag], q[diag], resolution)
+        if not diag.all():
+            out[~diag] = _torus_maxima(x[~diag], y[~diag], q[~diag], resolution)
+    return out
+
 
 def exact_parallel_max(x: float, y: float, q: complex,
                        resolution: int = 4096) -> float:
@@ -477,96 +588,83 @@ def exact_parallel_max(x: float, y: float, q: complex,
     The combination is a ratio of multiaffine symmetric forms, so for equal
     radii the polydisc maximum coincides with the diagonal and a boundary
     circle scan plus golden-section refinement suffices; unequal radii get
-    a torus scan with alternating refinement.
+    a torus scan with alternating refinement.  One pair of the lockstep
+    kernel that boundary_rho runs on every angle at once.
     """
     if x < 0 or y < 0:
         raise GraphError("radii must be nonnegative")
-    if x == 0 and y == 0:
-        return 0.0
-
-    def pmag(u: float, v: float) -> float:
-        out = _t_parallel(x * cmath.exp(1j * u), y * cmath.exp(1j * v), q)
-        return math.inf if out is None else abs(out)
-
-    if x == y:
-        thetas = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
-        t = x * np.exp(1j * thetas)
-        k = int(np.argmax(np.abs(_t_parallel(t, t, q))))
-        w = 2.0 * np.pi / resolution
-        return _golden_argmax(lambda th: pmag(th, th), thetas[k] - w, thetas[k] + w,
-                              iters=60)[1]
-    coarse = max(256, resolution // 16)
-    th1 = np.linspace(0.0, 2.0 * np.pi, coarse, endpoint=False)
-    a = x * np.exp(1j * th1)
-    b = y * np.exp(1j * th1)
-    vals = np.abs(_t_parallel(a[:, None], b[None, :], q))
-    i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    w = 2.0 * np.pi / coarse
-    t1, t2 = th1[i], th1[j]
-    for _ in range(3):
-        t1 = _golden_argmax(lambda u: pmag(u, t2), t1 - w, t1 + w)[0]
-        t2 = _golden_argmax(lambda v: pmag(t1, v), t2 - w, t2 + w)[0]
-        w = w / 8.0
-    return pmag(t1, t2)
+    return float(_parallel_maxima(np.array([x], dtype=float), np.array([y], dtype=float),
+                                  np.array([q], dtype=complex), resolution)[0])
 
 
-def _golden_argmax(f, lo: float, hi: float, iters: int = 48) -> tuple[float, float]:
-    """Golden-section search for a maximum of f on [lo, hi].
+def _golden_argmax(f, lo, hi, iters: int = 48):
+    """Golden-section search for a maximum of f on [lo, hi], elementwise.
 
-    Returns the midpoint of the final bracket and the larger of the two
-    interior values there.
+    lo and hi are floats or equal-shape arrays, and f maps abscissae of
+    that shape to values of that shape; each element follows the search
+    it would follow alone.  Returns the midpoint of each final bracket and
+    the larger of its two interior values.
     """
     phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     c = b - phi * (b - a)
     d = a + phi * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b), max(fc, fd)
+        left = fc > fd                  # the maximum lies in [a, d]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        step = phi * (b - a)
+        new = np.where(left, b - step, a + step)
+        fnew = f(new)
+        c, d = np.where(left, new, d), np.where(left, c, new)
+        fc, fd = np.where(left, fnew, fd), np.where(left, fc, fnew)
+    return 0.5 * (a + b), np.maximum(fc, fd)
 
 
-def boundary_rho(lam: int, theta: float, tol: float = 1e-6,
-                 resolution: int = 4096) -> float:
-    """Largest rho with feasible exact-maximum radii along direction theta.
+def boundary_rho(lam: int, theta, tol: float = 1e-6, resolution: int = 4096):
+    """Largest rho with feasible exact-maximum radii along each direction theta.
 
     The point 1/(1-q) is placed at rho e^(i theta); radii start at rho^2
     and grow by the exact pairwise maxima instead of the naive bound, so
-    the result is at least the uniform threshold.  Bisection on rho.
+    the result is at least the uniform threshold.  Bisection on rho, every
+    angle in lockstep: each step tests all angles still open at once.
+    theta is an angle, giving a float, or a sequence of them, giving an
+    array.
     """
     if lam < 3:
         raise GraphError("boundary scan needs lam >= 3")
     if resolution < 1:
         raise GraphError("resolution must be >= 1")
+    if not 0.0 < tol < math.inf:
+        raise GraphError("tol must be > 0 and finite")
+    thetas = np.array(theta, dtype=float).ravel()
+    if not len(thetas):
+        raise GraphError("theta must hold at least one angle")
+    if not np.all(np.isfinite(thetas)):
+        raise GraphError("theta must be finite")
+    turn = np.exp(-1j * thetas)
 
-    def feasible(rho: float) -> bool:
-        q = 1.0 - cmath.exp(-1j * theta) / rho
+    def feasible(rho: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        q = (1.0 - turn.real[idx] / rho) - 1j * (turn.imag[idx] / rho)
         radii = [rho * rho]
+        ok = np.ones(len(rho), dtype=bool)
         for s in range(2, lam):
-            best = 0.0
+            best = np.zeros(len(rho))
             for k in range(1, s // 2 + 1):
-                ell = s - k
-                rk, rl = radii[k - 1], radii[ell - 1]
-                if rk >= rho or rl >= rho:
-                    return False
-                best = max(best, exact_parallel_max(rk, rl, q, resolution))
+                rk, rl = radii[k - 1], radii[s - k - 1]
+                ok &= ~((rk >= rho) | (rl >= rho))
+                best = np.maximum(best, _parallel_maxima(rk, rl, q, resolution))
             radii.append(best)
-        return radii[-1] <= rho
+        return ok & (radii[-1] <= rho)
 
-    lo = sp_rho_threshold(lam)
-    hi = 0.999999
-    if not feasible(lo):
+    every = np.arange(len(thetas))
+    lo = np.full(len(thetas), sp_rho_threshold(lam))
+    out = np.full(len(thetas), 0.999999)
+    if not feasible(lo, every).all():
         raise GraphError("uniform threshold unexpectedly infeasible")
-    if feasible(hi):
-        return hi
-    return _bisect(feasible, lo, hi, tol)[0]
+    rest = np.flatnonzero(~feasible(out, every))
+    out[rest] = _bisect(lambda mid, idx: feasible(mid, rest[idx]), lo[rest], out[rest], tol)[0]
+    return float(out[0]) if np.ndim(theta) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +831,7 @@ def transmissivity_circle_max(r: int, n: int, radius: float = 2.0,
     k = int(np.argmax(vals))
     w = math.pi / (samples - 1)
     lo, hi = max(0.0, thetas[k] - w), min(math.pi, thetas[k] + w)
-    best_theta = _golden_argmax(val, lo, hi)[0]
+    best_theta = float(_golden_argmax(val, lo, hi)[0])
     return val(best_theta), best_theta / math.pi
 
 

@@ -368,6 +368,42 @@ def test_region_boundary_rejects_resolution_below_one(tmp_path, monkeypatch, cap
     assert captured.err == "error: resolution must be >= 1\n"
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--tol", "0", "tol must be > 0 and finite"),
+    ("--tol", "-1", "tol must be > 0 and finite"),
+    ("--tol", "nan", "tol must be > 0 and finite"),
+    ("--tol", "inf", "tol must be > 0 and finite"),
+    ("--theta-steps", "0", "theta must hold at least one angle"),
+    ("--theta-steps", "-3", "theta must hold at least one angle"),
+])
+def test_region_boundary_rejects_bad_options(tmp_path, monkeypatch, capsys, option, value,
+                                             message):
+    code = run(tmp_path, monkeypatch, "region", "boundary", "--theta-steps", "2",
+               "--resolution", "64", f"{option}={value}", "--out", str(tmp_path / "b.csv"))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []       # neither the CSV nor a manifest
+
+
+BOUNDARY_CSV_DIGESTS = {
+    # SHA-256 of each CSV, recorded before the angles were bisected in
+    # lockstep: every rho_max keeps its bits.
+    ("--lambda", "3", "--theta-steps", "16", "--resolution", "512", "--tol", "1e-6"):
+        "1cea170072ba49a9541cd3d38c314e9d43ece08009dc84fc4a2048f95706446b",
+    ("--lambda", "4", "--theta-steps", "4", "--resolution", "256", "--tol", "1e-4"):
+        "51c3f3e9e4f1505cd02c278952b3072c5b903243de37c8cc9c127d61095ed44f",
+}
+
+
+@pytest.mark.parametrize("argv", list(BOUNDARY_CSV_DIGESTS))
+def test_region_boundary_csv_digests(tmp_path, monkeypatch, argv):
+    out = tmp_path / "boundary.csv"
+    assert run(tmp_path, monkeypatch, "region", "boundary", *argv, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BOUNDARY_CSV_DIGESTS[argv]
+
+
 ROOT_CSV_DIGESTS = {
     # SHA-256 of each CSV: root location, verification and CSV formatting
     # must not move a byte of these outputs.

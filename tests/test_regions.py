@@ -312,6 +312,46 @@ def test_boundary_rho_pairwise_reduction_above_three():
     assert got >= sp_rho_threshold(4) - 1e-4
 
 
+def test_golden_argmax_elements_match_single_calls():
+    # Lockstep must not couple elements: each runs its own search.
+    rng = np.random.default_rng(11)
+    q = 1.0 - np.exp(-1j * rng.uniform(0, 2 * np.pi, 9)) / rng.uniform(0.2, 0.9, 9)
+    x, y = rng.uniform(0.01, 0.3, 9), rng.uniform(0.01, 0.3, 9)
+    lo = rng.uniform(-4.0, 4.0, 9)
+    hi = lo + rng.uniform(0.01, 3.0, 9)
+
+    def f(x, y, q):
+        return lambda u: np.abs(_t_parallel(x * np.exp(1j * u), y * np.exp(0.5j * u), q))
+
+    arg, val = regions._golden_argmax(f(x, y, q), lo, hi, iters=60)
+    for i in range(9):
+        one = slice(i, i + 1)
+        a1, v1 = regions._golden_argmax(f(x[one], y[one], q[one]), lo[one], hi[one], iters=60)
+        assert a1[0] == arg[i] and v1[0] == val[i]
+
+
+@pytest.mark.parametrize("lam, tol, resolution", [(3, 1e-6, 512), (4, 1e-4, 256)])
+def test_boundary_rho_angles_do_not_couple(lam, tol, resolution):
+    thetas = [0.0, 0.4, 2.0, math.pi, 5.1]
+    together = boundary_rho(lam, thetas, tol, resolution)
+    assert isinstance(together, np.ndarray) and together.shape == (5,)
+    for theta, value in zip(thetas, together):
+        alone = boundary_rho(lam, theta, tol, resolution)
+        assert type(alone) is float and alone == value
+
+
+def test_boundary_rho_stops_at_the_rounding_floor():
+    # A tol below one ulp of rho cannot be met: each bracket closes when
+    # its midpoint rounds to an end.
+    fine = boundary_rho(3, 1.0, 1e-300, 64)
+    assert abs(fine - boundary_rho(3, 1.0, 1e-12, 64)) <= 1e-12
+
+
+def test_boundary_rho_refuses_non_finite_angles():
+    with pytest.raises(GraphError, match="theta must be finite"):
+        boundary_rho(3, [0.0, math.nan])
+
+
 def test_certified_weight_bound_beats_rho_squared_on_grid():
     # Inside certification the admissible radius never drops below rho^2.
     for lam in (3, 4, 6):
