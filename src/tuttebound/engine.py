@@ -14,15 +14,20 @@ Two routes up the tree:
   genuine 0/0 at a series node whose prefactor q + v1 + v2 vanishes; that
   outcome is reported as undefined, not raised.
 
-Both routes walk the tree's post-order once and take their leaf values from
-one rule: a single edge has (A, B) = (1, v_e); a Wheatstone leaf with all
-weights -1 has ((q-2)*(q-3), 2*(q-2)); a Wheatstone leaf under any other
-weights falls back to the brute-force partial oracle on its five edges.
+Both routes take their leaf values from one rule: a single edge has
+(A, B) = (1, v_e); a Wheatstone leaf with all weights -1 has
+((q-2)*(q-3), 2*(q-2)); a Wheatstone leaf under any other weights falls
+back to the brute-force partial oracle on its five edges.
 
-Under a scalar weight (None, a number, a BigPoly or BiPoly) equal shapes
-have equal values, so each is evaluated once, at its first node; per-edge
-weights (a Mapping or a WeightAssignment) are evaluated per node.  per_node
-values of nodes with equal shapes may be the same object.
+Each route is one loop over one of the tree's two programs
+(DecompTree.program).  Under a scalar weight (None, a number, a BigPoly or
+BiPoly) equal shapes have equal values, so the loop runs the shape program:
+one step per shape, at its first node.  Per-edge weights (a Mapping or a
+WeightAssignment) run the node program, one step per node.  per_node is
+then built once from the step values, in post-order; values of nodes with
+equal shapes may be the same object.  The effective-weight route still
+multiplies its prefactor node by node in post-order, so both programs give
+the same bits.
 """
 
 from __future__ import annotations
@@ -35,20 +40,25 @@ from .graphs import GraphError, Multigraph, TwoTerminalGraph, blocks
 from .oracles import partial_tutte_brute, tutte_brute
 from .poly import BigPoly
 from .sp import DecompNode, DecompTree, decompose_sp
-from .weights import INF, UNDEF, WeightAssignment, is_finite, parallel, series
+from .weights import INF, UNDEF, WeightAssignment, _combiner, is_finite
 
 
 def _weights_plan(tree: DecompTree, weights, q):
-    """Edge index -> v value, and the memo key of each node in post-order."""
+    """Edge index -> v value, and whether equal shapes share values (a scalar weight)."""
     if isinstance(weights, WeightAssignment):
         if not isinstance(q, (int, float, complex, Fraction)):
             raise GraphError("system-tagged weights need numeric q; "
                              "symbolic runs take raw v values")
-        return weights.in_system("V", q).value, tree.order
+        return weights.in_system("V", q).value, False
     if isinstance(weights, Mapping):
-        return (lambda i: weights[i]), tree.order
+        return (lambda i: weights[i]), False
     v = -1 if weights is None else weights
-    return (lambda i: v), tree.shapes
+    return (lambda i: v), True
+
+
+def _per_node(tree: DecompTree, values: list, slots, count: int) -> dict:
+    """The first count nodes of the post-order, each with its step's value."""
+    return dict(zip(tree.order[:count], map(values.__getitem__, slots[:count])))
 
 
 @dataclass
@@ -78,34 +88,33 @@ def tree_ab(tree: DecompTree, q, weights=None) -> TreePairs:
 
     Unlike tree_veff, this refuses INF and UNDEF weights (GraphError).
     """
-    given, keys = _weights_plan(tree, weights, q)
+    given, by_shape = _weights_plan(tree, weights, q)
 
     def wfn(i):
         if (v := given(i)) is INF or v is UNDEF:
             raise GraphError(f"edge {i} has weight {v!r}; the pair route needs finite weights")
         return v
 
-    per_node: dict[DecompNode, tuple] = {}
-    memo: dict = {}
-    for node, key in zip(tree.order, keys):
-        if key not in memo:
-            if node.is_leaf():
-                memo[key] = _leaf_pair(tree, node, q, wfn)
-            else:
-                left, right = per_node[node.children[0]], per_node[node.children[1]]
-                (a1, b1), (a2, b2) = left, right
-                if left is right:     # one shape: a1*b2 + a2*b1 is exactly ab + ab
-                    ab = a1 * b1
-                    cross = ab + ab
-                else:
-                    cross = a1 * b2 + a2 * b1
-                if node.kind == "p":
-                    memo[key] = (a1 * a2, cross + b1 * b2)
-                else:
-                    memo[key] = (cross + q * a1 * a2, b1 * b2)
-        per_node[node] = memo[key]
-    a, b = per_node[tree.root]
-    return TreePairs(a, b, q * q * a + q * b, per_node)
+    order = tree.order
+    at, kids, slots = tree.program(by_shape)
+    values: list[tuple] = []
+    for k, pair in zip(at, kids):
+        if not pair:
+            values.append(_leaf_pair(tree, order[k], q, wfn))
+            continue
+        left, right = values[pair[0]], values[pair[1]]
+        (a1, b1), (a2, b2) = left, right
+        if left is right:         # one shape: a1*b2 + a2*b1 is exactly ab + ab
+            ab = a1 * b1
+            cross = ab + ab
+        else:
+            cross = a1 * b2 + a2 * b1
+        if order[k].kind == "p":
+            values.append((a1 * a2, cross + b1 * b2))
+        else:
+            values.append((cross + q * a1 * a2, b1 * b2))
+    a, b = values[-1]
+    return TreePairs(a, b, q * q * a + q * b, _per_node(tree, values, slots, len(order)))
 
 
 @dataclass
@@ -119,7 +128,8 @@ class TreeEffective:
 
 
 def _prefactor_is_zero(pref, q) -> bool:
-    if isinstance(pref, (int, Fraction)):
+    # float and complex first: a Fraction check is an abstract-class check.
+    if not isinstance(pref, (float, complex)) and isinstance(pref, (int, Fraction)):
         return pref == 0
     return abs(pref) < 1e-14 * (1.0 + abs(q))
 
@@ -130,49 +140,56 @@ def tree_veff(tree: DecompTree, q, weights=None) -> TreeEffective:
     Requires q != 0 and a nonzero A value at every leaf.  When a series
     prefactor q + v1 + v2 vanishes (exactly for exact inputs, below
     1e-14*(1+|q|) in floating point) the result is undefined; whenever the
-    route completes, z agrees with the pair route.
+    route completes, z agrees with the pair route.  An undefined result
+    carries per_node and the prefactor up to the node where the route
+    failed, in post-order.
     """
     if q == 0:
         raise GraphError("q must be nonzero")
-    wfn, keys = _weights_plan(tree, weights, q)
-    per_node: dict[DecompNode, object] = {}
-    memo: dict = {}                   # key -> (v_eff, factor of the prefactor or None)
-    prefactor = 1
+    wfn, by_shape = _weights_plan(tree, weights, q)
+    par, ser = _combiner("V", q, "Y"), _combiner("V", q, "T")
+    order = tree.order
+    at, kids, slots = tree.program(by_shape)
+    values: list = []
+    factors: list = []                # per step: its factor of the prefactor, or None
 
-    def fail() -> TreeEffective:
-        return TreeEffective(UNDEF, prefactor, UNDEF, False, per_node)
+    def result(count: int, defined: bool) -> TreeEffective:
+        """The route's outcome after the first count nodes of the post-order."""
+        prefactor = 1
+        for step in slots[:count]:    # node by node, in post-order
+            if (factor := factors[step]) is not None:
+                prefactor = prefactor * factor
+        per_node = _per_node(tree, values, slots, count)
+        if not defined:
+            return TreeEffective(UNDEF, prefactor, UNDEF, False, per_node)
+        return TreeEffective(values[-1], prefactor, q * (q + values[-1]) * prefactor,
+                             True, per_node)
 
-    for node, key in zip(tree.order, keys):
-        if key not in memo:
-            factor = None
-            if node.is_leaf():
-                a, b = _leaf_pair(tree, node, q, wfn)
-                if a == 0:
-                    raise GraphError("leaf A value is zero; the effective-weight route needs A != 0")
-                factor, v = a, (b / a if is_finite(b) else b)
-            else:
-                v1, v2 = per_node[node.children[0]], per_node[node.children[1]]
-                if v1 is UNDEF or v2 is UNDEF:
-                    return fail()
-                if node.kind == "p":
-                    v = parallel(v1, v2, "V", q)
-                elif (is_finite(v1) and is_finite(v2)
-                      and not _prefactor_is_zero(pref := q + v1 + v2, q)):
-                    factor, v = pref, series(v1, v2, "V", q)
-                else:                 # a zero prefactor, or none (an infinite operand)
-                    v = UNDEF
-                if v is UNDEF:
-                    per_node[node] = UNDEF
-                    return fail()
-            memo[key] = (v, factor)
-        per_node[node], factor = memo[key]
-        if factor is not None:
-            prefactor = prefactor * factor
-    v_root = per_node[tree.root]
-    if not is_finite(v_root):
-        return fail()
-    z = q * (q + v_root) * prefactor
-    return TreeEffective(v_root, prefactor, z, True, per_node)
+    for k, pair in zip(at, kids):
+        factor = None
+        if not pair:
+            a, b = _leaf_pair(tree, order[k], q, wfn)
+            if a == 0:
+                raise GraphError("leaf A value is zero; the effective-weight route needs A != 0")
+            factor, v = a, (b / a if is_finite(b) else b)
+        else:
+            v1, v2 = values[pair[0]], values[pair[1]]
+            if v1 is UNDEF or v2 is UNDEF:
+                return result(k, False)
+            if order[k].kind == "p":
+                v = par(v1, v2)
+            elif (v1 is not INF and v2 is not INF
+                  and not _prefactor_is_zero(pref := q + v1 + v2, q)):
+                factor, v = pref, ser(v1, v2)
+            else:                     # a zero prefactor, or none (an infinite operand)
+                v = UNDEF
+            if v is UNDEF:
+                out = result(k, False)
+                out.per_node[order[k]] = UNDEF
+                return out
+        values.append(v)
+        factors.append(factor)
+    return result(len(order), is_finite(values[-1]))
 
 
 # ---------------------------------------------------------------------------

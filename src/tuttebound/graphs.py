@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
@@ -50,10 +51,31 @@ class Multigraph:
 
     def degree(self, v: int) -> int:
         """Degree of v; a loop at v counts twice."""
-        d = 0
+        return self._degrees[v]
+
+    @cached_property
+    def _degrees(self) -> tuple[int, ...]:
+        degrees = [0] * self.vertex_count
         for a, b in self.edges:
-            d += (a == v) + (b == v)
-        return d
+            degrees[a] += 1
+            degrees[b] += 1
+        return tuple(degrees)
+
+    @cached_property
+    def _arcs(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """The flow network: the head of each arc and the arcs out of each vertex.
+
+        Edge i becomes arcs 2i (a->b) and 2i+1 (b->a); arc j and j^1 are
+        reverses of each other.  Built on first use and shared by every cut.
+        """
+        head = [0] * (2 * self.edge_count)
+        out: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        for i, (a, b) in enumerate(self.edges):
+            head[2 * i] = b
+            head[2 * i + 1] = a
+            out[a].append(2 * i)
+            out[b].append(2 * i + 1)
+        return tuple(head), tuple(map(tuple, out))
 
     def incidence(self) -> list[list[int]]:
         """For each vertex, the indices of incident edges (loops listed once)."""
@@ -174,17 +196,8 @@ def _min_cut(g: Multigraph, x: int, y: int) -> tuple[int, list[bool]]:
     Augments along shortest residual paths; the side is the set of vertices
     the last search, which no longer reaches y, got to from x.
     """
-    # Each undirected edge becomes arcs 2i (a->b) and 2i+1 (b->a), capacity 1.
-    # Arc j and j^1 are reverses of each other.
-    m = g.edge_count
-    head = [0] * (2 * m)
-    out: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for i, (a, b) in enumerate(g.edges):
-        head[2 * i] = b
-        head[2 * i + 1] = a
-        out[a].append(2 * i)
-        out[b].append(2 * i + 1)
-    flow = [0] * (2 * m)
+    head, out = g._arcs                # capacity 1 on every arc
+    flow = [0] * len(head)
 
     total = 0
     while True:

@@ -15,9 +15,12 @@ parallel reduction and orients the result once, from s.  Both hand one
 post-order list to the same node builder, which stores that order on the
 tree and interns a shape id per node (hash-consing; Filliatre & Conchon, ML
 Workshop 2006): kind, leaf base and the children's shape ids in order, not
-edge labels or terminals.  The engine evaluates each shape once under a
-scalar weight, each node under per-edge weights.  A gadget is an expression
-like any other, so the copies in a gadget cycle share their shapes.
+edge labels or terminals.  The same pass records two evaluation programs:
+each node's children positions (the node program), and each shape's first
+node and children's shape ids (the shape program, a DAG).  The engine runs
+the shape program under a scalar weight and the node program under per-edge
+weights.  A gadget is an expression like any other, so the copies in a
+gadget cycle share their shapes.
 
 The DSL grammar:
 
@@ -34,7 +37,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .graphs import GraphError, Multigraph, TwoTerminalGraph, blocks
 
@@ -85,15 +88,19 @@ def _assemble(graph: TwoTerminalGraph, post: list) -> DecompTree:
     """Build a tree from a post-order list of leaf nodes and 's' / 'p' marks.
 
     A mark composes the last two nodes built: series keeps the left node's
-    s and the right node's t, parallel keeps the left node's terminals.
+    s and the right node's t, parallel keeps the left node's terminals.  The
+    same pass records the tree's two evaluation programs (DecompTree.program).
     """
     order: list[DecompNode] = []
+    kids: list[tuple[int, ...]] = []   # children positions of order[k]
     shapes: list[int] = []
     table: dict[tuple, int] = {}       # (kind, base or child shape ids) -> shape id
+    shape_nodes: list[int] = []        # position of each shape's first node
+    shape_kids: list[tuple[int, ...]] = []
     stack: list[int] = []              # positions of the subtrees not yet composed
     for item in post:
         if isinstance(item, DecompNode):
-            node, key = item, (LEAF, item.base)
+            node, key, pair = item, (LEAF, item.base), ()
         else:
             i, j = stack.pop(-2), stack.pop()
             left, right = order[i], order[j]
@@ -103,12 +110,18 @@ def _assemble(graph: TwoTerminalGraph, post: list) -> DecompTree:
             else:
                 node = DecompNode(PARALLEL, left.s, left.t, (), (left, right),
                                   left.flow + right.flow)
-            key = (item, shapes[i], shapes[j])
+            key, pair = (item, shapes[i], shapes[j]), (i, j)
+        shape = table.setdefault(key, len(table))
+        if shape == len(shape_nodes):
+            shape_nodes.append(len(order))
+            shape_kids.append(key[1:] if pair else ())
         stack.append(len(order))
         order.append(node)
-        shapes.append(table.setdefault(key, len(table)))
+        kids.append(pair)
+        shapes.append(shape)
     (root,) = stack
-    return DecompTree(graph, order[root], tuple(order), tuple(shapes))
+    return DecompTree(graph, order[root], tuple(order), tuple(shapes), tuple(kids),
+                      tuple(shape_nodes), tuple(shape_kids))
 
 
 @dataclass(frozen=True)
@@ -117,6 +130,22 @@ class DecompTree:
     root: DecompNode
     order: tuple[DecompNode, ...] = field(compare=False, repr=False)  # post-order
     shapes: tuple[int, ...] = field(compare=False, repr=False)  # shape id of order[k]
+    kids: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)  # children positions
+    shape_nodes: tuple[int, ...] = field(compare=False, repr=False)  # first node of each shape
+    shape_kids: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)  # children shapes
+
+    def program(self, by_shape: bool) -> tuple[Sequence[int], Sequence[tuple[int, ...]],
+                                               Sequence[int]]:
+        """Steps (node position, children steps) in post-order, and each node's step.
+
+        By shape there is one step per shape, at its first node; otherwise
+        one step per node.  Either way a step's children come before it and
+        the root's step is the last one.
+        """
+        if by_shape:
+            return self.shape_nodes, self.shape_kids, self.shapes
+        every = range(len(self.order))
+        return every, self.kids, every
 
     def nodes(self) -> Iterator[DecompNode]:
         return _subtree(self.root)

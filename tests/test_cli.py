@@ -287,6 +287,15 @@ def test_region_boundary_csv(tmp_path, monkeypatch):
         assert float(rho) >= 0.376086 - 1e-4
 
 
+def test_region_boundary_at_lambda_five(tmp_path, monkeypatch):
+    # Its angles include 0, where the uniform threshold is only just feasible.
+    out = tmp_path / "boundary.csv"
+    assert run(tmp_path, monkeypatch, "region", "boundary", "--lambda", "5",
+               "--theta-steps", "4", "--out", str(out)) == 0
+    rows = out.read_text().splitlines()
+    assert rows[0] == "theta,rho_max" and len(rows) == 5
+
+
 def test_region_counterexample(tmp_path, monkeypatch):
     out = tmp_path / "ce.json"
     assert run(tmp_path, monkeypatch, "region", "counterexample", "--out", str(out)) == 0

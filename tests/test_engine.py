@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import importlib.util
 import math
 import random
@@ -271,6 +272,38 @@ def test_shape_route_matches_node_route():
                 elif shared[0].endswith(", False)"):
                     undefined += 1
     assert undefined > 0 and raised > 0
+
+
+ROUTE_DIGEST = "15f101d20b8347d574d1ee1a8bae64097ef67bc3e7db59819a85c2ef0d7e73ef"
+
+
+def test_routes_match_recorded_bits():
+    # One sha256 over the repr of every head and per_node value (in per_node
+    # order, keyed by post-order position), or of the error, of both routes.
+    inputs = _bench_inputs()
+    cases = [(text, RING) for text in inputs.big_graphs_inputs(7)]
+    cases += [(text, [2.0, 3 + 0j, 0.5, Fraction(1, 3), Fraction(5, 2)])
+              for text in inputs.sp_w_catalogue()]
+    digest = hashlib.sha256()
+    for text, points in cases:
+        tt, tree = parse_sp(text)
+        tree = decompose_sp(tt) or tree
+        position = {node: k for k, node in enumerate(tree.order)}
+        per_edge = {i: -1 for i in range(tt.graph.edge_count)}
+        for q in points:
+            for weights in (-1, per_edge):
+                for route in (tree_ab, tree_veff):
+                    try:
+                        out = route(tree, q, weights)
+                    except GraphError as exc:
+                        digest.update(repr(exc).encode())
+                        continue
+                    head = ((out.a, out.b, out.z) if route is tree_ab
+                            else (out.veff, out.prefactor, out.z, out.defined))
+                    digest.update(repr(head).encode())
+                    digest.update(repr([(position[node], value)
+                                        for node, value in out.per_node.items()]).encode())
+    assert digest.hexdigest() == ROUTE_DIGEST
 
 
 def test_scalar_weights_share_values_per_shape():

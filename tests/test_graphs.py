@@ -110,6 +110,29 @@ def test_maxmaxflow_makes_one_cut_per_tree_edge(monkeypatch):
     assert len(calls) <= 511
 
 
+def test_degree_table_matches_the_edge_scan():
+    rng = random.Random(41)
+    loops = 0
+    for _ in range(200):
+        g = random_multigraph(rng, max_vertices=8, max_edges=12)
+        extra = tuple((v, v) for v in rng.choices(range(g.vertex_count), k=rng.randint(0, 3)))
+        g = Multigraph(g.vertex_count, g.edges + extra)
+        loops += len(extra)
+        for v in range(g.vertex_count):
+            assert g.degree(v) == sum((a == v) + (b == v) for a, b in g.edges)
+    assert loops >= 100
+
+
+def test_built_tables_leave_equality_and_hash_alone():
+    edges = ((0, 1), (1, 2), (2, 0), (0, 1))
+    g, h = Multigraph(3, edges), Multigraph(3, edges)
+    g.degree(0)
+    assert max_flow(g, 0, 1) == 3           # builds g's flow network
+    assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+    assert {h: "h"}[g] == "h"
+    assert g != Multigraph(3, edges[:3])
+
+
 def test_flow_equals_min_cut_on_small_graphs():
     rng = random.Random(11)
     for _ in range(30):

@@ -312,6 +312,15 @@ def test_boundary_rho_pairwise_reduction_above_three():
     assert got >= sp_rho_threshold(4) - 1e-4
 
 
+def test_boundary_rho_at_lambda_five_starts_from_the_threshold():
+    # At theta = 0 the exact maxima attain the naive bound, so the top radius
+    # at the bisected threshold passes rho by rounding; the start check
+    # allows radii_feasible's slack and the bisection stays at the threshold.
+    tol = 1e-6
+    got = boundary_rho(5, 0.0, tol)
+    assert sp_rho_threshold(5) <= got <= sp_rho_threshold(5) + tol
+
+
 def test_golden_argmax_elements_match_single_calls():
     # Lockstep must not couple elements: each runs its own search.
     rng = np.random.default_rng(11)

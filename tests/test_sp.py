@@ -372,6 +372,24 @@ def test_post_order_and_shapes_cover_every_node():
             seen.add(node)
 
 
+def test_programs_follow_the_tree():
+    for text in ("e", "P(S(e,W),S(e,W))", "e^><7^||3", "P(S(e,P(e,e)),S(P(e,e),e))"):
+        tt, parsed = parse_sp(text)
+        for tree in (parsed, decompose_sp(tt) or parsed):
+            order, shapes = tree.order, tree.shapes
+            at, kids, slots = tree.program(False)
+            assert list(at) == list(slots) == list(range(len(order)))
+            for node, pair in zip(order, kids):
+                assert tuple(order[i] for i in pair) == node.children
+            at, kids, slots = tree.program(True)
+            assert slots == shapes and sorted(set(shapes)) == list(range(len(at)))
+            for shape, (k, pair) in enumerate(zip(at, kids)):
+                assert shapes[k] == shape and shapes.index(shape) == k
+                assert pair == tuple(shapes[i] for i in tree.kids[k])
+                assert all(child < shape for child in pair)
+            assert shapes[-1] == len(at) - 1          # the root's shape is the last step
+
+
 @pytest.mark.parametrize("n, nodes, shapes", [(6, 251, 12), (7, 507, 14)])
 def test_leaf_joined_tree_shapes(n, nodes, shapes):
     _, tree = realize(leaf_joined_tree_ast(2, n))
