@@ -11,9 +11,9 @@ X = (2/(1+rho))^(1/(L-1)) pinning r_(L-1) = rho.  A Wheatstone variant adds
 the requirement |q-2| >= 2(1 - rho X^2)/(X^2 - 1).
 
 Alongside the certified families, this module carries the exploration
-tools: the exact parallel maximum on disc boundaries (the symmetric
-multiaffine form attains its polydisc maximum on the diagonal, so a
-one-dimensional boundary scan suffices), the bisection for the best
+tools: the exact parallel maximum on disc boundaries (for fixed t the
+map t' -> t || t' is Moebius, so the maximum over t' is in closed form and
+one circle scan of t suffices), the bisection for the best
 point+disc radius along each angle, with every angle bisected in lockstep
 on whole-array scans and one array golden search, a raster closure
 approximating the minimal regions (one rule table over flat per-level
@@ -30,15 +30,15 @@ from functools import cache, lru_cache
 
 import mpmath as mp
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .engine import chromatic_poly, tree_ab
 from .graphs import GraphError
-from .leaftree import t_eff_exact
+from .leaftree import t_eff_at, t_eff_exact
 from .poly import BigPoly, Jet
 from .rootfind import (ring_starts, solve_complex_coeffs, _exact_horner, _exact_ratio,
                        _gaussian, _point)
 from .sp import gen_gadget_cycle, leaf_joined_tree_ast, realize
+from .weights import is_finite
 
 LOG2 = math.log(2.0)
 
@@ -497,21 +497,34 @@ def _unit_circle(resolution: int) -> tuple[np.ndarray, ...]:
     return out
 
 
-def _diagonal_maxima(x: np.ndarray, q: np.ndarray, resolution: int) -> np.ndarray:
-    """Max of |t || t| over |t| = x, every pair in lockstep, in blocks of rows.
+def _circle_maxima(scan, value, count: int, resolution: int):
+    """Each pair's angle and maximum: a scan of the cached circle, then golden refinement.
+
+    scan(s) gives the (pairs x resolution) block of the pairs in slice s,
+    with row maxima where value's are; value maps one angle per pair to its
+    objective.  Blocks hold at most _SCAN_CHUNK elements.
+    """
+    phi = _unit_circle(resolution)[0]
+    k = np.empty(count, dtype=np.int64)
+    step = max(1, _SCAN_CHUNK // resolution)
+    for i in range(0, count, step):
+        k[i:i + step] = np.argmax(scan(slice(i, i + step)), axis=1)
+    w = 2.0 * np.pi / resolution
+    return _golden_argmax(value, phi[k] - w, phi[k] + w, iters=60)
+
+
+def _diagonal_maxima(x: np.ndarray, q: np.ndarray, resolution: int):
+    """Max of |t || t| over |t| = x, by _circle_maxima.
 
     With t = x w the squared ratio is x^2 |2 + a w|^2 / |1 + b w^2|^2,
-    a = (q-2)x and b = (q-1)x^2, so each row of the (pairs x resolution)
-    scan is real arithmetic on the cached circle:
+    a = (q-2)x and b = (q-1)x^2, so a scan row is real arithmetic:
     |2 + a w|^2 = 4 + |a|^2 + 4 Re(a w) and |1 + b w^2|^2 likewise.
     """
-    phi, wr, wi, w2r, w2i = _unit_circle(resolution)
+    _, wr, wi, w2r, w2i = _unit_circle(resolution)
     a, b = (q - 2.0) * x, (q - 1.0) * (x * x)
-    k = np.empty(len(x), dtype=np.int64)
-    step = max(1, _SCAN_CHUNK // resolution)
-    for i in range(0, len(x), step):
-        ar, ai = a.real[i:i + step, None], a.imag[i:i + step, None]
-        br, bi = b.real[i:i + step, None], b.imag[i:i + step, None]
+
+    def scan(s):
+        ar, ai, br, bi = a.real[s, None], a.imag[s, None], b.real[s, None], b.imag[s, None]
         num = 4.0 * ar * wr
         num -= 4.0 * ai * wi
         num += 4.0 + (ar * ar + ai * ai)
@@ -519,65 +532,55 @@ def _diagonal_maxima(x: np.ndarray, q: np.ndarray, resolution: int) -> np.ndarra
         den -= 2.0 * bi * w2i
         den += 1.0 + (br * br + bi * bi)
         num /= den
-        k[i:i + step] = np.argmax(num, axis=1)
+        return num
 
-    def pmag(th):
+    def value(th):
         t = x * np.exp(1j * th)
         return np.abs(_t_parallel(t, t, q))
 
-    w = 2.0 * np.pi / resolution
-    return _golden_argmax(pmag, phi[k] - w, phi[k] + w, iters=60)[1]
+    return _circle_maxima(scan, value, len(x), resolution)
 
 
-def _torus_maxima(x: np.ndarray, y: np.ndarray, q: np.ndarray, resolution: int) -> np.ndarray:
-    """Max of |t || t'| over |t| = x, |t'| = y: a torus scan, then alternating refinement.
+def _offdiagonal_maxima(x: np.ndarray, y: np.ndarray, q: np.ndarray, resolution: int):
+    """Max of |t || t'| over |t| = x, |t'| = y, by _circle_maxima over the angle of t.
 
-    At t = x w_i, t' = y w_j on the scan grid, |t || t'| = |N| / |D| with
-    N conj(w_i w_j) = x conj(w_j) + y conj(w_i) + (q-2)xy, a row term plus
-    a column term, and D = 1 + (q-1)xy w_(i+j), a function of i + j read
-    from windows over the circle taken twice.  The pairs scan in lockstep
-    in real arithmetic, in blocks of at most _SCAN_CHUNK elements.
+    For fixed t, t' -> t || t' is Moebius, so it maps |t'| = y onto a circle
+    (as in Gargantini & Henrici's disc arithmetic) of centre C/D and radius
+    y|R|/|D|: C = t - g (conj(t) + (q-2)x^2), g = y^2 conj(q-1),
+    R = 1 + (q-2)t - (q-1)t^2, D = 1 - |q-1|^2 x^2 y^2, whether or not the
+    pole lies inside the disc.  So the inner maximum is (|C| + y|R|)/|D|,
+    inf at D = 0 (a pole on the torus), and a scan row is |C| + y|R|.
     """
-    coarse = max(256, resolution // 16)
-    phi, wr, wi, _, _ = _unit_circle(coarse)
-    twice_r, twice_i = np.tile(wr, 2), np.tile(wi, 2)
-    c, e = (q - 2.0) * (x * y), (q - 1.0) * (x * y)
-    flat = np.empty(len(x), dtype=np.int64)
-    step = max(1, _SCAN_CHUNK // (coarse * coarse))
-    for i in range(0, len(x), step):
-        xs, ys = x[i:i + step, None], y[i:i + step, None]
-        cr, ci = c.real[i:i + step, None], c.imag[i:i + step, None]
-        er, ei = e.real[i:i + step, None], e.imag[i:i + step, None]
-        row_r, row_i = ys * wr + cr, ci - ys * wi
-        col_r, col_i = xs * wr, -xs * wi
-        num = np.square(row_r[:, :, None] + col_r[:, None, :])
-        num += np.square(row_i[:, :, None] + col_i[:, None, :])
-        den = np.square(1.0 + er * twice_r - ei * twice_i) + np.square(er * twice_i + ei * twice_r)
-        num /= sliding_window_view(den, coarse, axis=1)[:, :coarse]
-        flat[i:i + step] = np.argmax(num.reshape(len(num), -1), axis=1)
+    _, wr, wi, w2r, w2i = _unit_circle(resolution)
+    g = (y * y) * np.conj(q - 1.0)
+    a, b, u, v = (q - 2.0) * x, (q - 1.0) * (x * x), g * x, g * (q - 2.0) * (x * x)
+    cols = np.array([x, y, u.real, u.imag, v.real, v.imag, a.real, a.imag, b.real, b.imag])
+    den = np.abs(1.0 - np.square(np.abs(q - 1.0) * x * y))
 
-    def pmag(u, v):
-        return np.abs(_t_parallel(x * np.exp(1j * u), y * np.exp(1j * v), q))
+    def scan(s):
+        xs, ys, ur, ui, vr, vi, ar, ai, br, bi = cols[:, s, None]
+        re, im = (xs - ur) * wr - ui * wi - vr, (xs + ur) * wi - ui * wr - vi
+        out = np.sqrt(re * re + im * im)                # |C|, C = x w - u conj(w) - v
+        re = 1.0 + ar * wr - ai * wi - br * w2r + bi * w2i
+        im = ar * wi + ai * wr - br * w2i - bi * w2r
+        return out + ys * np.sqrt(re * re + im * im)    # + y|R|, R = 1 + a w - b w^2
 
-    w = 2.0 * np.pi / coarse
-    t1, t2 = phi[flat // coarse], phi[flat % coarse]
-    for _ in range(3):
-        t1 = _golden_argmax(lambda u: pmag(u, t2), t1 - w, t1 + w)[0]
-        t2 = _golden_argmax(lambda v: pmag(t1, v), t2 - w, t2 + w)[0]
-        w = w / 8.0
-    return pmag(t1, t2)
+    def value(th):
+        w = np.exp(1j * th)
+        return (np.abs(x * w - u * np.conj(w) - v) + y * np.abs(1.0 + a * w - b * w * w)) / den
+
+    return _circle_maxima(scan, value, len(x), resolution)
 
 
-def _parallel_maxima(x: np.ndarray, y: np.ndarray, q: np.ndarray,
-                     resolution: int) -> np.ndarray:
+def _parallel_maxima(x: np.ndarray, y: np.ndarray, q: np.ndarray, resolution: int) -> np.ndarray:
     """exact_parallel_max elementwise over arrays of pairs, all in lockstep."""
     out = np.empty(len(x))
     diag = x == y
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if diag.any():
-            out[diag] = _diagonal_maxima(x[diag], q[diag], resolution)
+            out[diag] = _diagonal_maxima(x[diag], q[diag], resolution)[1]
         if not diag.all():
-            out[~diag] = _torus_maxima(x[~diag], y[~diag], q[~diag], resolution)
+            out[~diag] = _offdiagonal_maxima(x[~diag], y[~diag], q[~diag], resolution)[1]
     return out
 
 
@@ -585,11 +588,11 @@ def exact_parallel_max(x: float, y: float, q: complex,
                        resolution: int = 4096) -> float:
     """True maximum of |t || t'| over |t| = x, |t'| = y.
 
-    The combination is a ratio of multiaffine symmetric forms, so for equal
-    radii the polydisc maximum coincides with the diagonal and a boundary
-    circle scan plus golden-section refinement suffices; unequal radii get
-    a torus scan with alternating refinement.  One pair of the lockstep
-    kernel that boundary_rho runs on every angle at once.
+    For fixed t the inner maximum over t' has a closed form (t' -> t || t'
+    is Moebius), so one circle scan of t plus golden-section refinement
+    suffices; equal radii scan the cheaper diagonal, where the polydisc
+    maximum of the symmetric multiaffine form lies.  One pair of the
+    lockstep kernel that boundary_rho runs on every angle at once.
     """
     if x < 0 or y < 0:
         raise GraphError("radii must be nonnegative")
@@ -822,9 +825,6 @@ def transmissivity_circle_max(r: int, n: int, radius: float = 2.0,
     coefficients are real, so the two half-circles mirror each other.
     Scans the half-circle and refines by golden section.
     """
-    from .leaftree import t_eff_at
-    from .weights import is_finite
-
     def val(theta: float) -> float:
         q = 1.0 + radius * cmath.exp(1j * theta)
         t = t_eff_at(q, r, n)

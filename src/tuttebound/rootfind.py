@@ -131,7 +131,7 @@ def _horner_ratio(coeffs, z: np.ndarray) -> np.ndarray:
 
 def aberth_sweeps(ratio: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
                   step_tol=1e-14) -> tuple[np.ndarray, bool]:
-    """Aberth from the start points z: complex128, or mpc under mp.workdps.
+    """Aberth from the complex128 start points z, as every caller passes them.
 
     ratio(z) returns the Newton ratios p(z)/p'(z) at an array of points; any
     evaluator of p will do.  Stops with the flag True when every correction

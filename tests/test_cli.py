@@ -403,6 +403,12 @@ BOUNDARY_CSV_DIGESTS = {
         "1cea170072ba49a9541cd3d38c314e9d43ece08009dc84fc4a2048f95706446b",
     ("--lambda", "4", "--theta-steps", "4", "--resolution", "256", "--tol", "1e-4"):
         "51c3f3e9e4f1505cd02c278952b3072c5b903243de37c8cc9c127d61095ed44f",
+    # Recorded before unequal radii moved from the torus scan to the closed
+    # form: every lambda >= 4 rho_max keeps its bits.
+    ("--lambda", "4", "--theta-steps", "8", "--resolution", "4096", "--tol", "1e-6"):
+        "a99e2baacb19f7f7593ff9c3b4734f4b888f8bcd1c81a57a893d6f89e44712c8",
+    ("--lambda", "5", "--theta-steps", "4", "--resolution", "4096", "--tol", "1e-6"):
+        "6ef3abb15755ac7ab452456c44daaa5e98f0d23df070ea5db73f2142116b0146",
 }
 
 

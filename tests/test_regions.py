@@ -282,7 +282,7 @@ def test_exact_parallel_max_below_naive_bound():
 
 def test_exact_parallel_max_diagonal_consistency():
     # The polydisc maximum coincides with the diagonal, so the dedicated
-    # diagonal path must agree with the generic torus scan.
+    # diagonal scan must agree with the closed form for unequal radii.
     rng = random.Random(9)
     count = 0
     while count < 8:
@@ -292,8 +292,61 @@ def test_exact_parallel_max_diagonal_consistency():
         x = rng.uniform(0.05, 0.9) / abs(q - 1)
         diag = exact_parallel_max(x, x, q, 2048)
         torus = exact_parallel_max(x, x * (1 + 1e-13), q, 2048)
-        assert abs(diag - torus) < 1e-5
+        assert abs(diag - torus) < 1e-12
         count += 1
+
+
+def _unequal_pairs(count=160):
+    """Seeded (x, y, q) with x != y and |1 - |q-1|^2 x^2 y^2| >= 0.1, some
+    with the pole of t' -> t || t' inside the disc |t'| < y."""
+    rng = np.random.default_rng(20)
+    pairs = []
+    while len(pairs) < count:
+        x, y = rng.uniform(0.05, 0.95, 2)
+        q = 1.0 + rng.uniform(0.3, 4.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        if abs(1.0 - (abs(q - 1) * x * y) ** 2) >= 0.1:
+            pairs.append((x, y, q))
+    return pairs
+
+
+def _grid_max(x, y, q):
+    """Largest |t || t'| on a 256 x 256 torus grid, refined by nested local grids."""
+    u = v = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+    h = 2.0 * np.pi / 256
+    for _ in range(7):
+        vals = np.abs(_t_parallel(x * np.exp(1j * u)[:, None], y * np.exp(1j * v)[None, :], q))
+        i, j = np.unravel_index(np.argmax(vals), vals.shape)
+        best = vals[i, j]
+        u, v = u[i] + np.linspace(-2 * h, 2 * h, 41), v[j] + np.linspace(-2 * h, 2 * h, 41)
+        h /= 10.0
+    return best
+
+
+def test_exact_parallel_max_unequal_radii_reaches_the_grid_maximum():
+    # A maximum that falls below attained values would shrink the radii
+    # boundary_rho grows from it, the unsound direction.
+    pairs = _unequal_pairs()
+    assert sum(abs(q - 1) * x * y > 1 for x, y, q in pairs) >= 15
+    for x, y, q in pairs:
+        grid = _grid_max(x, y, q)
+        assert exact_parallel_max(x, y, q) >= grid * (1 - 1e-14), (x, y, q)
+
+
+def test_unequal_radii_maximum_is_attained_on_the_torus():
+    # The closed form is no overestimate: at the scan's angle of t, the
+    # farthest point of the image circle pulls back through the inverse
+    # Moebius map to a t' on |t'| = y where |t || t'| takes that value.
+    x, y, q = (np.array(col) for col in zip(*_unequal_pairs()))
+    theta, value = regions._offdiagonal_maxima(x, y, q, 4096)
+    t = x * np.exp(1j * theta)
+    den = 1.0 - (np.abs(q - 1) * x * y) ** 2
+    centre = (t - y * y * np.conj(q - 1) * (np.conj(t) + (q - 2) * x * x)) / den
+    far = centre * (1.0 + y * np.abs(1 + (q - 2) * t - (q - 1) * t * t) / np.abs(den * centre))
+    tp = (far - t) / (1 + (q - 2) * t - (q - 1) * t * far)
+    assert np.all(np.abs(np.abs(tp) - y) <= 1e-12 * y)
+    attained = np.abs(_t_parallel(t, tp * (y / np.abs(tp)), q))
+    assert np.all(np.abs(attained - value) <= 1e-12 * value)
+    assert np.array_equal(value, [exact_parallel_max(*p) for p in zip(x, y, q)])
 
 
 def test_boundary_rho_at_least_uniform_threshold():
