@@ -183,11 +183,12 @@ def cmd_region_certify(args):
 
 def cmd_region_grid(args):
     fam = grid_closure(parse_complex(args.q), args.lam, args.resolution)
+    h = 2.0 / fam.resolution
     rows = []
-    for k in range(1, fam.lam):
-        for ix, iy in fam.cells(k):
-            c = fam.center(ix, iy)
-            rows.append([k, c.real, c.imag])
+    for k in range(1, fam.lam):       # the cells in row-major order, at GridFamily.center
+        iy, ix = fam.levels[k - 1].nonzero()
+        re, im = (-1.0 + (ix + 0.5) * h).tolist(), (-1.0 + (iy + 0.5) * h).tolist()
+        rows += ([k, x, y] for x, y in zip(re, im))
     summary = {"escaped": fam.escaped, "converged": fam.converged,
                "sweeps": fam.sweeps, "reason": fam.reason}
     print(json.dumps(summary), file=sys.stderr)
@@ -202,6 +203,8 @@ def cmd_region_boundary(args):
 
 
 def cmd_region_rho_table(args):
+    if args.lambda_max < 2:
+        raise GraphError("lambda-max must be >= 2")
     rows = []
     for lam in range(2, args.lambda_max + 1):
         rs = sp_rho_threshold(lam)
@@ -266,7 +269,7 @@ def cmd_leaftree_scan(args):
         "offsets_nondecreasing": report.offsets_nondecreasing,
         "total_violations": report.total_violations,
     }
-    return payload, True
+    return payload, report.converged
 
 
 def cmd_roots_solve(args):

@@ -24,16 +24,17 @@ Each route is one loop over one of the tree's two programs
 BiPoly) equal shapes have equal values, so the loop runs the shape program:
 one step per shape, at its first node.  Per-edge weights (a Mapping or a
 WeightAssignment) run the node program, one step per node.  per_node is
-then built once from the step values, in post-order; values of nodes with
-equal shapes may be the same object.  The effective-weight route still
-multiplies its prefactor node by node in post-order, so both programs give
-the same bits.
+built from the step values on its first read, in post-order; values of
+nodes with equal shapes may be the same object.  The effective-weight route
+still multiplies its prefactor node by node in post-order, so both
+programs give the same bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .graphs import GraphError, Multigraph, TwoTerminalGraph, blocks
@@ -56,9 +57,12 @@ def _weights_plan(tree: DecompTree, weights, q):
     return (lambda i: v), True
 
 
-def _per_node(tree: DecompTree, values: list, slots, count: int) -> dict:
-    """The first count nodes of the post-order, each with its step's value."""
-    return dict(zip(tree.order[:count], map(values.__getitem__, slots[:count])))
+def _per_node(tree: DecompTree, values: list, slots, count: int, failed: bool) -> dict:
+    """The first count nodes of the post-order with their steps' values; a failed next one, UNDEF."""
+    per_node = dict(zip(tree.order[:count], map(values.__getitem__, slots[:count])))
+    if failed:
+        per_node[tree.order[count]] = UNDEF
+    return per_node
 
 
 @dataclass
@@ -67,7 +71,8 @@ class TreePairs:
     a: object
     b: object
     z: object
-    per_node: dict[DecompNode, tuple]
+    _steps: tuple = field(repr=False, compare=False)    # _per_node's arguments
+    per_node = cached_property(lambda self: _per_node(*self._steps))    # on first read
 
 
 def _leaf_pair(tree: DecompTree, node: DecompNode, q, wfn) -> tuple:
@@ -114,7 +119,7 @@ def tree_ab(tree: DecompTree, q, weights=None) -> TreePairs:
         else:
             values.append((cross + q * a1 * a2, b1 * b2))
     a, b = values[-1]
-    return TreePairs(a, b, q * q * a + q * b, _per_node(tree, values, slots, len(order)))
+    return TreePairs(a, b, q * q * a + q * b, (tree, values, slots, len(order), False))
 
 
 @dataclass
@@ -124,7 +129,8 @@ class TreeEffective:
     prefactor: object                 # product of series prefactors and leaf A values
     z: object                         # value, or UNDEF when the route failed
     defined: bool
-    per_node: dict[DecompNode, object]
+    _steps: tuple = field(repr=False, compare=False)    # _per_node's arguments
+    per_node = cached_property(lambda self: _per_node(*self._steps))    # on first read
 
 
 def _prefactor_is_zero(pref, q) -> bool:
@@ -153,17 +159,17 @@ def tree_veff(tree: DecompTree, q, weights=None) -> TreeEffective:
     values: list = []
     factors: list = []                # per step: its factor of the prefactor, or None
 
-    def result(count: int, defined: bool) -> TreeEffective:
-        """The route's outcome after the first count nodes of the post-order."""
+    def result(count: int, defined: bool, failed: bool = False) -> TreeEffective:
+        """The outcome after the first count nodes of the post-order, or failing at the next."""
         prefactor = 1
         for step in slots[:count]:    # node by node, in post-order
             if (factor := factors[step]) is not None:
                 prefactor = prefactor * factor
-        per_node = _per_node(tree, values, slots, count)
+        steps = (tree, values, slots, count, failed)
         if not defined:
-            return TreeEffective(UNDEF, prefactor, UNDEF, False, per_node)
+            return TreeEffective(UNDEF, prefactor, UNDEF, False, steps)
         return TreeEffective(values[-1], prefactor, q * (q + values[-1]) * prefactor,
-                             True, per_node)
+                             True, steps)
 
     for k, pair in zip(at, kids):
         factor = None
@@ -184,9 +190,7 @@ def tree_veff(tree: DecompTree, q, weights=None) -> TreeEffective:
             else:                     # a zero prefactor, or none (an infinite operand)
                 v = UNDEF
             if v is UNDEF:
-                out = result(k, False)
-                out.per_node[order[k]] = UNDEF
-                return out
+                return result(k, False, failed=True)
         values.append(v)
         factors.append(factor)
     return result(len(order), is_finite(values[-1]))

@@ -281,6 +281,8 @@ def multiplier_loci(r: int, kind: str, samples: int = 720) -> LocusCurve:
     """
     if kind not in LOCUS_KINDS:
         raise GraphError(f"unknown locus kind {kind!r}")
+    if samples < 1:
+        raise GraphError("samples must be >= 1")
     curve = LocusCurve(kind, r)
     if kind == FIXED_POINT_CIRCLE:
         for k in range(samples):
@@ -336,6 +338,7 @@ class ScanReport:
     rows: list[ScanRow]
     offsets_nondecreasing: bool    # informational, not a guarantee
     total_violations: int
+    converged: bool                # every depth's roots converged
 
 
 def conjecture_scan(r: int, n_max: int, tol: float = 1e-8) -> ScanReport:
@@ -349,8 +352,10 @@ def conjecture_scan(r: int, n_max: int, tol: float = 1e-8) -> ScanReport:
     if not (1 <= n_max <= 8):
         raise GraphError("scan supports 1 <= n_max <= 8")
     rows: list[ScanRow] = []
+    converged = True
     for n in range(1, n_max + 1):
         rs = tree_chromatic_roots(r, n, tol=tol)
+        converged = converged and rs.converged
         poly_degree = rs.degree
         offsets = [abs(z - 1) for z in rs.roots]
         rows.append(ScanRow(
@@ -362,4 +367,4 @@ def conjecture_scan(r: int, n_max: int, tol: float = 1e-8) -> ScanReport:
         ))
     nondec = all(rows[i].max_offset <= rows[i + 1].max_offset + 1e-12
                  for i in range(len(rows) - 1))
-    return ScanReport(r, rows, nondec, sum(row.violations for row in rows))
+    return ScanReport(r, rows, nondec, sum(row.violations for row in rows), converged)

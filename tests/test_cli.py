@@ -331,6 +331,29 @@ def test_leaftree_commands(tmp_path, monkeypatch, capsys):
     assert payload["total_violations"] == 0
 
 
+def test_leaftree_scan_exits_three_when_roots_do_not_converge(tmp_path, monkeypatch):
+    out = tmp_path / "scan.json"
+    assert run(tmp_path, monkeypatch, "leaftree", "scan", "--n-max", "3", "--tol", "-1",
+               "--out", str(out)) == 3
+    payload = json.loads(out.read_text())     # written on exit 3, with no new field
+    assert sorted(payload) == ["offsets_nondecreasing", "r", "rows", "total_violations"]
+    assert (tmp_path / "scan.json.manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("region", "rho-table", "--lambda-max", "1"), "lambda-max must be >= 2"),
+    (("region", "rho-table", "--lambda-max", "-4"), "lambda-max must be >= 2"),
+    (("leaftree", "loci", "--kind", "cardioid", "--samples", "0"), "samples must be >= 1"),
+    (("leaftree", "loci", "--kind", "cardioid", "--samples", "-2"), "samples must be >= 1"),
+])
+def test_empty_tables_exit_two(tmp_path, monkeypatch, capsys, argv, message):
+    assert run(tmp_path, monkeypatch, *argv, "--out", str(tmp_path / "table.csv")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []       # neither the CSV nor a manifest
+
+
 def test_roots_solve(tmp_path, monkeypatch, capsys):
     assert run(tmp_path, monkeypatch, "roots", "solve", "--coeffs", "0,-1,1") == 0
     rows = capsys.readouterr().out.splitlines()

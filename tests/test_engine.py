@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import random_sp_ast, random_small_fraction
+from tuttebound import engine
 from tuttebound.engine import chromatic_poly, tree_ab, tree_veff
 from tuttebound.graphs import (GraphError, Multigraph, TwoTerminalGraph, banana,
                                cycle_graph, disjoint_union, glue_at_vertex)
@@ -18,7 +19,7 @@ from tuttebound.oracles import tutte_brute
 from tuttebound.poly import BigPoly, Jet
 from tuttebound.sp import (SPLeaf, SPOp, decompose_sp, gen_wheatstone, leaf_joined_tree_ast,
                            parse_sp, realize)
-from tuttebound.weights import INF, UNDEF, WeightAssignment
+from tuttebound.weights import INF, UNDEF, WeightAssignment, parallel
 
 Q = BigPoly.variable()
 
@@ -313,6 +314,44 @@ def test_scalar_weights_share_values_per_shape():
         shared = route(tree, 1.5 + 0.5j, -1).per_node
         assert len(shared) == 507 and len({id(v) for v in shared.values()}) == 14
         assert len({id(v) for v in route(tree, 1.5 + 0.5j, per_edge).per_node.values()}) == 507
+
+
+def _counted_per_node(monkeypatch) -> list:
+    builds = []
+    build = engine._per_node
+    monkeypatch.setattr(engine, "_per_node", lambda *args: builds.append(args) or build(*args))
+    return builds
+
+
+def test_per_node_is_built_on_first_read_only(monkeypatch):
+    builds = _counted_per_node(monkeypatch)
+    _, tree = realize(leaf_joined_tree_ast(2, 7))
+    for route in (tree_ab, tree_veff):
+        out = route(tree, 1.5 + 0.5j, -1)
+        assert builds == []
+        first = out.per_node
+        assert out.per_node is first and len(builds) == 1
+        assert list(first) == list(tree.order)
+        builds.clear()
+
+
+def test_undefined_route_builds_its_partial_per_node_on_read(monkeypatch):
+    # S(e,P(e,e)) in post-order: e0, e1, e2, the p-node, the root.
+    builds = _counted_per_node(monkeypatch)
+    _, tree = parse_sp("S(e,P(e,e))")
+    q = 2.5
+    # The root's prefactor q + v0 + v_p vanishes: the root is mapped to UNDEF.
+    eff = tree_veff(tree, q, {0: -q, 1: -0.5, 2: 1})
+    assert not eff.defined and builds == []
+    assert list(eff.per_node) == list(tree.order)
+    assert (repr(list(eff.per_node.values()))
+            == repr([-q, -0.5, 1.0, parallel(-0.5, 1, "V", q), UNDEF]))
+    # An undefined operand stops the route before the root: the root has no entry.
+    eff = tree_veff(tree, q, {0: UNDEF, 1: -0.5, 2: 1})
+    assert not eff.defined and len(builds) == 1
+    assert list(eff.per_node) == list(tree.order[:4])
+    assert (repr(list(eff.per_node.values()))
+            == repr([UNDEF, -0.5, 1.0, parallel(-0.5, 1, "V", q)]))
 
 
 def _brute_force_leaf():

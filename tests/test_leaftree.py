@@ -276,6 +276,11 @@ def test_scan_small():
     assert report.offsets_nondecreasing
 
 
+def test_scan_reports_unconverged_roots():
+    assert conjecture_scan(2, 3).converged
+    assert not conjecture_scan(2, 3, tol=-1).converged
+
+
 def test_scan_validation():
     with pytest.raises(GraphError):
         conjecture_scan(3, 4)
