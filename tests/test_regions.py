@@ -561,13 +561,34 @@ def test_grid_closure_matches_all_pairs_oracle(res, lam, offsets):
     while matched < 12:
         q = 1 + rng.uniform(*offsets) * cmath.exp(1j * rng.uniform(0.0, math.pi))
         want = _closure_oracle(q, lam, res)
-        if want is None:
-            continue
         fam = grid_closure(q, lam, res)
+        if want is None:
+            assert fam.escaped, q
+            continue
         assert not fam.escaped and fam.converged, q
         for got, level in zip(fam.levels, want):
             assert np.array_equal(got, level), q
         matched += 1
+
+
+@pytest.mark.parametrize("q, lam, n1", [(1 + 2.2 * cmath.exp(1j * math.pi / 6), 3, 414),
+                                         (1 + 3.4 * cmath.exp(1j * math.pi / 5), 4, 131)])
+def test_grid_closure_evaluates_each_symmetric_pair_once(monkeypatch, q, lam, n1):
+    # t || t' = t' || t, so the (1, 1) rule needs each unordered pair of
+    # level-1 cells once: at least N1 (N1 + 1) / 2 values, not N1^2.  The
+    # rule (1, 2) at lam = 4 pairs two levels and keeps all N1 N2 pairs.
+    sizes = []
+
+    def counted(a, b, q):
+        sizes.append(np.broadcast(a, b).size)
+        return _t_parallel(a, b, q)
+
+    monkeypatch.setattr(regions, "_t_parallel", counted)
+    fam = grid_closure(q, lam, 128)
+    assert not fam.escaped and fam.converged
+    assert int(fam.levels[0].sum()) == n1
+    two_levels = n1 * int(fam.levels[1].sum()) if lam == 4 else 0
+    assert n1 * (n1 + 1) // 2 <= sum(sizes) - two_levels <= 0.6 * n1 * n1
 
 
 def test_certified_points_are_zero_free_in_practice():
