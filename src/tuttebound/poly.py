@@ -172,10 +172,35 @@ class BigPoly:
         return BigPoly(quot), BigPoly(rem)
 
     def exact_div(self, other: "BigPoly") -> "BigPoly":
-        quot, rem = self.divmod(other)
-        if rem:
+        """The quotient of a division known to leave no remainder.
+
+        Long division in the coefficients' own arithmetic: a quotient
+        coefficient is divmod(x, lead), and becomes a Fraction only when
+        that step leaves a remainder.  By Gauss's lemma a primitive integer
+        divisor of an integer polynomial leaves integer quotients, so Yun's
+        divisions never build a Fraction.
+        """
+        other = _coerce(other)
+        if not other:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        den = other.coeffs
+        m = len(den) - 1
+        lead = den[-1]
+        quot = [0] * max(0, len(rem) - m)
+        for k in range(len(quot) - 1, -1, -1):
+            x = rem[k + m]
+            if not x:
+                continue
+            c, r = divmod(x, lead)
+            if r:
+                c = Fraction(x) / lead
+            quot[k] = c
+            for j in range(m):
+                rem[k + j] -= c * den[j]
+        if any(rem[:m]):
             raise ValueError("division is not exact")
-        return BigPoly(tuple(_normalize_fraction(c) for c in quot.coeffs))
+        return BigPoly(quot)
 
     def content(self):
         g = 0

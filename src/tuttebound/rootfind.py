@@ -18,10 +18,13 @@ here, are brutally ill-conditioned in the monomial basis: near the root
 region the value is smaller than the coefficient scale sum |a_k||z|^k by a
 factor exponential in the degree, so double-precision Horner cannot even
 decide whether a point is near a root.  The solver therefore runs the
-cheap double sweeps first; when they stop unconverged, the same loop
+cheap double sweeps first, on coefficients rounded to doubles once from
+their exact integers; when they stop unconverged, the same loop
 continues from their points on exact values of g/g', each rounded to a
 double once, so the sweeps lose nothing to cancellation and need no
-working precision.
+working precision.  A linear factor needs no sweep: it starts at its root
+-a0/a1, each part rounded once from the integers.  No step before
+Newton's uses mpmath.
 
 Exact integer input is reduced before any numerics.  Roots at q = 0 and
 q = 1 are deflated exactly (coloring polynomials of graphs with an edge
@@ -321,13 +324,29 @@ def newton_residuals(coeffs, roots, dps: int, tol: float
 
 
 def _scaled_float_coeffs(coeffs: Sequence) -> np.ndarray:
-    """Exact/mp coefficients -> complex128, scaled so the largest is ~1."""
-    with mp.workdps(30):
-        mags = [abs(mp.mpc(c)) for c in coeffs]
-        top = max(mags)
-        shift = mp.power(2, int(mp.log(top, 2))) if top > 0 else mp.mpf(1)
-        return np.array([complex(mp.mpc(c) / shift) for c in coeffs],
-                        dtype=np.complex128)
+    """Exact/mp coefficients -> complex128, scaled so the largest is ~1.
+
+    Each part is its _gaussian integer over a power of two taken from the
+    integers' bit lengths, so the division rounds it to a double once.  The
+    formula this replaced rounded each part to 103 bits first, so it can
+    give other bits for a coefficient with more than 103 significant bits,
+    or for a scaled value in the subnormal range; otherwise the two agree
+    after normalising by the largest modulus.
+    """
+    re, im = _gaussian(coeffs)
+    scale = 1 << max(abs(m).bit_length() for m in re + im)
+    return np.array([complex(x / scale, y / scale) for x, y in zip(re, im)],
+                    dtype=np.complex128)
+
+
+def _linear_root(coeffs) -> complex:
+    """-a0/a1 for a0 + a1 q, each part rounded once from the _gaussian integers."""
+    (r0, r1), (i0, i1) = _gaussian(coeffs)
+    den = r1 * r1 + i1 * i1
+    try:
+        return complex(-(r0 * r1 + i0 * i1) / den, (r0 * i1 - i0 * r1) / den)
+    except OverflowError:
+        raise RootFindingError("root overflows double precision") from None
 
 
 def _auto_dps(degree: int) -> int:
@@ -341,9 +360,11 @@ def solve_complex_coeffs(coeffs, tol: float = 1e-10,
                          starts: Sequence[complex] | None = None) -> RootSet:
     """All roots of a polynomial given by exact (int/mpc) ascending coeffs.
 
-    Double-precision Horner sweeps first (skipped when starting points are
-    supplied); when they stop unconverged, the same Aberth loop continues
-    from their points on exact values (_exact_ratio).  Newton then verifies
+    Double-precision Horner sweeps first, skipped when starting points are
+    supplied and for a linear polynomial, which starts at its root rounded
+    once from the exact coefficients (_linear_root).  When the sweeps stop
+    unconverged, the same Aberth loop continues from their points on exact
+    values (_exact_ratio).  Newton then verifies
     every point at _auto_dps(degree) digits.  Roots within tol*(1+|z|) of
     each other are taken for two approximations of one root and nudged
     apart.  A clash or a residual above tol reruns the exact sweeps and
@@ -352,11 +373,13 @@ def solve_complex_coeffs(coeffs, tol: float = 1e-10,
     claimed: every root is reported with multiplicity 1.
     """
     cs = list(coeffs)
-    while cs and mp.mpc(cs[-1]) == 0:
+    while cs and cs[-1] == 0:
         cs.pop()
     if len(cs) < 2:
         raise RootFindingError("need degree >= 1")
     dps = _auto_dps(len(cs) - 1)
+    if starts is None and len(cs) == 2:
+        starts = [_linear_root(cs)]
 
     def exact_sweeps(points):
         exact = _gaussian(cs)

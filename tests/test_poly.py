@@ -58,6 +58,47 @@ def test_divmod_and_exact_division():
         p.exact_div(Q - 5)
 
 
+def _random_poly(rng, degree, coeff):
+    return BigPoly([coeff() for _ in range(degree)] + [coeff() or 1])
+
+
+@pytest.mark.parametrize("kind", ["primitive", "non-primitive", "fraction"])
+def test_exact_division_agrees_with_divmod(kind):
+    # exact_div is integer long division; its quotients equal divmod's over
+    # the rationals, ints where integral and normalised Fractions otherwise.
+    rng = random.Random(kind)
+    ints = lambda: rng.randint(-30, 30)  # noqa: E731
+    fracs = lambda: Fraction(rng.randint(-30, 30), rng.randint(1, 12))  # noqa: E731
+    types = set()
+    for _ in range(60):
+        coeff = fracs if kind == "fraction" else ints
+        b = _random_poly(rng, rng.randint(0, 4), coeff)
+        if kind != "fraction":
+            b = b.primitive()
+        p = b * _random_poly(rng, rng.randint(0, 5), coeff)
+        if kind == "non-primitive":
+            b = b * rng.randint(2, 9)
+        got = p.exact_div(b)
+        quot, rem = p.divmod(b)
+        assert not rem and got == quot
+        for c in got.coeffs:
+            assert type(c) is (Fraction if Fraction(c).denominator > 1 else int), c
+            types.add(type(c))
+    assert types == ({int} if kind == "primitive" else {int, Fraction})
+
+
+def test_exact_division_rejects_a_remainder():
+    rng = random.Random(3)
+    for _ in range(40):
+        b = _random_poly(rng, rng.randint(1, 4), lambda: rng.randint(-9, 9))
+        p = b * _random_poly(rng, rng.randint(0, 4), lambda: rng.randint(-9, 9))
+        extra = _random_poly(rng, rng.randint(0, b.degree - 1), lambda: rng.randint(-9, 9))
+        with pytest.raises(ValueError, match="division is not exact"):
+            (p + extra).exact_div(b)
+    with pytest.raises(ValueError, match="division is not exact"):
+        (Q + 1).exact_div(Q * Q)
+
+
 def test_divmod_remainder():
     _, rem = ((Q - 2) * (Q - 2)).divmod(Q - 1)
     assert rem.coeffs == (1,)

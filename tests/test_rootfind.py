@@ -268,6 +268,62 @@ def test_unconverged_double_sweeps_are_followed_by_exact_sweeps(monkeypatch):
     assert events[0] == ("sweeps", False) and events[1] == "exact"
 
 
+def test_linear_factor_starts_at_its_exact_root(monkeypatch):
+    # A degree-1 factor starts at -a0/a1, each part rounded once from the
+    # integers, and runs no Aberth sweep; Newton still verifies it exactly.
+    calls = _count_sweeps(monkeypatch)
+    rs = find_roots(BigPoly([-25, 7]))
+    assert calls == []
+    assert rs.roots == [complex(25 / 7)] and rs.converged
+    x = Fraction(rs.roots[0].real)
+    assert rs.residuals == [float(abs(x - Fraction(25, 7)) / (1 + abs(x)))]
+
+
+def test_repeated_integer_root_has_zero_residual():
+    # -(q-7)^2 (5q+9): the factor q - 7 starts at 7 itself, where g vanishes.
+    rs = find_roots(-(Q - 7) ** 2 * (5 * Q + 9))
+    assert rs.roots == [complex(-9 / 5), 7 + 0j, 7 + 0j] and rs.converged
+    assert rs.multiplicities == [1, 2, 2]
+    assert rs.residuals[1:] == [0.0, 0.0]
+
+
+def test_linear_root_beyond_double_range_is_rejected():
+    with pytest.raises(RootFindingError):
+        find_roots(BigPoly([10 ** 400, 3]))
+
+
+def _mpmath_scaled(coeffs):
+    """The scaling that _scaled_float_coeffs replaced: 30-digit mpc values."""
+    with mp.workdps(30):
+        top = max(abs(mp.mpc(c)) for c in coeffs)
+        shift = mp.power(2, int(mp.log(top, 2))) if top > 0 else mp.mpf(1)
+        return np.array([complex(mp.mpc(c) / shift) for c in coeffs], dtype=np.complex128)
+
+
+@pytest.mark.parametrize("kind", ["int", "complex", "mpf"])
+def test_scaled_float_coeffs_match_the_mpmath_formula(kind):
+    # Coefficients of at most 103 bits whose scaled values stay normal: one
+    # rounding from the integers gives the old formula's bits exactly.
+    rng = random.Random(kind)
+
+    def coeff():
+        if kind == "int":
+            return rng.randint(-2 ** rng.randint(1, 100), 2 ** 100)
+        if kind == "complex":
+            return complex(rng.uniform(-1, 1) * 10 ** rng.randint(-20, 20),
+                           rng.uniform(-1, 1) * 10 ** rng.randint(-20, 20))
+        with mp.workdps(30):
+            return mp.mpf(rng.uniform(-1, 1)) ** 3 * mp.mpf(10) ** rng.randint(-20, 20)
+
+    for _ in range(50):
+        cs = [coeff() for _ in range(rng.randint(1, 12))] + [coeff() or 1]
+        got, want = rootfind._scaled_float_coeffs(cs), _mpmath_scaled(cs)
+        got, want = got / np.max(np.abs(got)), want / np.max(np.abs(want))
+        assert got.tobytes() == want.tobytes(), cs
+    with pytest.raises(RootFindingError):
+        rootfind._scaled_float_coeffs([Fraction(1, 3), 1])
+
+
 @pytest.mark.parametrize("arithmetic", [complex, mp.mpc])
 def test_equal_start_points_stay_finite(arithmetic):
     # Coincident points add no repulsion to each other, so two equal starts
