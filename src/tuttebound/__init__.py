@@ -15,8 +15,8 @@ from .sp import (DecompNode, DecompTree, ParseError, check_proper_flow_bound,
 from .engine import TreeEffective, TreePairs, chromatic_poly, tree_ab, tree_veff
 from .rootfind import RootSet, find_roots, solve_complex_coeffs
 from .leaftree import (LeafTreeState, LocusCurve, ScanReport, chromatic_leaf_tree,
-                       conjecture_scan, iterate_effective_y, leaf_tree_ab,
-                       multiplier_loci, t_eff_at, t_eff_exact, tree_chromatic_roots)
+                       conjecture_scan, leaf_tree_ab, multiplier_loci, t_eff_at,
+                       t_eff_exact, tree_chromatic_roots)
 from .regions import (CertifyResult, CycleCounterexample, GridFamily,
                       PointDiscFamily, RadiiBlowup, StalkDiscFamily, boundary_rho,
                       certify, cycle_counterexample, disc_radii, exact_parallel_max,

@@ -249,9 +249,8 @@ def cmd_leaftree_teff(args):
     }
     if args.q:
         q = parse_complex(args.q)
-        t = t_eff_at(q, args.r, args.n)
-        payload["at_q"] = ({"re": complex(t).real, "im": complex(t).imag}
-                           if is_finite(t) else str(t))
+        t = complex(t_eff_at(q, args.r, args.n))
+        payload["at_q"] = {"re": t.real, "im": t.imag} if cmath.isfinite(t) else "INF"
     return payload, True
 
 

@@ -1,4 +1,4 @@
-"""Leaf-joined trees: exact pair state, root location, effective-weight iteration, loci.
+"""Leaf-joined trees: exact pair state, root location, transmissivity, loci.
 
 The tree of branching factor r and height n, with all leaves identified,
 satisfies the pair recursion
@@ -9,19 +9,18 @@ satisfies the pair recursion
 
 for a uniform edge weight w, with the partition function q^2 A_n + q B_n.
 Exact coefficients come from the engine's pair route on the realized tree
-(engine.tree_ab): BigPoly at w = -1, BiPoly for a symbolic w.  For root
-location, one private step runs the recursion on jets of doubles that carry
-each value with its q-derivative; it gives P/P' to the solver's own Aberth
-loop, started from a ring around q = 1 (rootfind.ring_starts).
+(engine.tree_ab): BigPoly at w = -1, BiPoly for a symbolic w.  One private
+step runs the recursion on jets of doubles that carry each value with its
+q-derivative, rescaled between levels.  It gives P/P' to the solver's own
+Aberth loop, started from a ring around q = 1 (rootfind.ring_starts), and
+the transmissivity t_n = B_n/(q A_n + B_n) at an array of points.
 
-The same growth is a one-dimensional iteration of the effective weight in
-the y = 1+v variable: y_0 = inf, y_{n+1} = ((q-1+y#*y)/(q-2+y#+y))^r, which
-in the proper-coloring case y# = 0 is y -> ((q-1)/(q-2+y))^r.  The
-partition function vanishes exactly when the iteration lands on 1-q.
-
-Marginality loci of that map (where a fixed point or short cycle has unit
-multiplier) are sampled here as q-plane curves for comparison against
-computed root sets.
+In the proper-coloring case the same growth is the one-dimensional map
+y -> ((q-1)/(q-2+y))^r of the effective weight y = 1 + v = 1 + B/A,
+started at y = inf, with t_n = (y_n - 1)/(q + y_n - 1).  Marginality
+loci of that map (where a fixed point or short cycle has unit multiplier)
+are sampled here as q-plane curves for comparison against computed root
+sets.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from .graphs import GraphError
 from .poly import BigPoly, BiPoly
 from .rootfind import RootSet, find_roots, ring_starts, solve_complex_coeffs
 from .sp import leaf_joined_tree_ast, realize
-from .weights import INF, UNDEF, is_finite
 
 EXACT_SIZE_LIMIT = 2 ** 16      # r**n cap for the exact recursion
 
@@ -82,51 +80,6 @@ def chromatic_leaf_tree(r: int, n: int) -> BigPoly:
 
 
 # ---------------------------------------------------------------------------
-# Effective-weight iteration
-# ---------------------------------------------------------------------------
-
-_OVERFLOW = 1e100
-
-
-def _pow_r(z: complex, r: int):
-    if abs(z) > _OVERFLOW ** (1.0 / r):
-        return INF
-    return z ** r
-
-
-def iterate_step(y, q: complex, r: int):
-    """One step of the effective-weight map in the y variable."""
-    if y is UNDEF:
-        return UNDEF
-    if y is INF:
-        return 0.0                    # (q - 1) / (q - 2 + y) -> 0
-    den = q - 2 + y
-    num = q - 1
-    if den == 0:
-        return UNDEF if num == 0 else INF
-    return _pow_r(num / den, r)
-
-
-def iterate_effective_y(q: complex, r: int, n: int):
-    """y_n starting from y_0 = inf; q in {0, 1} is rejected.
-
-    The partition value at depth n vanishes iff the result equals 1 - q.
-    """
-    if q == 0 or q == 1:
-        raise GraphError("iteration needs q outside {0, 1}")
-    y = INF
-    for _ in range(n):
-        y = iterate_step(y, q, r)
-    return y
-
-
-def is_partition_zero(q: complex, r: int, n: int, tol: float = 1e-6) -> bool:
-    """Zero test via the iteration: y_n == 1 - q within tol."""
-    y = iterate_effective_y(q, r, n)
-    return is_finite(y) and abs(y - (1 - q)) < tol
-
-
-# ---------------------------------------------------------------------------
 # Effective transmissivity
 # ---------------------------------------------------------------------------
 
@@ -148,39 +101,18 @@ def t_eff_exact(r: int, n: int) -> tuple[BigPoly, BigPoly]:
     return state.b, BigPoly.variable() * state.a + state.b
 
 
-def t_eff_at(q: complex, r: int, n: int):
-    """Numeric transmissivity via the iteration; t = (y-1)/(q+y-1)."""
-    y = iterate_effective_y(q, r, n)
-    if y is UNDEF:
-        return UNDEF
-    if y is INF:
-        return 1.0 + 0.0j
-    den = q + y - 1
-    if den == 0:
-        return INF
-    return (y - 1) / den
-
-
-def ratio_at(num: BigPoly, den: BigPoly, q) -> object:
-    """Evaluate an exact rational function, reporting 0/0 as undefined."""
-    dv = den(q)
-    nv = num(q)
-    if dv == 0:
-        return UNDEF if nv == 0 else INF
-    return nv / dv
-
-
 # ---------------------------------------------------------------------------
-# Root location via the recursion
+# Root location and transmissivity via the recursion
 # ---------------------------------------------------------------------------
 #
 # Expanded in the monomial basis these polynomials suffer cancellation
 # exponential in the degree, but the defining recursion evaluates them with
 # small relative error away from the roots.  Running the pair step on
 # jets (value and q-derivative) yields P/P' in plain doubles, good enough to
-# steer an Aberth iteration; the pair is rescaled between levels (the step
-# is homogeneous of degree r in (A, B), so P/P' is unchanged) to stay in
-# range.  Exact coefficients are used only for the final Newton verification.
+# steer an Aberth iteration, and the transmissivity B/(qA + B); the pair is
+# rescaled between levels (the step is homogeneous of degree r in (A, B),
+# so neither ratio changes) to stay in range.  Exact coefficients are used
+# only for the final Newton verification.
 # poly.Jet through engine.tree_ab gives the same roots but other residuals
 # (19 of the 32 rows of the (2,5) root CSV), and it keeps a binary exponent
 # per point instead of this per-level rescale, which makes each of its
@@ -220,8 +152,8 @@ def _pair_step(a, b, qw, one_w, r: int):
     return a_next, (y + one_w * b) ** r - a_next
 
 
-def _newton_ratio(q, r: int, n: int):
-    """P/P' of the depth-n proper-coloring polynomial at the points q (ndarray)."""
+def _scaled_pair(q, r: int, n: int):
+    """q and the depth-n pair (A_n, B_n), as jets at the points q, up to one scale per point."""
     q = np.asarray(q, dtype=np.complex128)
     one = _Jet(np.ones_like(q), np.zeros_like(q))
     qj = _Jet(q, np.ones_like(q))
@@ -231,9 +163,37 @@ def _newton_ratio(q, r: int, n: int):
         scale = np.maximum(np.abs(a.v), np.abs(b.v))
         scale = 1.0 / np.where(scale == 0, 1.0, scale)
         a, b = a * scale, b * scale
+    return qj, a, b
+
+
+def _newton_ratio(q, r: int, n: int):
+    """P/P' of the depth-n proper-coloring polynomial at the points q (ndarray)."""
+    qj, a, b = _scaled_pair(q, r, n)
     p = qj * (qj * a + b)
     with np.errstate(divide="ignore", invalid="ignore"):
         return p.v / p.d
+
+
+def t_eff_at(q, r: int, n: int):
+    """Transmissivity B_n / (q A_n + B_n) of the depth-n tree at q, in doubles.
+
+    q is a number or an array, and the result has its shape; a pole gives
+    a non-finite value.  q in {0, 1} is rejected, and so is a q whose step
+    overflows doubles: the scale is taken after each step, so that is any
+    |q - 1| beyond about 1e308^(1/r).
+    """
+    if r < 2 or n < 1:
+        raise GraphError("need r >= 2 and n >= 1")
+    q = np.asarray(q, dtype=np.complex128)
+    if np.any((q == 0) | (q == 1)):
+        raise GraphError("transmissivity needs q outside {0, 1}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        qj, a, b = _scaled_pair(q.ravel(), r, n)    # one path, so a number gets its array bits
+    if not (np.all(np.isfinite(a.v)) and np.all(np.isfinite(b.v))):
+        raise GraphError("|q| too large: the pair recursion overflows doubles")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = b.v / (qj.v * a.v + b.v)
+    return t.reshape(q.shape)[()]               # a number for a number
 
 
 def tree_chromatic_roots(r: int, n: int, tol: float = 1e-8) -> RootSet:

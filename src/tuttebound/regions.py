@@ -38,7 +38,6 @@ from .poly import BigPoly, Jet
 from .rootfind import (ring_starts, solve_complex_coeffs, _exact_horner, _exact_ratio,
                        _gaussian, _point)
 from .sp import gen_gadget_cycle, leaf_joined_tree_ast, realize
-from .weights import is_finite
 
 LOG2 = math.log(2.0)
 
@@ -887,20 +886,22 @@ def transmissivity_circle_max(r: int, n: int, radius: float = 2.0,
 
     Returns (value, theta/pi at the maximum with theta in [0, pi]); the
     coefficients are real, so the two half-circles mirror each other.
-    Scans the half-circle and refines by golden section.
+    Scans the half-circle at samples angles in one array call and refines
+    by golden section; a pole counts as an infinite value.
     """
-    def val(theta: float) -> float:
-        q = 1.0 + radius * cmath.exp(1j * theta)
-        t = t_eff_at(q, r, n)
-        return abs(t) if is_finite(t) else math.inf
+    if samples < 2:
+        raise GraphError("samples must be >= 2")
+
+    def val(theta):
+        t = t_eff_at(1.0 + radius * np.exp(1j * theta), r, n)
+        return np.where(np.isfinite(t), np.abs(t), math.inf)
 
     thetas = np.linspace(0.0, math.pi, samples)
-    vals = np.array([val(th) for th in thetas])
-    k = int(np.argmax(vals))
+    k = int(np.argmax(val(thetas)))
     w = math.pi / (samples - 1)
     lo, hi = max(0.0, thetas[k] - w), min(math.pi, thetas[k] + w)
     best_theta = float(_golden_argmax(val, lo, hi)[0])
-    return val(best_theta), best_theta / math.pi
+    return float(val(best_theta)), best_theta / math.pi
 
 
 # ---------------------------------------------------------------------------

@@ -331,6 +331,27 @@ def test_leaftree_commands(tmp_path, monkeypatch, capsys):
     assert payload["total_violations"] == 0
 
 
+@pytest.mark.parametrize("q, message", [
+    ("0", "transmissivity needs q outside {0, 1}"),
+    ("1", "transmissivity needs q outside {0, 1}"),
+    ("1e200", "|q| too large: the pair recursion overflows doubles"),
+])
+def test_leaftree_teff_rejects_q_it_cannot_evaluate(tmp_path, monkeypatch, capsys, q, message):
+    assert run(tmp_path, monkeypatch, "leaftree", "teff", "--n", "3", "--q", q,
+               "--out", str(tmp_path / "t.json")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_leaftree_teff_at_q_two_is_exact(tmp_path, monkeypatch, capsys):
+    # At q = 2 the pair runs through A = 0; t_3 = B/(2A + B) = -1/(2 - 1).
+    assert run(tmp_path, monkeypatch, "leaftree", "teff", "--r", "2", "--n", "3",
+               "--q", "2") == 0
+    assert json.loads(capsys.readouterr().out)["at_q"] == {"re": -1.0, "im": 0.0}
+
+
 def test_leaftree_scan_exits_three_when_roots_do_not_converge(tmp_path, monkeypatch):
     out = tmp_path / "scan.json"
     assert run(tmp_path, monkeypatch, "leaftree", "scan", "--n-max", "3", "--tol", "-1",

@@ -8,14 +8,11 @@ import pytest
 from tuttebound.engine import chromatic_poly, tree_ab
 from tuttebound.graphs import GraphError
 from tuttebound.leaftree import (_newton_ratio, cardioid_cusp, chromatic_leaf_tree,
-                                 conjecture_scan, iterate_effective_y,
-                                 iterate_step, is_partition_zero, leaf_tree_ab,
-                                 multiplier_loci, ratio_at, t_eff_at,
-                                 t_eff_exact, tree_chromatic_roots)
+                                 conjecture_scan, leaf_tree_ab, multiplier_loci,
+                                 t_eff_at, t_eff_exact, tree_chromatic_roots)
 from tuttebound.poly import BigPoly, BiPoly
 from tuttebound.rootfind import find_roots
 from tuttebound.sp import gen_leaf_joined_tree, leaf_joined_vertex_count
-from tuttebound.weights import INF, UNDEF, is_finite
 
 Q = BigPoly.variable()
 
@@ -96,73 +93,80 @@ def test_size_guard():
 
 def test_iteration_orbit():
     q = 3.7 + 0.4j
-    assert iterate_effective_y(q, 2, 1) == 0.0
-    y2 = iterate_effective_y(q, 2, 2)
-    assert abs(y2 - ((q - 1) / (q - 2)) ** 2) < 1e-14
-    # critical orbit: 2-q maps to infinity, then to 0
-    assert iterate_step(2 - q, q, 2) is INF
-    assert iterate_step(INF, q, 2) == 0.0
+    assert abs(t_eff_at(q, 2, 1) - 1 / (1 - q)) < 1e-15
+    y2 = ((q - 1) / (q - 2)) ** 2              # the effective weight y = 1 + B/A
+    assert abs(t_eff_at(q, 2, 2) - (y2 - 1) / (q + y2 - 1)) < 1e-14
+    # At q = 2 the orbit runs through A = 0 (y = inf) and back, exactly.
+    assert t_eff_at(2, 2, 2) == 1
+    assert t_eff_at(2, 2, 3) == -1
 
 
-def test_fixed_point_at_one():
-    for q in (3.0 + 1j, -2.0, 0.5 + 0.5j):
-        assert abs(iterate_step(1.0, q, 2) - 1.0) < 1e-14
+def test_t_eff_at_keeps_the_shape():
+    q = 1 + 2 * np.exp(1j * np.linspace(0.1, 3.0, 6)).reshape(2, 3)
+    t = t_eff_at(q, 2, 4)
+    assert t.shape == (2, 3)
+    for i in range(2):
+        for j in range(3):
+            assert abs(t[i, j] - t_eff_at(q[i, j], 2, 4)) <= 1e-14 * abs(t[i, j])
+    assert isinstance(t_eff_at(2.5, 2, 4), complex)
 
 
 def test_attraction_outside_radius_r_circle():
-    q = 1 + 3.0                      # |q-1| = 3 > r = 2: multiplier 2/3
-    y = iterate_effective_y(q, 2, 80)
-    assert abs(y - 1.0) < 1e-10
+    # |q-1| = 3 > r = 2: y -> 1 with multiplier 2/3, so t -> 0.
+    assert abs(t_eff_at(4.0, 2, 80)) < 1e-10
 
 
 def test_iteration_rejects_zero_and_one():
-    for q in (0, 1):
+    for q in (0, 1, np.array([2.5, 1.0])):
         with pytest.raises(GraphError):
-            iterate_effective_y(q, 2, 3)
+            t_eff_at(q, 2, 3)
+    # The step overflows doubles once |q - 1|^r does: refused, not a pole.
+    assert abs(t_eff_at(1e150, 2, 4)) < 1e-100
+    for q, r in ((1e200, 2), (1e20, 16)):
+        with pytest.raises(GraphError, match="overflows"):
+            t_eff_at(np.array([3.0, q]), r, 3)
+    for r, n in ((1, 3), (2, 0)):
+        with pytest.raises(GraphError):
+            t_eff_at(2.5, r, n)
 
 
 def test_exact_and_iterated_values_agree():
+    # The pair step in doubles against exact B/(qA + B) at 60 + 2 deg digits.
     rng = random.Random(61)
-    combos = [(r, n) for r in (2, 3) for n in range(1, 7)]
+    combos = ([(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 6)]
+              + [(4, n) for n in range(1, 5)])
     checked = 0
     for r, n in combos:
         st = leaf_tree_ab(r, n)
-        digits = max(60, 2 * st.a.degree)
-        for _ in range(5):
-            q = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            if abs(q) < 0.2 or abs(q - 1) < 0.2:
-                continue
-            y_iter = iterate_effective_y(q, r, n)
-            with mp.workdps(digits):
+        qs = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(5)]
+        qs = [q for q in qs if abs(q) >= 0.2 and abs(q - 1) >= 0.2]
+        got = t_eff_at(np.array(qs), r, n)
+        with mp.workdps(60 + 2 * st.a.degree):
+            for q, t in zip(qs, got):
                 zq = mp.mpc(q)
-                av = st.a(zq)
                 bv = st.b(zq)
-                if av == 0:
-                    assert y_iter is INF or abs(y_iter) > 1e12
-                    continue
-                y_exact = complex(1 + bv / av)
-            assert is_finite(y_iter)
-            assert abs(y_iter - y_exact) <= 1e-9 * (1 + abs(y_exact))
-            checked += 1
+                want = complex(bv / (zq * st.a(zq) + bv))
+                assert abs(t - want) <= 1e-12 * abs(want), (r, n, q)
+                checked += 1
     assert checked >= 45
 
 
 def test_zero_test_matches_roots():
+    # The roots of P other than 0 and 1 are the poles of t.
     for n in range(1, 7):
         rs = tree_chromatic_roots(2, n, tol=1e-10)
-        for z in rs.roots:
-            if z in (0, 1) or abs(z) < 1e-9 or abs(z - 1) < 1e-9:
-                continue
-            assert is_partition_zero(z, 2, n, tol=1e-6)
-    # points that are not roots fail the test
+        roots = np.array([z for z in rs.roots if abs(z) > 1e-9 and abs(z - 1) > 1e-9])
+        t = t_eff_at(roots, 2, n)
+        assert np.all(~np.isfinite(t) | (np.abs(t) > 1e6))
+    # points that are not roots are not poles
     rng = random.Random(3)
+    p = chromatic_leaf_tree(2, 4)
     for _ in range(25):
         q = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
         if abs(q) < 0.3 or abs(q - 1) < 0.3:
             continue
-        p = chromatic_leaf_tree(2, 4)
         if abs(p(q)) > 1e-3:
-            assert not is_partition_zero(q, 2, 4, tol=1e-6)
+            assert abs(t_eff_at(q, 2, 4)) <= 1e6
 
 
 def test_pair_gcd_is_trivial():
@@ -184,25 +188,6 @@ def test_transmissivity_exact_needs_no_gcd(monkeypatch):
             assert t_eff_exact(r, n) == (st.b, Q * st.a + st.b)
 
 
-def test_fixed_point_multiplier_derivative():
-    # Central differences with one Richardson step: error ~ h^4.
-    rng = random.Random(71)
-    count = 0
-    while count < 100:
-        q = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
-        r = rng.choice((2, 3))
-        if abs(q - 1) < 0.5 or abs(q - 2) < 0.5:
-            continue
-
-        def central(h: float) -> complex:
-            return (iterate_step(1.0 + h, q, r) - iterate_step(1.0 - h, q, r)) / (2 * h)
-
-        d = (4 * central(5e-4) - central(1e-3)) / 3
-        want = -r / (q - 1)
-        assert abs(d - want) < 1e-10 * (1 + abs(want))
-        count += 1
-
-
 def test_transmissivity_exact_depth_one():
     num, den = t_eff_exact(2, 1)
     assert num == BigPoly((-1,))
@@ -211,7 +196,7 @@ def test_transmissivity_exact_depth_one():
 
 def test_transmissivity_exact_matches_iteration():
     # The expanded polynomials need working precision near their zeros;
-    # the iteration stays accurate in doubles.
+    # the pair step stays accurate in doubles.
     rng = random.Random(81)
     for r, n in ((2, 3), (2, 5), (3, 2)):
         num, den = t_eff_exact(r, n)
@@ -220,18 +205,8 @@ def test_transmissivity_exact_matches_iteration():
                 q = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
                 if abs(q) < 0.3 or abs(q - 1) < 0.3:
                     continue
-                lhs = ratio_at(num, den, mp.mpc(q))
-                rhs = t_eff_at(q, r, n)
-                if is_finite(rhs) and is_finite(lhs):
-                    assert abs(complex(lhs) - rhs) < 1e-7 * (1 + abs(complex(lhs)))
-
-
-def test_ratio_at_reports_zero_over_zero():
-    num = Q - 2
-    den = (Q - 2) * (Q - 3)
-    assert ratio_at(num, den, 2) is UNDEF
-    assert ratio_at(num, den, 3) is INF
-    assert ratio_at(num, den, 4) == 1.0
+                want = complex(num(mp.mpc(q)) / den(mp.mpc(q)))
+                assert abs(t_eff_at(q, r, n) - want) <= 1e-12 * abs(want)
 
 
 def test_locus_circle():

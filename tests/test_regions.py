@@ -431,6 +431,12 @@ def test_transmissivity_circle_scan_small_depths():
     assert v < 1.0
 
 
+def test_transmissivity_circle_scan_needs_two_samples():
+    for samples in (1, 0):
+        with pytest.raises(GraphError, match="samples must be >= 2"):
+            transmissivity_circle_max(2, 3, samples=samples)
+
+
 def test_grid_closure_escapes_inside():
     fam = grid_closure(1.1, 3, 128)
     assert fam.escaped
