@@ -16,8 +16,9 @@ Two routes up the tree:
 
 Both routes take their leaf values from one rule: a single edge has
 (A, B) = (1, v_e); a Wheatstone leaf with all weights -1 has
-((q-2)*(q-3), 2*(q-2)); a Wheatstone leaf under any other weights falls
-back to the brute-force partial oracle on its five edges.
+((q-2)*(q-3), 2*(q-2)); a Wheatstone leaf under any other weights is
+deletion plus v_f times contraction of its bridge f, two series-parallel
+networks joined by the pair rules.
 
 Each route is one loop over one of the tree's two programs
 (DecompTree.program).  Under a scalar weight (None, a number, a BigPoly or
@@ -38,7 +39,7 @@ from functools import cached_property
 from typing import Mapping
 
 from .graphs import GraphError, Multigraph, TwoTerminalGraph, blocks
-from .oracles import partial_tutte_brute, tutte_brute
+from .oracles import tutte_brute
 from .poly import BigPoly
 from .sp import DecompNode, DecompTree, decompose_sp
 from .weights import INF, UNDEF, WeightAssignment, _combiner, is_finite
@@ -75,17 +76,37 @@ class TreePairs:
     per_node = cached_property(lambda self: _per_node(*self._steps))    # on first read
 
 
-def _leaf_pair(tree: DecompTree, node: DecompNode, q, wfn) -> tuple:
-    """(A, B) of a leaf: closed forms for an edge and an all -1 Wheatstone leaf."""
+def _join(kind: str, left: tuple, right: tuple, q) -> tuple:
+    """(A, B) of the parallel ("p") or series join of two (A, B) pairs."""
+    (a1, b1), (a2, b2) = left, right
+    if left is right:             # one shape: a1*b2 + a2*b1 is exactly ab + ab
+        ab = a1 * b1
+        cross = ab + ab
+    else:
+        cross = a1 * b2 + a2 * b1
+    if kind == "p":
+        return (a1 * a2, cross + b1 * b2)
+    return (cross + q * a1 * a2, b1 * b2)
+
+
+def _leaf_pair(node: DecompNode, q, wfn) -> tuple:
+    """(A, B) of an edge or a Wheatstone leaf."""
     if node.base == "e":
         return (1, wfn(node.edges[0]))
     vals = [wfn(i) for i in node.edges]
     for i, v in zip(node.edges, vals):
         if v is INF or v is UNDEF:
             raise GraphError(f"edge {i} has weight {v!r}; a leaf of several edges needs finite weights")
-    if node.base == "W" and all(v == -1 for v in vals):
+    if all(v == -1 for v in vals):
         return ((q - 2) * (q - 3), 2 * (q - 2))
-    return partial_tutte_brute(tree.constituent(node), q, vals)
+    # The edges in the order of _TEMPLATES["W"]; e2 is the bridge f, which
+    # touches neither terminal, so Z(G) = Z(G - f) + v_f Z(G / f) keeps the
+    # split into A and B.  G - f is P(S(e0, e3), S(e1, e4)) and G / f is
+    # S(P(e0, e1), P(e3, e4)).
+    e0, e1, _, e3, e4 = ((1, v) for v in vals)
+    da, db = _join("p", _join("s", e0, e3, q), _join("s", e1, e4, q), q)
+    ca, cb = _join("s", _join("p", e0, e1, q), _join("p", e3, e4, q), q)
+    return (da + vals[2] * ca, db + vals[2] * cb)
 
 
 def tree_ab(tree: DecompTree, q, weights=None) -> TreePairs:
@@ -104,20 +125,10 @@ def tree_ab(tree: DecompTree, q, weights=None) -> TreePairs:
     at, kids, slots = tree.program(by_shape)
     values: list[tuple] = []
     for k, pair in zip(at, kids):
-        if not pair:
-            values.append(_leaf_pair(tree, order[k], q, wfn))
-            continue
-        left, right = values[pair[0]], values[pair[1]]
-        (a1, b1), (a2, b2) = left, right
-        if left is right:         # one shape: a1*b2 + a2*b1 is exactly ab + ab
-            ab = a1 * b1
-            cross = ab + ab
+        if pair:
+            values.append(_join(order[k].kind, values[pair[0]], values[pair[1]], q))
         else:
-            cross = a1 * b2 + a2 * b1
-        if order[k].kind == "p":
-            values.append((a1 * a2, cross + b1 * b2))
-        else:
-            values.append((cross + q * a1 * a2, b1 * b2))
+            values.append(_leaf_pair(order[k], q, wfn))
     a, b = values[-1]
     return TreePairs(a, b, q * q * a + q * b, (tree, values, slots, len(order), False))
 
@@ -174,7 +185,7 @@ def tree_veff(tree: DecompTree, q, weights=None) -> TreeEffective:
     for k, pair in zip(at, kids):
         factor = None
         if not pair:
-            a, b = _leaf_pair(tree, order[k], q, wfn)
+            a, b = _leaf_pair(order[k], q, wfn)
             if a == 0:
                 raise GraphError("leaf A value is zero; the effective-weight route needs A != 0")
             factor, v = a, (b / a if is_finite(b) else b)

@@ -23,8 +23,8 @@ their exact integers; when they stop unconverged, the same loop
 continues from their points on exact values of g/g', each rounded to a
 double once, so the sweeps lose nothing to cancellation and need no
 working precision.  A linear factor needs no sweep: it starts at its root
--a0/a1, each part rounded once from the integers.  No step before
-Newton's uses mpmath.
+-a0/a1, each part rounded once from the integers.  Every step reads one
+conversion of the factor to Gaussian integers.
 
 Exact integer input is reduced before any numerics.  Roots at q = 0 and
 q = 1 are deflated exactly (coloring polynomials of graphs with an edge
@@ -42,11 +42,14 @@ stays meaningful when coefficients span hundreds of digits.  Every
 coefficient and every iterate is a dyadic rational, so the exact sweeps and
 Newton verification evaluate g and g' exactly, in Gaussian integers over a
 power of two (_exact_horner).  Newton starts at the point itself and
-rounds each later iterate to about the given digits.  Cancellation
-therefore costs no digits and there is no rounding floor: each root takes
-one Newton pass, which stops once the residual drops below tol*1e-3, when
-a step no longer halves a residual of at most tol, or after 30 steps.  A
-slow approach to a clustered root needs more steps, not more digits.
+rounds each later iterate, exact z - g/g', once to the bits of the given
+digits; the residual comes from the same integers, rounded to a float
+once.  Cancellation therefore costs no digits and there is no rounding
+floor: each root takes one Newton pass, which stops once the residual
+drops below tol*1e-3, when a step no longer halves a residual of at most
+tol, or after 30 steps.  A slow approach to a clustered root needs more
+steps, not more digits.  Root finding uses no mpmath: it runs in numpy
+doubles and Python integers.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import mpmath as mp
 import numpy as np
 
 from .poly import BigPoly
@@ -185,6 +187,8 @@ def ring_starts(ratio: Callable[[np.ndarray], np.ndarray], count: int,
 def _dyadic(x) -> tuple[int, int]:
     """(m, e) with x = m * 2**e exactly: a dyadic rational, a float, or an
     mpf read at its own precision (mp.mpf(x) would round to the working one)."""
+    if isinstance(x, int):
+        return x, 0
     mpf = getattr(x, "_mpf_", None)
     if mpf is not None:
         sign, man, exp, bits = mpf
@@ -202,31 +206,32 @@ def _dyadic(x) -> tuple[int, int]:
     return num, 1 - den.bit_length()
 
 
+class _Converted(list):
+    """Coefficients that keep their _gaussian parts: a factor is converted
+    once, however many steps read it."""
+    __slots__ = ("parts",)
+
+    def __init__(self, coeffs):
+        super().__init__(coeffs)
+        self.parts = _gaussian(coeffs)
+
+
 def _gaussian(coeffs) -> tuple[list[int], list[int]]:
     """Real and imaginary parts of the coefficients as integers over one
     common power of two, which cancels from g/g'."""
+    if isinstance(coeffs, _Converted):
+        return coeffs.parts
     parts = [(_dyadic(c.real), _dyadic(c.imag)) for c in coeffs]
     low = min(0, *(e for pair in parts for _, e in pair))
     return ([m << (e - low) for (m, e), _ in parts],
             [m << (e - low) for _, (m, e) in parts])
 
 
-def _point(z, bits: int | None = None, scale: int = 0) -> tuple[int, int, int]:
-    """(x, y, s) with z/2**scale = (x + iy)/2**s and s >= 0: exact, or
-    rounded to `bits` bits relative to the larger part of z."""
+def _point(z) -> tuple[int, int, int]:
+    """(x, y, s) with z = (x + iy)/2**s exactly and s >= 0."""
     (mr, er), (mi, ei) = _dyadic(z.real), _dyadic(z.imag)
-    er, ei = er - scale, ei - scale
-    low = min(er, ei)
-    if bits is not None and (mr or mi):
-        top = max(e + abs(m).bit_length() for m, e in ((mr, er), (mi, ei)) if m)
-        low = max(low, top - bits)
-    s = max(0, -low)
-    return _shift(mr, er + s), _shift(mi, ei + s), s
-
-
-def _shift(m: int, k: int) -> int:
-    """m * 2**k rounded to an integer, ties upward."""
-    return m << k if k >= 0 else (m + (1 << (-k - 1))) >> -k
+    s = max(0, -er, -ei)
+    return mr << (er + s), mi << (ei + s), s
 
 
 def _exact_horner(re: list[int], im: list[int], x: int, y: int, s: int
@@ -261,46 +266,86 @@ def _exact_ratio(exact, z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bits(dps: int) -> int:
+    """The binary precision of dps decimal digits, counted as mpmath counts it."""
+    return max(1, round((dps + 1) * 3.3219280948873626))
+
+
 @functools.cache
-def _goal(dps: int, tol: float):
+def _goal(dps: int, tol: float) -> float:
     """The eta below which Newton stops: 10^(4-dps), or tol*1e-3 if larger."""
-    with mp.workdps(dps):
-        return max(mp.mpf(10) ** (4 - dps), mp.mpf(tol) * mp.mpf("1e-3"))
+    return max(10.0 ** (4 - dps), tol * 1e-3)
+
+
+def _modulus(re: int, im: int, bits: int) -> tuple[int, int]:
+    """(m, e) with |re + i im| = m * 2**e to a relative 2**(2 - bits): both
+    parts cut or padded to `bits` bits, then an integer square root."""
+    e = max(abs(re).bit_length(), abs(im).bit_length()) - bits
+    if e >= 0:
+        return math.isqrt((re >> e) ** 2 + (im >> e) ** 2), e
+    return math.isqrt((re * re + im * im) << -2 * e), e
+
+
+def _round_to_bits(wr: int, wi: int, den: int, bits: int) -> tuple[int, int, int]:
+    """(x, y, s) with (x + iy)/2**s = (wr + i wi)/den, den > 0, each part
+    rounded, ties upward, to 2**(t - bits) for 2**(t-1) <= the larger part < 2**t."""
+    top = max(abs(wr), abs(wi))
+    if not top:
+        return 0, 0, 0
+    t = top.bit_length() - den.bit_length()
+    if top << max(0, -t) >= den << max(0, t):
+        t += 1
+    up, down = max(0, bits - t), max(0, t - bits)     # the grid is 2**(down - up)
+    unit = den << (down + 1)
+    return (((wr << (up + 1)) + (den << down)) // unit << down,
+            ((wi << (up + 1)) + (den << down)) // unit << down, up)
 
 
 def _newton_once(coeffs, z0, dps: int, tol: float) -> tuple[complex, float]:
     """Newton from z0 on the _gaussian coefficients: the point and its last eta.
 
     Every value of g and g' is exact (_exact_horner): at z0 itself, and at
-    each later iterate, which is rounded to a dyadic of about dps digits.
-    eta = |g/g'|/(1 + |z|) is formed from those integers at dps digits and
-    rounded to a float once, so it has no rounding floor.  Stops once eta is
-    below _goal(dps, tol), at a step that no longer halves an eta of at
+    each later iterate, which is z - g/g' rounded once, ties upward, to
+    _bits(dps) bits relative to its larger part.  eta = |g/g'|/(1 + |z|)
+    comes from those integers: each modulus by an integer square root with
+    64 guard bits, the quotient rounded to a float once, so it has no
+    rounding floor (inf when it exceeds the float range).  Stops once eta
+    is below _goal(dps, tol), at a step that no longer halves an eta of at
     most tol, or after 30 steps.  The point returned is the last iterate
     after its step.
     """
     re, im = coeffs
-    goal = _goal(dps, tol)
-    with mp.workdps(dps):
-        x, y, s = _point(z0)
-        eta = mp.inf
-        for _ in range(30):
-            pr, pi, dr, di = _exact_horner(re, im, x, y, s)
-            if not (pr or pi):
-                eta = mp.mpf(0)
-                break
-            if not (dr or di):
-                break
-            # z and step are scaled by S: S z = x + iy, and S g/g' = P/D for
-            # P = S^d g and D = S^(d-1) g'.
-            step = mp.mpc(pr, pi) / mp.mpc(dr, di)
-            z = mp.mpc(x, y)
-            last, eta = eta, abs(step) / ((1 << s) + abs(z))
-            stalled = 2 * eta > last and eta <= tol
-            x, y, s = _point(z - step, mp.mp.prec, s)
-            if eta < goal or stalled:
-                break
-        return complex(x / (1 << s), y / (1 << s)), float(eta)
+    goal, bits = _goal(dps, tol), _bits(dps)
+    guard = bits + 64
+    x, y, s = _point(z0)
+    eta = math.inf
+    for _ in range(30):
+        pr, pi, dr, di = _exact_horner(re, im, x, y, s)
+        if not (pr or pi):
+            eta = 0.0
+            break
+        if not (dr or di):
+            break
+        # In units of 1/S, S = 2**s: z is Z = x + iy and the step g/g' is
+        # P/D for P = S^d g and D = S^(d-1) g', so eta = |P|/(|D|(S + |Z|)).
+        (p, ep), (d, ed), (z, ez) = (_modulus(pr, pi, guard), _modulus(dr, di, guard),
+                                     _modulus(x, y, guard))
+        low = min(ez, s)
+        c = (z << (ez - low)) + (1 << (s - low))      # (S + |Z|) / 2**low
+        shift = ep - ed - low
+        last = eta
+        try:
+            eta = (p << max(0, shift)) / ((d * c) << max(0, -shift))
+        except OverflowError:         # beyond the float range
+            eta = math.inf
+        stalled = 2 * eta > last and eta <= tol
+        # The next iterate is (Z D - P) conj(D) / (|D|^2 S), exactly.
+        nr, ni = x * dr - y * di - pr, x * di + y * dr - pi
+        x, y, s = _round_to_bits(nr * dr + ni * di, ni * dr - nr * di,
+                                 (dr * dr + di * di) << s, bits)
+        if eta < goal or stalled:
+            break
+    return complex(x / (1 << s), y / (1 << s)), eta
 
 
 def newton_residuals(coeffs, roots, dps: int, tol: float
@@ -308,10 +353,11 @@ def newton_residuals(coeffs, roots, dps: int, tol: float
     """Newton-polish each point and report relative Newton-step residuals.
 
     The coefficients (ints, floats/complex, or mpf/mpc at their full
-    precision) become Gaussian integers once; each point then takes one
-    _newton_once pass at dps digits.  Its values are exact, so a residual
-    above tol means Newton has not reached the root, never that the
-    evaluation lost it to cancellation, and more digits would not help.
+    precision) become Gaussian integers once, or not at all when they come
+    converted (_Converted); each point then takes one _newton_once pass at
+    dps digits.  Its values are exact, so a residual above tol means Newton
+    has not reached the root, never that the evaluation lost it to
+    cancellation, and more digits would not help.
     """
     exact = _gaussian(coeffs)
     out: list[complex] = []
@@ -364,10 +410,11 @@ def solve_complex_coeffs(coeffs, tol: float = 1e-10,
     supplied and for a linear polynomial, which starts at its root rounded
     once from the exact coefficients (_linear_root).  When the sweeps stop
     unconverged, the same Aberth loop continues from their points on exact
-    values (_exact_ratio).  Newton then verifies
-    every point at _auto_dps(degree) digits.  Roots within tol*(1+|z|) of
-    each other are taken for two approximations of one root and nudged
-    apart.  A clash or a residual above tol reruns the exact sweeps and
+    values (_exact_ratio).  Newton then verifies every point at
+    _auto_dps(degree) digits.  Every step reads one conversion of the
+    coefficients to Gaussian integers (_Converted).  Roots within
+    tol*(1+|z|) of each other are taken for two approximations of one root
+    and nudged apart.  A clash or a residual above tol reruns the exact sweeps and
     Newton once; what still fails flags the result unconverged rather than
     trimmed.  The coefficients may be inexact, so no multiplicity is
     claimed: every root is reported with multiplicity 1.
@@ -377,14 +424,14 @@ def solve_complex_coeffs(coeffs, tol: float = 1e-10,
         cs.pop()
     if len(cs) < 2:
         raise RootFindingError("need degree >= 1")
+    cs = _Converted(cs)
     dps = _auto_dps(len(cs) - 1)
     if starts is None and len(cs) == 2:
         starts = [_linear_root(cs)]
 
     def exact_sweeps(points):
-        exact = _gaussian(cs)
         z = np.array(points, dtype=np.complex128)
-        return aberth_sweeps(lambda p: _exact_ratio(exact, p), z, step_tol=1e-14)[0]
+        return aberth_sweeps(lambda p: _exact_ratio(cs.parts, p), z, step_tol=1e-14)[0]
 
     if starts is not None:
         if len(starts) != len(cs) - 1:

@@ -47,13 +47,20 @@ def test_wheatstone_leaf_closed_form():
     assert out.b == 2 * (Q - 2)
 
 
-def test_wheatstone_leaf_general_weights_use_oracle():
+def test_wheatstone_leaf_general_weights_match_oracle():
+    # Deletion plus v_f times contraction of the bridge equals the 2^5
+    # subset sum in every exact ring the engine evaluates over.
     from tuttebound.oracles import partial_tutte_brute
-    _, tree = realize(SPLeaf("W"))
-    w = {i: Fraction(1, 2) for i in range(5)}
-    out = tree_ab(tree, Fraction(4), w)
-    ref = partial_tutte_brute(gen_wheatstone(), Fraction(4), Fraction(1, 2))
-    assert (out.a, out.b) == ref
+    from tuttebound.poly import BiPoly
+    tt, tree = realize(SPLeaf("W"))
+    rng = random.Random(14)
+    for k in range(200):
+        w = {i: random_small_fraction(rng) for i in range(5)}
+        q = (random_small_fraction(rng), Q, BiPoly.q())[k % 3]
+        if k % 3 == 2:      # a symbolic w on some edges
+            w.update({i: BiPoly.w() for i in rng.sample(range(5), rng.randint(1, 5))})
+        out = tree_ab(tree, q, w)
+        assert (out.a, out.b) == partial_tutte_brute(tt, q, w), (q, w)
 
 
 def test_series_of_parallel_closed_form():
@@ -355,7 +362,8 @@ def test_undefined_route_builds_its_partial_per_node_on_read(monkeypatch):
 
 
 def _brute_force_leaf():
-    # A W leaf whose weights are not all -1 goes to partial_tutte_brute.
+    # A W leaf whose weights are not all -1: no closed form, so the leaf is
+    # deletion plus v_f times contraction of its bridge.
     _, tree = parse_sp("P(S(W,e),e)")
     weights = {i: -1 for i in range(tree.graph.graph.edge_count)}
     weights[2] = Fraction(-1, 2)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -176,6 +177,76 @@ def test_newton_residuals_match_400_digits_to_one_ulp(monkeypatch):
             p, dp = rootfind._horner(coeffs, z)
             want = float(abs(p / dp) / (1 + abs(z)))
         assert abs(eta - want) <= math.ulp(want), z0
+
+
+def test_newton_step_at_a_root_returns_it_with_zero_eta():
+    # -(q - 7): g(7) = 0 ends the pass before any step, eta exactly 0.
+    z, eta = rootfind._newton_once(([7, -1], [0, 0]), 7 + 0j, 40, 1e-10)
+    assert z == 7 + 0j and eta == 0.0 and type(eta) is float
+
+
+def test_newton_step_at_a_critical_point_is_not_converged():
+    # q^2 + 1 at 0: g' = 0, so no step is taken and eta is inf.
+    z, eta = rootfind._newton_once(([1, 0, 1], [0, 0, 0]), 0j, 40, 1e-10)
+    assert z == 0j and eta == math.inf
+    _, residuals = newton_residuals([1, 0, 1], [0j], 40, 1e-10)
+    assert residuals == [math.inf]
+
+
+def test_newton_eta_beyond_the_float_range_is_inf():
+    # g = (q - w)^2 + w^2 with w = a(1 + i), a = 1.5e308: from 0 the step
+    # lands on w, where g' = 0, and its eta |w| exceeds the float range.
+    a = int(1.5e308)
+    re, im = [0, -2 * a, 1], [4 * a * a, -2 * a, 0]
+    z, eta = rootfind._newton_once((re, im), 0j, 40, 1e-10)
+    assert z == complex(1.5e308, 1.5e308) and eta == math.inf
+
+
+def test_newton_iterate_beyond_two_to_the_bits_is_a_rounded_integer():
+    # An iterate with |z| >= 2^bits lies on a grid coarser than 1: it comes
+    # back with s = 0 as exact integers, within half a grid unit.
+    bits = rootfind._bits(40)
+    c = 3 * 2 ** 200 + 1
+    x, y, s = rootfind._round_to_bits(c, -(2 ** 150 + 7), 1, bits)
+    unit = 2 ** (202 - bits)
+    assert s == 0 and x == 3 * 2 ** 200 and y % unit == 0
+    assert abs(y + 2 ** 150 + 7) <= unit // 2
+    z, eta = rootfind._newton_once(([-c, 1], [0, 0]), 0j, 40, 1e-10)
+    assert z == complex(3 * 2 ** 200) and eta == 1 / (1 + 3 * 2 ** 200)
+
+
+def _top(m: Fraction) -> int:
+    """The t with 2^(t-1) <= m < 2^t, for m > 0."""
+    t = m.numerator.bit_length() - m.denominator.bit_length()
+    return t + 1 if m >= Fraction(2) ** t else t
+
+
+def test_each_newton_iterate_is_the_exact_step_rounded_to_the_bits(monkeypatch):
+    # From far outside the roots of (q-2)(q-3)(q+1), 30 steps: each iterate
+    # that g is evaluated at is within half a grid unit 2^(t - bits) of the
+    # exact z - g/g' (the point returned after the last step is a double).
+    points = []
+    evaluate = rootfind._exact_horner
+
+    def recorded(re, im, x, y, s):
+        points.append((Fraction(x, 2 ** s), Fraction(y, 2 ** s)))
+        return evaluate(re, im, x, y, s)
+
+    monkeypatch.setattr(rootfind, "_exact_horner", recorded)
+    coeffs = [6, 1, -4, 1]
+    rootfind._newton_once(rootfind._gaussian(coeffs), 1e12 + 1e12j, 40, 1e-10)
+    assert len(points) == 30
+    bits = rootfind._bits(40)
+    for (x, y), (nx, ny) in zip(points, points[1:]):
+        p = dp = (Fraction(0), Fraction(0))
+        for c in reversed(coeffs):
+            dp = (dp[0] * x - dp[1] * y + p[0], dp[0] * y + dp[1] * x + p[1])
+            p = (p[0] * x - p[1] * y + c, p[0] * y + p[1] * x)
+        norm = dp[0] ** 2 + dp[1] ** 2
+        wx = x - (p[0] * dp[0] + p[1] * dp[1]) / norm
+        wy = y - (p[1] * dp[0] - p[0] * dp[1]) / norm
+        half = Fraction(2) ** (_top(max(abs(wx), abs(wy))) - bits - 1)
+        assert abs(nx - wx) <= half and abs(ny - wy) <= half
 
 
 def test_tree_root_residuals_have_no_rounding_floor():
@@ -426,3 +497,27 @@ def test_deterministic_output():
     b = find_roots(p, tol=1e-10)
     assert a.roots == b.roots
     assert a.residuals == b.residuals
+
+
+def _random_expression(rng: random.Random, leaves: int, w_share: float) -> str:
+    """A random binary SP expression with `leaves` leaves, each W with odds w_share."""
+    if leaves == 1:
+        return "W" if rng.random() < w_share else "e"
+    cut = rng.randint(1, leaves - 1)
+    return "%s(%s,%s)" % (rng.choice("SP"), _random_expression(rng, cut, w_share),
+                          _random_expression(rng, leaves - cut, w_share))
+
+
+def test_find_roots_bits_are_pinned():
+    # Roots, residuals, multiplicities and flags of e-only and W expressions
+    # of 2-12 leaves and of leaf-joined trees, hashed by repr: a change in
+    # how Newton rounds its iterates or forms eta moves this digest.
+    rng = random.Random(26)
+    polys = [chromatic_poly(parse_sp(_random_expression(rng, leaves, w_share))[1])
+             for leaves in range(2, 13) for w_share in (0.0, 0.0, 0.4, 0.4)]
+    polys += [chromatic_leaf_tree(r, n) for r, top in ((2, 6), (3, 4)) for n in range(2, top + 1)]
+    digest = hashlib.sha256()
+    for p in polys:
+        rs = find_roots(p, tol=1e-8)
+        digest.update(repr((rs.roots, rs.residuals, rs.multiplicities, rs.converged)).encode())
+    assert digest.hexdigest() == "0406dd761d89d04a491d6a233473fd449d368fbf5a40fbef15c14b82aa458829"
