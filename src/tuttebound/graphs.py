@@ -5,9 +5,9 @@ pairs; the position of an edge in that tuple is its identity, so parallel
 edges are distinct and weight maps key on edge indices.  Loops are allowed
 in raw input, but flow and coloring operations reject them.
 
-Flows are unit-capacity augmenting-path max flows.  maxmaxflow takes n-1 of
-them, one per edge of Gusfield's equivalent-flow tree, instead of one per
-vertex pair.
+Flows are unit-capacity augmenting-path max flows.  maxmaxflow takes one
+per edge of Gusfield's equivalent-flow tree over the vertices of high
+enough degree, instead of one per vertex pair.
 """
 
 from __future__ import annotations
@@ -227,31 +227,40 @@ def _min_cut(g: Multigraph, x: int, y: int) -> tuple[int, list[bool]]:
 def maxmaxflow(g: Multigraph, limit: int | None = None) -> int:
     """Maximum of max_flow over all unordered vertex pairs.
 
-    Builds Gusfield's equivalent-flow tree (SIAM J. Comput. 19, 1990) from
-    n-1 minimum cuts: vertex s is cut from its current tree parent t, and the
-    later vertices on s's side that hang from t move under s.  Every pair's
-    flow is the lightest edge on its tree path, so the answer is the largest
-    of the n-1 cut values.  With limit set, returns early with the first
-    value found above it (exact whenever the result is <= limit; callers use
-    this to filter).
+    A pair that includes a vertex of degree below k has flow at most k-1,
+    so only the terminals T = {v : deg v >= k} need their pairs compared,
+    starting from k = the second-largest degree.  Over T this builds
+    Gusfield's equivalent-flow tree (SIAM J. Comput. 19, 1990) from |T|-1
+    minimum cuts, each taken in the whole graph: terminal s is cut from its
+    current tree parent t, and the later terminals on s's side that hang
+    from t move under s.  Every pair's flow is the lightest edge on its tree
+    path, so the best pair of T is the largest cut value m.  That is the
+    answer once m >= k-1; otherwise k drops to m+1 and T grows.  With limit
+    set, returns early with the first value found above it (exact whenever
+    the result is <= limit; callers use this to filter).
     """
     n = g.vertex_count
     if n < 2:
         raise GraphError("maxmaxflow needs at least 2 vertices")
     g.require_loopless("maxmaxflow")
-    parent = [0] * n
-    best = 0
-    for s in range(1, n):
-        t = parent[s]
-        f, side = _min_cut(g, s, t)
-        for u in range(s + 1, n):
-            if side[u] and parent[u] == t:
-                parent[u] = s
-        if f > best:
-            best = f
-            if limit is not None and best > limit:
-                return best
-    return best
+    k = sorted(g._degrees)[-2]
+    while True:
+        terminals = [v for v in range(n) if g.degree(v) >= k]
+        parent = dict.fromkeys(terminals, terminals[0])
+        best = 0
+        for i, s in enumerate(terminals[1:], 2):
+            t = parent[s]
+            f, side = _min_cut(g, s, t)
+            for u in terminals[i:]:
+                if side[u] and parent[u] == t:
+                    parent[u] = s
+            if f > best:
+                best = f
+                if limit is not None and best > limit:
+                    return best
+        if best >= k - 1:
+            return best
+        k = best + 1
 
 
 # ---------------------------------------------------------------------------

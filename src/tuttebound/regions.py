@@ -482,9 +482,9 @@ def _verify_grid(family: GridFamily, samples: int) -> bool:
 # Exact parallel maxima and the boundary angles
 # ---------------------------------------------------------------------------
 
-# Elements per block of a lockstep scan: an eighth of the raster closure's
-# _PAIR_CHUNK, which keeps a block's few float arrays near 2 MB each.
-_SCAN_CHUNK = 1 << 18
+# Elements per block of a lockstep scan, which keeps a block's few float
+# arrays near 512 kB each; each row's argmax is the same in any block.
+_SCAN_CHUNK = 1 << 16
 
 
 @lru_cache(maxsize=4)
@@ -685,7 +685,8 @@ def boundary_rho(lam: int, theta, tol: float = 1e-6, resolution: int = 4096):
 # ---------------------------------------------------------------------------
 
 _PAIR_CHUNK = 1 << 21
-_TRIANGLE_ROWS = 64          # rows per broadcast block of a symmetric rule's triangle
+_BLOCK = 1 << 17             # pairs evaluated and scanned at once within a chunk
+_TRIANGLE_ROWS = 64          # rows per broadcast band of a symmetric rule's triangle
 _MAX_SWEEPS = 10_000
 
 
@@ -703,43 +704,53 @@ def grid_closure(q: complex, lam: int, resolution: int = 256) -> GridFamily:
     centres in marking order, extended as cells are marked (not recomputed
     for every rule); a rule only pairs the cells that are new since its last
     pass, one chunk of at most _PAIR_CHUNK pairs at a time, and each chunk
-    is marked before the next is computed.  A chunk holding a value on or
-    beyond the unit circle (or an undefined one), or reaching a new cell
-    whose center lies there, stops the run with escaped=True before it is
-    marked.  Rules, cells and chunks come in a fixed order, so an escaped
-    run leaves the same rasters every time.
+    is marked before the next is computed.  A chunk is evaluated and
+    scanned in blocks of at most _BLOCK pairs (or of one of its rows, if
+    that is longer), and a block's scan keeps only its cells not yet
+    marked, so the working set is a few blocks whatever the raster; the
+    cells of all its blocks are marked together once the last is scanned.
+    A chunk holding a value on or beyond the unit circle (or an undefined
+    one) in any block, or reaching a new cell whose center lies there,
+    stops the run with escaped=True before any of it is marked; the reason
+    names an undefined value if any block held one.  Rules, cells, chunks
+    and blocks come in a fixed order, so an escaped run leaves the same
+    rasters every time, and the block size changes neither the rasters nor
+    the reason: they are those of scanning each chunk whole.
 
     The parallel rule is symmetric, so a rule (k, k) evaluates each
     unordered pair once: row r of the new cells meets the new cells from
-    its own index onwards, then every older cell, in blocks of
-    _TRIANGLE_ROWS rows broadcast against their suffix (so a block also
-    repeats the pairs below its own diagonal).  The chunks are the row
-    slices, with the step, of the first of the two blocks every other rule
-    runs (new cells x all cells, then older cells x new cells).  Each pair
-    left out has its mirror in the same chunk or in an earlier one, which
-    was marked already, so the marks and the escape state are those of
-    both blocks up to the last bits of t || t' against t' || t: on the
-    four converged benchmark closures 26 % of the 5.0 M ordered pairs
-    differ in their bits and none lands in another cell.
+    its own index onwards, then every older cell, in bands of
+    _TRIANGLE_ROWS rows broadcast against their suffix (so a band also
+    repeats the pairs below its own diagonal), each band split by columns
+    into blocks.  The chunks are the row slices, with the step, of the
+    first of the two parts every other rule runs (new cells x all cells,
+    then older cells x new cells).  Each pair left out has its mirror in
+    the same chunk or in an earlier one, which was marked already, so the
+    marks and the escape state are those of both parts up to the last
+    bits of t || t' against t' || t: on the four converged benchmark
+    closures 26 % of the 5.0 M ordered pairs differ in their bits and none
+    lands in another cell.
 
     Product rules skip the pairs that provably change nothing.  Before
-    each block of a product rule, r0 is the least distance from 0 to the
+    each part of a product rule, r0 is the least distance from 0 to the
     closed square of a cell not yet marked at the target level, capped at
-    1; marks only grow, so r0 stays a lower bound for the whole block, and
+    1; marks only grow, so r0 stays a lower bound for the whole part, and
     a pointer into the cells sorted by that distance, advanced past the
     marked ones, finds it without rescanning the raster.  A pair is
     skipped when |b| < (r0 (1 - 1e-12) - 1e-12) / |a|, a prefix of the
-    right block sorted by modulus.  That margin dwarfs the few ulps by
-    which the moduli, the division, fl(a b), the truncation to a cell
-    index and the distance table can err, so the cell the pair would
-    reach lies nearer to 0 than r0, hence is already marked, and its value
-    has modulus below 1: the pair can neither add a cell nor escape.
+    right side sorted by modulus (the top level keeps that order, merging
+    in the cells appended since it was last used).  That margin dwarfs the
+    few ulps by which the moduli, the division, fl(a b), the truncation to
+    a cell index and the distance table can err, so the cell the pair
+    would reach lies nearer to 0 than r0, hence is already marked, and its
+    value has modulus below 1: the pair can neither add a cell nor escape.
     Skipping only thins each chunk, which is still left[i:i+step] x right
-    with step taken from the full right block, and mark treats a chunk as
+    with step taken from the full right side, and mark treats a chunk as
     a set, so the rasters, sweeps, escape state and reason are those of
-    pairing every cell.
+    pairing every cell.  Ties in modulus may sort either way: the kept
+    suffix of each row is the same set.
 
-    mark accepts a value when x^2 + y^2 < 1 - 1e-12 and tests only the
+    scan accepts a value when x^2 + y^2 < 1 - 1e-12 and tests only the
     rest (NaN and inf among them) by |t| < 1; the rounding error of the
     squared sum is a few ulps, far inside that margin, so the decision is
     |t| < 1's, bit for bit.  Cell indices scale by res/2 instead of
@@ -780,21 +791,34 @@ def grid_closure(q: complex, lam: int, resolution: int = 256) -> GridFamily:
         prefix[level - 1] = p
         return min(float(dist[by_dist[p]]), 1.0) if p < len(by_dist) else 1.0
 
-    def mark(level: int, vals: np.ndarray) -> str:
-        """Mark the cells of vals at `level` and above; the escape reason or ""."""
+    def scan(level: int, vals: np.ndarray) -> tuple[int, np.ndarray | None]:
+        """One block's flag (0 clean, 1 |t| >= 1, 2 undefined) and, when clean,
+        its cells not yet marked at `level`."""
         x, y = vals.real, vals.imag
         with np.errstate(over="ignore"):
             inside = x * x + y * y < 1.0 - 1e-12
         if not inside.all():
             rest = vals[~inside]
             if not np.all(np.abs(rest) < 1.0):
-                if np.all(np.isfinite(rest)):
-                    return "a combination reached |t| >= 1"
-                return "undefined parallel combination inside the rules"
+                return (1 if np.all(np.isfinite(rest)) else 2), None
         ix = np.minimum(((x + 1.0) * scale).astype(np.int64), res - 1)
         iy = np.minimum(((y + 1.0) * scale).astype(np.int64), res - 1)
         flat = iy * res + ix
-        new = np.unique(flat[~rasters[level - 1][flat]])
+        return 0, np.unique(flat[~rasters[level - 1][flat]])
+
+    def mark(level: int, blocks) -> str:
+        """Scan a chunk's blocks, then mark its cells at `level` and above; the
+        escape reason or ""."""
+        cells, worst = [], 0
+        for vals in blocks:
+            flag, new = scan(level, vals)
+            if flag == 2:
+                return "undefined parallel combination inside the rules"
+            worst = max(worst, flag)
+            cells.append(new)
+        if worst:
+            return "a combination reached |t| >= 1"
+        new = cells[0] if len(cells) == 1 else np.unique(np.concatenate(cells))
         c = centers(new)
         if np.any(c.real * c.real + c.imag * c.imag >= 1.0):
             return "a cell center reached |t| >= 1"
@@ -811,25 +835,56 @@ def grid_closure(q: complex, lam: int, resolution: int = 256) -> GridFamily:
              for ell in range(k, lam) if k + ell <= lam - 1]
     rules += [(k, lam - 1, np.multiply, k) for k in range(1, lam)]
     seen = {(k, ell): (0, 0) for k, ell, _, _ in rules}
+    # Indices of the top level's cells in order of modulus, and the sorted
+    # moduli; cells appended since the last read are merged in.
+    ranked = [np.zeros(0, dtype=np.int64), np.zeros(0)]
 
-    def kept_pairs(op, rows: np.ndarray, right: np.ndarray, first: np.ndarray) -> np.ndarray:
-        """op over every rows[r] paired with right[first[r]:]."""
+    def by_modulus(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """The top level's cells start..stop-1 sorted by modulus, and their moduli."""
+        top = points[lam - 2]
+        order, mods = ranked
+        if len(order) < len(top):
+            mods = np.concatenate([mods, np.abs(top[len(order):])])
+            merge = np.argsort(mods, kind="stable")     # timsort: one run and a short tail
+            order, mods = np.append(order, np.arange(len(order), len(top)))[merge], mods[merge]
+            ranked[:] = order, mods
+        if start or stop < len(order):
+            keep = (order >= start) & (order < stop)
+            order, mods = order[keep], mods[keep]
+        return top[order], mods
+
+    def kept_pairs(op, rows: np.ndarray, right: np.ndarray, first: np.ndarray):
+        """op over every rows[r] paired with right[first[r]:], in blocks of
+        whole rows holding at most _BLOCK pairs (or one row)."""
+        counts = len(right) - first
+        ends = np.cumsum(counts)
         # A shared suffix (always so for parallel rules) broadcasts, which
         # costs far less than gathering the pairs one by one.
         lo = first.min()
-        if lo == first.max():
-            return op(rows[:, None], right[None, lo:]).ravel()
-        counts = len(right) - first
-        ends = np.cumsum(counts)
-        col = np.repeat(first + counts - ends, counts)
-        col += np.arange(ends[-1])
-        return op(np.repeat(rows, counts), right[col])
+        shared = lo == first.max()
+        j = 0
+        while j < len(rows):
+            base = ends[j] - counts[j]
+            stop = max(j + 1, int(np.searchsorted(ends, base + _BLOCK, side="right")))
+            if shared:
+                yield op(rows[j:stop, None], right[None, lo:]).ravel()
+            else:
+                n, e = counts[j:stop], ends[j:stop] - base
+                col = np.repeat(first[j:stop] + n - e, n)
+                col += np.arange(e[-1])
+                yield op(np.repeat(rows[j:stop], n), right[col])
+            j = stop
 
-    def triangle(rows: np.ndarray, right: np.ndarray, start: int) -> np.ndarray:
-        """parallel over rows[r] paired with right[start+r:], block by block."""
-        return np.concatenate([
-            parallel(rows[j:j + _TRIANGLE_ROWS, None], right[None, start + j:]).ravel()
-            for j in range(0, len(rows), _TRIANGLE_ROWS)])
+    def triangle(rows: np.ndarray, right: np.ndarray, start: int):
+        """parallel over rows[r] paired with right[start+r:]: each band of
+        _TRIANGLE_ROWS rows against its suffix, split by columns into blocks
+        of at most _BLOCK pairs."""
+        for j in range(0, len(rows), _TRIANGLE_ROWS):
+            band = rows[j:j + _TRIANGLE_ROWS, None]
+            suffix = right[start + j:]
+            width = max(1, _BLOCK // len(band))
+            for c in range(0, len(suffix), width):
+                yield parallel(band, suffix[None, c:c + width]).ravel()
 
     def sweep() -> str:
         """One pass over the rule table; the escape reason or ""."""
@@ -839,36 +894,34 @@ def grid_closure(q: complex, lam: int, resolution: int = 256) -> GridFamily:
             seen[k, ell] = (len(a), len(b))
             symmetric = op is parallel and k == ell
             if symmetric:
-                blocks = [(a[na:], np.concatenate([a[na:], a[:na]]))]
+                parts = [(a[na:], np.concatenate([a[na:], a[:na]]), 0)]
             else:
-                blocks = [(a[na:], b), (a[:na], b[nb:])]
-            for left, right in blocks:
+                parts = [(a[na:], b, 0), (a[:na], b[nb:], nb)]
+            for left, right, offset in parts:
                 if not len(left) or not len(right):
                     continue
                 step = max(1, _PAIR_CHUNK // len(right))
                 if op is np.multiply:
                     r0 = least_unmarked(target)
-                    mod = np.abs(right)
-                    order = np.argsort(mod)
-                    right = right[order]
+                    right, mod = by_modulus(offset, len(b))
                     # |a| = 0 gives +-inf: all of the row's pairs skipped, or none.
                     with np.errstate(divide="ignore"):
                         least = (r0 * (1.0 - 1e-12) - 1e-12) / np.abs(left)
-                    first = np.searchsorted(mod[order], least)
+                    first = np.searchsorted(mod, least)
                 else:
                     first = np.zeros(len(left), dtype=np.int64)
                 for i in range(0, len(left), step):
                     with np.errstate(divide="ignore", invalid="ignore"):
                         if symmetric:
-                            vals = triangle(left[i:i + step], right, i)
+                            reason = mark(target, triangle(left[i:i + step], right, i))
                         else:
-                            vals = kept_pairs(op, left[i:i + step], right, first[i:i + step])
-                    reason = mark(target, vals)
+                            reason = mark(target, kept_pairs(op, left[i:i + step], right,
+                                                             first[i:i + step]))
                     if reason:
                         return reason
         return ""
 
-    reason = mark(1, np.array([1.0 / (1.0 - q)]))
+    reason = mark(1, [np.array([1.0 / (1.0 - q)])])
     sweeps = 0
     converged = bool(reason)
     while not converged and sweeps < _MAX_SWEEPS:

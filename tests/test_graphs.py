@@ -95,7 +95,8 @@ def test_maxmaxflow_matches_all_pairs_definition():
 
 
 def test_maxmaxflow_makes_one_cut_per_tree_edge(monkeypatch):
-    # Gusfield's tree needs n-1 cuts; all pairs would need 130,816 flows here.
+    # Gusfield's tree over the 511 vertices of degree >= 3 needs 510 cuts
+    # (the degree-2 vertex has flow <= 2); all pairs would need 130,816 flows.
     tt, _ = gen_leaf_joined_tree(2, 9)
     assert (tt.graph.vertex_count, tt.graph.edge_count) == (512, 1022)
     calls = []
@@ -107,7 +108,18 @@ def test_maxmaxflow_makes_one_cut_per_tree_edge(monkeypatch):
 
     monkeypatch.setattr(graphs, "_min_cut", counting_cut)
     assert maxmaxflow(tt.graph) == 3
-    assert len(calls) <= 511
+    assert len(calls) == 510
+
+
+def test_maxmaxflow_lowers_the_degree_cut_when_the_top_vertices_are_apart():
+    # Two 4-stars and a double edge: the centres are the terminals at first,
+    # their flow 0 < 4 - 1 lets the degree cut fall to 1, and the double
+    # edge's pair wins.
+    star = lambda c: [(c, c + i) for i in range(1, 5)]
+    g = Multigraph(12, tuple(star(0) + star(5) + [(10, 11), (10, 11)]))
+    assert maxmaxflow(g) == 2 == _all_pairs_maxmaxflow(g)
+    assert maxmaxflow(g, limit=1) == 2
+    assert maxmaxflow(Multigraph(3, ())) == 0
 
 
 def test_degree_table_matches_the_edge_scan():

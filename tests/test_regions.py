@@ -2,6 +2,7 @@ import cmath
 import hashlib
 import math
 import random
+import tracemalloc
 
 from itertools import combinations
 
@@ -478,18 +479,64 @@ def test_grid_closure_level_four():
     assert verify_family(fam, samples=2000)
 
 
-@pytest.mark.parametrize("q, lam, counts, digest", [
+MID_SWEEP_ESCAPES = [
     (1 + 1.6 * cmath.exp(1j * math.pi / 6), 3, [176, 646],
      "3e56b43547b78963d6b7751ef27ff9bfa4c2962cca924735e0e30be49704b966"),
     (2.3, 4, [548, 1816, 1838],
      "964ea44ba229f85cf3ed36a954e1a926172133bfb99a66afdf815e93b397ce68"),
-])
+]
+
+
+@pytest.mark.parametrize("q, lam, counts, digest", MID_SWEEP_ESCAPES)
 def test_grid_closure_mid_sweep_escape_state(q, lam, counts, digest):
     # An escape in sweep 4 keeps every chunk marked before the escaping one.
     fam = grid_closure(q, lam, 64)
     assert fam.escaped and fam.converged
     assert fam.reason == "a combination reached |t| >= 1"
     assert fam.sweeps == 4
+    assert [int(level.sum()) for level in fam.levels] == counts
+    raw = b"".join(np.ascontiguousarray(level).tobytes() for level in fam.levels)
+    assert hashlib.sha256(raw).hexdigest() == digest
+
+
+@pytest.mark.parametrize("q, lam, counts, digest", MID_SWEEP_ESCAPES + [
+    # Their escapes land in blocks 400 and 9 of the chunk, after blocks that
+    # reach 884 and 782 unmarked cells, which must stay unmarked.
+    (1 + 1.8 * cmath.exp(3j * math.pi / 4), 3, [361, 1558],
+     "94103f154fd92924cea376b17e203c37b91d12950494a951c0cd9594cdb45f5f"),
+    (1 + 2.5 * cmath.exp(2j * math.pi / 3), 4, [53, 342, 417],
+     "b62a7b5be4ffb8bb4ce30fb0ace281144ec7b7b89e60b02340d5572afca3d542"),
+])
+def test_grid_closure_escape_state_in_small_blocks(monkeypatch, q, lam, counts, digest):
+    # With 64-pair blocks every chunk spans many blocks; a chunk is still
+    # marked whole or not at all, so the rasters are those of whole chunks.
+    want = grid_closure(q, lam, 64)
+    monkeypatch.setattr(regions, "_BLOCK", 64)
+    fam = grid_closure(q, lam, 64)
+    assert (fam.escaped, fam.converged, fam.sweeps) == (True, True, want.sweeps)
+    assert fam.reason == want.reason == "a combination reached |t| >= 1"
+    assert [int(level.sum()) for level in fam.levels] == counts
+    raw = b"".join(np.ascontiguousarray(level).tobytes() for level in fam.levels)
+    assert hashlib.sha256(raw).hexdigest() == digest
+
+
+@pytest.mark.parametrize("q, lam, counts, digest", [
+    (1 + 2.2 * cmath.exp(1j * math.pi / 6), 3, [5557, 25245],
+     "c44d88fdf4f3ad3c8344d0daea7475c251753ef1db8460acc7517bef78078c49"),
+    (1 + 3.4 * cmath.exp(1j * math.pi / 5), 4, [1099, 4686, 11795],
+     "b750cd5359535664023cb36e3ec4149c37a56454498f853b28ec2378ac42b18b"),
+])
+def test_grid_closure_resolution_512_bits_in_a_bounded_working_set(q, lam, counts, digest):
+    # Scanning whole 2^21-pair chunks takes 92 MB traced on the first point;
+    # blocks of _BLOCK pairs keep the working set near 14 MB.
+    tracemalloc.start()
+    try:
+        fam = grid_closure(q, lam, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20, peak
+    assert not fam.escaped and fam.converged
     assert [int(level.sum()) for level in fam.levels] == counts
     raw = b"".join(np.ascontiguousarray(level).tobytes() for level in fam.levels)
     assert hashlib.sha256(raw).hexdigest() == digest
@@ -575,6 +622,13 @@ def test_grid_closure_matches_all_pairs_oracle(res, lam, offsets):
         for got, level in zip(fam.levels, want):
             assert np.array_equal(got, level), q
         matched += 1
+
+
+@pytest.mark.parametrize("res", [32, 64])
+@pytest.mark.parametrize("lam, offsets", [(3, (1.5, 3.0)), (4, (2.5, 4.5))])
+def test_grid_closure_matches_all_pairs_oracle_in_small_blocks(monkeypatch, res, lam, offsets):
+    monkeypatch.setattr(regions, "_BLOCK", 64)
+    test_grid_closure_matches_all_pairs_oracle(res, lam, offsets)
 
 
 @pytest.mark.parametrize("q, lam, n1", [(1 + 2.2 * cmath.exp(1j * math.pi / 6), 3, 414),
