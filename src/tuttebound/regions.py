@@ -690,6 +690,16 @@ _TRIANGLE_ROWS = 64          # rows per broadcast band of a symmetric rule's tri
 _MAX_SWEEPS = 10_000
 
 
+def _sorted_unique(cells: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of an integer array, as np.unique gives
+    them; np.unique imports numpy.ma on its first call in a process (numpy
+    >= 2.3), which costs a one-shot closure more than the closure itself."""
+    cells = np.sort(cells)
+    keep = np.ones(len(cells), dtype=bool)
+    np.not_equal(cells[1:], cells[:-1], out=keep[1:])
+    return cells[keep]
+
+
 def grid_closure(q: complex, lam: int, resolution: int = 256) -> GridFamily:
     """Iterate the region-closure rules on a raster until fixed point.
 
@@ -804,7 +814,7 @@ def grid_closure(q: complex, lam: int, resolution: int = 256) -> GridFamily:
         ix = np.minimum(((x + 1.0) * scale).astype(np.int64), res - 1)
         iy = np.minimum(((y + 1.0) * scale).astype(np.int64), res - 1)
         flat = iy * res + ix
-        return 0, np.unique(flat[~rasters[level - 1][flat]])
+        return 0, _sorted_unique(flat[~rasters[level - 1][flat]])
 
     def mark(level: int, blocks) -> str:
         """Scan a chunk's blocks, then mark its cells at `level` and above; the
@@ -818,7 +828,7 @@ def grid_closure(q: complex, lam: int, resolution: int = 256) -> GridFamily:
             cells.append(new)
         if worst:
             return "a combination reached |t| >= 1"
-        new = cells[0] if len(cells) == 1 else np.unique(np.concatenate(cells))
+        new = cells[0] if len(cells) == 1 else _sorted_unique(np.concatenate(cells))
         c = centers(new)
         if np.any(c.real * c.real + c.imag * c.imag >= 1.0):
             return "a cell center reached |t| >= 1"

@@ -11,7 +11,11 @@ poly.Jet, which gives p and p' of any decomposition tree
 (regions.cycle_counterexample).  The two tree callers start it from one
 ring around q = 1 (ring_starts).  Like MPSolve (Bini & Fiorentino 2000), a
 call also stops at its rounding floor: in the fast local phase, a sweep
-that fails to halve the largest correction.
+that fails to halve the largest correction.  Most calls solve factors of
+degree 2 to 9, where a sweep's cost is numpy call overhead, not
+arithmetic, so a sweep makes few numpy calls: one errstate covers the
+whole loop, each guarded quotient is one masked division into a buffer
+that holds its fallback, and |corr| and 1 + |z| are formed once.
 
 Polynomials whose roots fill a disc, like the coloring polynomials handled
 here, are brutally ill-conditioned in the monomial basis: near the root
@@ -95,9 +99,10 @@ def _initial_points(coeffs: np.ndarray) -> np.ndarray:
     logs = np.full(d + 1, -np.inf)
     nz = np.abs(coeffs) > 0
     logs[nz] = np.log(np.abs(coeffs[nz]))
+    logs = logs.tolist()
     hull: list[int] = []
     for k in range(d + 1):
-        if not np.isfinite(logs[k]):
+        if not math.isfinite(logs[k]):
             continue
         while len(hull) >= 2:
             i, j = hull[-2], hull[-1]
@@ -115,7 +120,8 @@ def _initial_points(coeffs: np.ndarray) -> np.ndarray:
         ang = 2.0 * np.pi * (np.arange(n_seg) + offset) / n_seg
         points[pos:pos + n_seg] = radius * np.exp(1j * ang)
         pos += n_seg
-    assert pos == d
+    if pos != d:
+        raise RootFindingError("the hull needs nonzero constant and leading coefficients")
     return points
 
 
@@ -131,7 +137,7 @@ def _horner(coeffs, z):
 def _horner_ratio(coeffs, z: np.ndarray) -> np.ndarray:
     """p/p' at the points z by Horner, 0 where p' vanishes."""
     p, dp = _horner(coeffs, z)
-    return np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.0)
+    return np.divide(p, dp, out=np.zeros(p.shape, p.dtype), where=dp != 0)
 
 
 def aberth_sweeps(ratio: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
@@ -144,27 +150,39 @@ def aberth_sweeps(ratio: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
     rounding floor, once the largest relative correction is at most _LOCAL
     and a sweep fails to halve it, or after MAX_SWEEPS sweeps.  Adequate
     only where the arithmetic resolves p, so callers validate.
+
+    One errstate covers the whole loop.  Each guarded quotient is one
+    masked np.divide into a buffer of the operands' dtype (mpc object
+    arrays included) that already holds its fallback: element by element
+    it is np.where(m, x / np.where(m, y, 1), fallback), bit for bit, which
+    tests/test_rootfind.py checks against a loop written that way.
     """
     z = np.asarray(z)
     last = np.inf
-    for _sweep in range(MAX_SWEEPS):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _sweep in range(MAX_SWEEPS):
             w = ratio(z)
             # Coincident points, each with itself included, add no repulsion.
             diff = z[:, None] - z[None, :]
-            apart = diff != 0
-            repulse = np.where(apart, 1 / np.where(apart, diff, 1), 0).sum(axis=1)
+            repulse = np.divide(1, diff, out=np.zeros(diff.shape, diff.dtype),
+                                where=diff != 0).sum(axis=1)
             den = 1 - w * repulse
-            corr = np.where(den != 0, w / np.where(den != 0, den, 1), w)
-        # Overflowed evaluations (far initial points) drift inward instead.
-        corr = np.where(np.abs(corr) < np.inf, corr, 0.2 * z)
-        z = z - corr
-        if np.all(np.abs(corr) <= step_tol * (1.0 + np.abs(z))):
-            return z, True
-        size = np.max(np.abs(corr) / (1.0 + np.abs(z)))
-        if last <= _LOCAL and 2 * size > last:
-            return z, False
-        last = size
+            corr = np.divide(w, den, out=np.array(w, dtype=den.dtype), where=den != 0)
+            step = np.abs(corr)
+            # Overflowed evaluations (far initial points) drift inward instead.
+            finite = step < np.inf
+            if not finite.all():
+                far = ~finite
+                corr[far] = (0.2 * z)[far]
+                step = np.abs(corr)
+            z = z - corr
+            scale = 1.0 + np.abs(z)
+            if (step <= step_tol * scale).all():
+                return z, True
+            size = (step / scale).max()
+            if last <= _LOCAL and 2 * size > last:
+                return z, False
+            last = size
     return z, False
 
 
@@ -417,13 +435,30 @@ def solve_complex_coeffs(coeffs, tol: float = 1e-10,
     and nudged apart.  A clash or a residual above tol reruns the exact sweeps and
     Newton once; what still fails flags the result unconverged rather than
     trimmed.  The coefficients may be inexact, so no multiplicity is
-    claimed: every root is reported with multiplicity 1.
+    claimed: every root is reported with multiplicity 1, except that a
+    factor q^m (m zero low coefficients) is split off exactly, as in
+    find_roots, and reported as m roots at 0 with multiplicity m and
+    residual 0.  Starts, if given, are for the roots of the rest.
     """
     cs = list(coeffs)
     while cs and cs[-1] == 0:
         cs.pop()
     if len(cs) < 2:
         raise RootFindingError("need degree >= 1")
+    if cs[0] == 0:
+        m = next(k for k, c in enumerate(cs) if c != 0)
+        roots, residuals, mult, converged = [0j] * m, [0.0] * m, [m] * m, True
+        if len(cs) > m + 1:
+            part = solve_complex_coeffs(cs[m:], tol=tol, starts=starts)
+            roots += part.roots
+            residuals += part.residuals
+            mult += part.multiplicities
+            converged = part.converged
+        elif starts is not None and len(starts):
+            raise RootFindingError("starts must supply one point per root")
+        order = sorted(range(len(roots)), key=lambda i: (roots[i].real, roots[i].imag))
+        return RootSet([roots[i] for i in order], [residuals[i] for i in order],
+                       [mult[i] for i in order], len(cs) - 1, tol, converged)
     cs = _Converted(cs)
     dps = _auto_dps(len(cs) - 1)
     if starts is None and len(cs) == 2:
@@ -466,8 +501,9 @@ def _clashes(roots: list[complex], tol: float) -> list[int]:
     if len(roots) < 2:
         return []
     z = np.array(roots, dtype=np.complex128)
-    near = np.abs(z[None, :] - z[:, None]) <= tol * (1 + np.abs(z))[None, :]
-    return np.flatnonzero(np.triu(near, 1).any(axis=0)).tolist()
+    k = np.arange(len(z))
+    near = (np.abs(z[None, :] - z[:, None]) <= tol * (1 + np.abs(z))) & (k[:, None] < k)
+    return np.flatnonzero(near.any(axis=0)).tolist()
 
 
 # ---------------------------------------------------------------------------

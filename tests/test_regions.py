@@ -1,7 +1,10 @@
 import cmath
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 from itertools import combinations
@@ -540,6 +543,27 @@ def test_grid_closure_resolution_512_bits_in_a_bounded_working_set(q, lam, count
     assert [int(level.sum()) for level in fam.levels] == counts
     raw = b"".join(np.ascontiguousarray(level).tobytes() for level in fam.levels)
     assert hashlib.sha256(raw).hexdigest() == digest
+
+
+def test_sorted_unique_matches_np_unique():
+    rng = np.random.default_rng(28)
+    for n in (0, 1, 2, 7, 1000):
+        cells = rng.integers(0, 50, n)
+        got = regions._sorted_unique(cells)
+        assert got.dtype == np.unique(cells).dtype
+        assert got.tobytes() == np.unique(cells).tobytes()
+
+
+def test_grid_closure_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call (numpy >= 2.3), which a
+    # one-shot `region grid` paid in full; the closure dedupes by sorting.
+    code = ("import sys; from tuttebound.regions import grid_closure; "
+            "fam = grid_closure(3 + 1j, 3, 16); "
+            "assert fam.sweeps > 0 and 'numpy.ma' not in sys.modules")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(regions.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_grid_closure_zero_parallel_denominator():

@@ -405,6 +405,137 @@ def test_equal_start_points_stay_finite(arithmetic):
     assert all(isinstance(x, arithmetic) and math.isfinite(abs(complex(x))) for x in z)
 
 
+def _reference_horner_ratio(coeffs, z):
+    """_horner_ratio as it was written with nested np.where, kept to pin bits."""
+    p, dp = rootfind._horner(coeffs, z)
+    return np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.0)
+
+
+def _reference_aberth_sweeps(ratio, z, step_tol=1e-14):
+    """aberth_sweeps as it was written with nested np.where, kept to pin bits."""
+    z = np.asarray(z)
+    last = np.inf
+    for _sweep in range(rootfind.MAX_SWEEPS):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            w = ratio(z)
+            diff = z[:, None] - z[None, :]
+            apart = diff != 0
+            repulse = np.where(apart, 1 / np.where(apart, diff, 1), 0).sum(axis=1)
+            den = 1 - w * repulse
+            corr = np.where(den != 0, w / np.where(den != 0, den, 1), w)
+        corr = np.where(np.abs(corr) < np.inf, corr, 0.2 * z)
+        z = z - corr
+        if np.all(np.abs(corr) <= step_tol * (1.0 + np.abs(z))):
+            return z, True
+        size = np.max(np.abs(corr) / (1.0 + np.abs(z)))
+        if last <= rootfind._LOCAL and 2 * size > last:
+            return z, False
+        last = size
+    return z, False
+
+
+def _seeded_integer_polys(top: int) -> list[list[int]]:
+    """One integer polynomial of each degree 1..top, nonzero at both ends."""
+    rng = random.Random(28)
+    return [[rng.choice([-3, -2, -1, 1, 2, 3])] + [rng.randint(-9, 9) for _ in range(d - 1)]
+            + [rng.randint(1, 5)] for d in range(1, top + 1)]
+
+
+def _double_coeffs(cs: list[int]) -> np.ndarray:
+    c = rootfind._scaled_float_coeffs(cs)
+    return c / np.max(np.abs(c))
+
+
+def _sweep_cases():
+    """(coefficients for _horner_ratio or None, exact coefficients or None,
+    start points), one case per evaluator and branch of a sweep."""
+    param = pytest.param
+    cases = []
+    for cs in _seeded_integer_polys(12):
+        c = _double_coeffs(cs)
+        cases.append(param(c, None, rootfind._initial_points(c), id=f"degree {len(cs) - 1}"))
+    for cs in _seeded_integer_polys(8):
+        c = _double_coeffs(cs)
+        cases.append(param(None, cs, rootfind._initial_points(c), id=f"exact {len(cs) - 1}"))
+    cubic, twice = [6, 1, -4, 1], np.array([2.1, 2.1, -0.9], dtype=complex)
+    cases.append(param(cubic, None, twice, id="coincident"))
+    cases.append(param(None, cubic, twice, id="coincident exact"))
+    # p' = 0 at the start 0 of q^2 - 4, so its ratio is the fallback 0.
+    cases.append(param([-4, 0, 1], None, np.array([0, 3 + 1j]), id="critical point"))
+    cases.append(param(None, [-4, 0, 1], np.array([0, 3 + 1j]), id="critical point exact"))
+    # Horner overflows at 1e156 on a quadratic: that point drifts by 0.2 z.
+    cases.append(param([2, -3, 1], None, np.array([1e156 + 1e155j, 0.5 - 1j]), id="overflow"))
+    with mp.workdps(30):
+        ring = rootfind._initial_points(_double_coeffs(cubic))
+
+        def mpc_points(points):
+            return np.array([mp.mpc(x) for x in points], dtype=object)
+
+        cases.append(param([mp.mpc(c) for c in cubic], None, mpc_points(ring), id="mpc"))
+        cases.append(param(cubic, None, mpc_points(twice), id="mpc coincident"))
+        cases.append(param([-4, 0, 1], None, mpc_points([0, 3 + 1j]), id="mpc critical point"))
+    return cases
+
+
+@pytest.mark.parametrize("coeffs, exact, starts", _sweep_cases())
+def test_aberth_sweeps_match_the_nested_where_loop_bit_for_bit(coeffs, exact, starts):
+    # The masked divisions in one errstate give the bits, flag and sweep
+    # count of the loop they replaced, on every evaluator and branch.
+    if exact is None:
+        new, old = (lambda z: rootfind._horner_ratio(coeffs, z),
+                    lambda z: _reference_horner_ratio(coeffs, z))
+    else:
+        parts = rootfind._gaussian(exact)
+        new = old = lambda z: rootfind._exact_ratio(parts, z)
+    counts = [0, 0]
+
+    def counted(ratio, k):
+        def f(z):
+            counts[k] += 1
+            return ratio(z)
+        return f
+
+    with mp.workdps(30):
+        got = rootfind.aberth_sweeps(counted(new, 0), starts.copy())
+        want = _reference_aberth_sweeps(counted(old, 1), starts.copy())
+    assert repr(got) == repr(want)
+    assert counts[0] == counts[1]
+
+
+def test_aberth_sweeps_with_a_zero_denominator_match_the_nested_where_loop():
+    # w * repulse = 1 exactly at both points, so every correction is w
+    # itself; the points swap each sweep until the cap.
+    def ratio(z):
+        return z - z[::-1]
+
+    start = np.array([0, 1], dtype=complex)
+    got = rootfind.aberth_sweeps(ratio, start)
+    assert repr(got) == repr(_reference_aberth_sweeps(ratio, start))
+    assert not got[1]
+
+
+@pytest.mark.parametrize("coeffs, zeros", [([0, 1, 1], 1), ([0, 0, 1, 2], 2), ([0, 1.5, 2.5], 1)])
+def test_zero_constant_term_splits_off_exact_zero_roots(coeffs, zeros):
+    # q^m splits off exactly, as in find_roots: m roots at 0 with residual 0,
+    # and the rest solved as its own polynomial.
+    rs = solve_complex_coeffs(coeffs)
+    rest = solve_complex_coeffs(coeffs[zeros:])
+    assert rs.converged and rs.degree == len(coeffs) - 1
+    at_zero = [k for k, z in enumerate(rs.roots) if z == 0]
+    assert len(at_zero) == zeros
+    assert all(rs.residuals[k] == 0.0 and rs.multiplicities[k] == zeros for k in at_zero)
+    others = [k for k in range(len(rs.roots)) if k not in at_zero]
+    assert [rs.roots[k] for k in others] == rest.roots
+    assert [rs.residuals[k] for k in others] == rest.residuals
+
+
+def test_zero_constant_term_with_a_constant_rest():
+    rs = solve_complex_coeffs([0, 0, 3])
+    assert rs.roots == [0j, 0j] and rs.residuals == [0.0, 0.0] and rs.converged
+    with pytest.raises(RootFindingError):
+        solve_complex_coeffs([0, 0, 3], starts=[1.0])
+
+
 def test_root_count_always_equals_degree():
     rng = random.Random(14)
     for _ in range(10):
