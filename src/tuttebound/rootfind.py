@@ -4,18 +4,18 @@ Aberth-Ehrlich iteration with Jacobi-style sweeps (every update reads the
 previous sweep, so a sweep is deterministic and trivially data-parallel).
 The one loop, aberth_sweeps, takes the Newton ratio p/p' as a callable, so
 it serves every evaluator: the double Horner (_horner) on the coefficients,
-started from perturbed circles whose radii come from the upper convex hull
-of (k, log|a_k|), exact values of g/g' (_exact_ratio), the pair recursion
-of a leaf-joined tree in tuttebound.leaftree, and engine.tree_ab on
-poly.Jet, which gives p and p' of any decomposition tree
-(regions.cycle_counterexample).  The two tree callers start it from one
-ring around q = 1 (ring_starts).  Like MPSolve (Bini & Fiorentino 2000), a
-call also stops at its rounding floor: in the fast local phase, a sweep
-that fails to halve the largest correction.  Most calls solve factors of
-degree 2 to 9, where a sweep's cost is numpy call overhead, not
-arithmetic, so a sweep makes few numpy calls: one errstate covers the
-whole loop, each guarded quotient is one masked division into a buffer
-that holds its fallback, and |corr| and 1 + |z| are formed once.
+started from the eigenvalues of the companion matrix (_companion_starts),
+exact values of g/g' (_exact_ratio), the pair recursion of a leaf-joined
+tree in tuttebound.leaftree, and engine.tree_ab on poly.Jet, which gives p
+and p' of any decomposition tree (regions.cycle_counterexample).  The two
+tree callers start it from one ring around q = 1 (ring_starts).  Like
+MPSolve (Bini & Fiorentino 2000), a call also stops at its rounding floor:
+in the fast local phase, a sweep that fails to halve the largest
+correction.  Most calls solve factors of degree 2 to 9, where a sweep's
+cost is numpy call overhead, not arithmetic, so a sweep makes few numpy
+calls: one errstate covers the whole loop, each guarded quotient is one
+masked division into a buffer that holds its fallback, and |corr| and
+1 + |z| are formed once.
 
 Polynomials whose roots fill a disc, like the coloring polynomials handled
 here, are brutally ill-conditioned in the monomial basis: near the root
@@ -23,12 +23,16 @@ region the value is smaller than the coefficient scale sum |a_k||z|^k by a
 factor exponential in the degree, so double-precision Horner cannot even
 decide whether a point is near a root.  The solver therefore runs the
 cheap double sweeps first, on coefficients rounded to doubles once from
-their exact integers; when they stop unconverged, the same loop
-continues from their points on exact values of g/g', each rounded to a
-double once, so the sweeps lose nothing to cancellation and need no
-working precision.  A linear factor needs no sweep: it starts at its root
--a0/a1, each part rounded once from the integers.  Every step reads one
-conversion of the factor to Gaussian integers.
+their exact integers.  They start at the companion matrix's eigenvalues,
+backward-stable root approximations (Edelman & Murakami 1995), so where
+Horner resolves the roots they stop within one to three sweeps; a
+quadratic takes its two eigenvalues in closed form.  When the sweeps stop
+unconverged, the same loop continues from their points on exact values of
+g/g', each rounded to a double once, so the sweeps lose nothing to
+cancellation and need no working precision.  A linear factor needs no
+sweep: it starts at its root -a0/a1, each part rounded once from the
+integers.  Every step reads one conversion of the factor to Gaussian
+integers.
 
 Exact integer input is reduced before any numerics.  Roots at q = 0 and
 q = 1 are deflated exactly (coloring polynomials of graphs with an edge
@@ -92,38 +96,6 @@ class RootSet:
 # ---------------------------------------------------------------------------
 # Aberth sweeps
 # ---------------------------------------------------------------------------
-
-def _initial_points(coeffs: np.ndarray) -> np.ndarray:
-    """Perturbed circles; radii from the convex hull of (k, log|a_k|)."""
-    d = len(coeffs) - 1
-    logs = np.full(d + 1, -np.inf)
-    nz = np.abs(coeffs) > 0
-    logs[nz] = np.log(np.abs(coeffs[nz]))
-    logs = logs.tolist()
-    hull: list[int] = []
-    for k in range(d + 1):
-        if not math.isfinite(logs[k]):
-            continue
-        while len(hull) >= 2:
-            i, j = hull[-2], hull[-1]
-            if (logs[j] - logs[i]) * (k - j) <= (logs[k] - logs[j]) * (j - i):
-                hull.pop()
-            else:
-                break
-        hull.append(k)
-    points = np.empty(d, dtype=np.complex128)
-    pos = 0
-    for a, b in zip(hull, hull[1:]):
-        n_seg = b - a
-        radius = math.exp((logs[a] - logs[b]) / n_seg)
-        offset = 0.376 + 0.5 * pos / max(d, 1)
-        ang = 2.0 * np.pi * (np.arange(n_seg) + offset) / n_seg
-        points[pos:pos + n_seg] = radius * np.exp(1j * ang)
-        pos += n_seg
-    if pos != d:
-        raise RootFindingError("the hull needs nonzero constant and leading coefficients")
-    return points
-
 
 def _horner(coeffs, z):
     """p(z) and p'(z) by Horner at a point or an array, double or mpc."""
@@ -397,10 +369,63 @@ def _scaled_float_coeffs(coeffs: Sequence) -> np.ndarray:
     or for a scaled value in the subnormal range; otherwise the two agree
     after normalising by the largest modulus.
     """
-    re, im = _gaussian(coeffs)
+    return _float_parts(*_gaussian(coeffs))
+
+
+def _float_parts(re: list[int], im: list[int]) -> np.ndarray:
+    """The Gaussian integers re + i im over the power of two that brings the
+    largest part to [1/2, 1), each part rounded to a double once."""
     scale = 1 << max(abs(m).bit_length() for m in re + im)
     return np.array([complex(x / scale, y / scale) for x, y in zip(re, im)],
                     dtype=np.complex128)
+
+
+def _companion_starts(coeffs) -> np.ndarray:
+    """Start points for the double sweeps: the eigenvalues of the companion
+    matrix, backward-stable approximations of the roots (Edelman &
+    Murakami, Math. Comp. 64, 1995), from the _gaussian coefficients.
+
+    The matrix is formed for q = 2**k u, with k from the integers' bit
+    lengths: the end coefficients in u are of one size unless that puts an
+    entry -a_j/a_d of the companion above 2**1000, so its entries stay in
+    the double range.  Each coefficient in u is an exact integer rounded to
+    a double once, and the eigenvalues in u are scaled back by 2**k exactly.
+    A quadratic takes them in closed form, the quadratic formula without
+    cancellation, so a process that solves only quadratics never calls
+    LAPACK.
+    """
+    re, im = _gaussian(coeffs)
+    d = len(re) - 1
+    size = [max(abs(x).bit_length(), abs(y).bit_length()) for x, y in zip(re, im)]
+    k = max(round((size[0] - size[d]) / d),
+            *(-((size[d] + 1000 - size[j]) // (d - j)) for j in range(d)))
+    shift = [k * j if k >= 0 else -k * (d - j) for j in range(d + 1)]
+    b = _float_parts([x << t for x, t in zip(re, shift)], [y << t for y, t in zip(im, shift)])
+    if d == 2:
+        b0, b1, b2 = b.tolist()
+        root = cmath.sqrt(b1 * b1 - 4 * b0 * b2)
+        s = -(b1 + root if (b1.conjugate() * root).real >= 0 else b1 - root) / 2
+        u = np.array([s / b2, b0 / s])
+    else:
+        if not b.imag.any():
+            # A real matrix costs less, and its eigenvalues come in exact conjugate pairs.
+            b = b.real
+        mat = np.eye(d, k=-1, dtype=b.dtype)
+        mat[:, -1] = -b[:d] / b[d]
+        try:
+            u = np.linalg.eigvals(mat)
+        except np.linalg.LinAlgError:
+            raise RootFindingError("the companion eigenvalues did not converge") from None
+    with np.errstate(over="ignore"):
+        z = u.astype(np.complex128) * 2.0 ** k
+    if not np.isfinite(z).all():
+        raise RootFindingError("a root overflows double precision")
+    if len(set(z.tolist())) < d:
+        # Equal eigenvalues, such as several small roots lost to 0 next to
+        # large ones, would stay equal under Aberth: nudge them apart.
+        for n, j in enumerate(_clashes(z.tolist(), 0.0)):
+            z[j] += _NUDGE * (1 + abs(z[j])) * cmath.exp(1j * (n + 1))
+    return z
 
 
 def _linear_root(coeffs) -> complex:
@@ -424,21 +449,23 @@ def solve_complex_coeffs(coeffs, tol: float = 1e-10,
                          starts: Sequence[complex] | None = None) -> RootSet:
     """All roots of a polynomial given by exact (int/mpc) ascending coeffs.
 
-    Double-precision Horner sweeps first, skipped when starting points are
-    supplied and for a linear polynomial, which starts at its root rounded
-    once from the exact coefficients (_linear_root).  When the sweeps stop
+    Double-precision Horner sweeps first, from the companion eigenvalues
+    (_companion_starts), skipped when starting points are supplied and for
+    a linear polynomial, which starts at its root rounded once from the
+    exact coefficients (_linear_root).  When the sweeps stop
     unconverged, the same Aberth loop continues from their points on exact
     values (_exact_ratio).  Newton then verifies every point at
     _auto_dps(degree) digits.  Every step reads one conversion of the
     coefficients to Gaussian integers (_Converted).  Roots within
     tol*(1+|z|) of each other are taken for two approximations of one root
-    and nudged apart.  A clash or a residual above tol reruns the exact sweeps and
-    Newton once; what still fails flags the result unconverged rather than
-    trimmed.  The coefficients may be inexact, so no multiplicity is
-    claimed: every root is reported with multiplicity 1, except that a
-    factor q^m (m zero low coefficients) is split off exactly, as in
-    find_roots, and reported as m roots at 0 with multiplicity m and
-    residual 0.  Starts, if given, are for the roots of the rest.
+    and nudged apart, and so is a point where g' = 0.  A clash or a residual
+    above tol reruns the exact sweeps and Newton once; what still fails
+    flags the result unconverged rather than trimmed.  The coefficients
+    may be inexact, so no multiplicity is claimed: every root is reported
+    with multiplicity 1, except that a factor q^m (m zero low
+    coefficients) is split off exactly, as in find_roots, and reported as
+    m roots at 0 with multiplicity m and residual 0.  Starts, if given,
+    are for the roots of the rest.
     """
     cs = list(coeffs)
     while cs and cs[-1] == 0:
@@ -476,16 +503,21 @@ def solve_complex_coeffs(coeffs, tol: float = 1e-10,
         c = _scaled_float_coeffs(cs)
         if c[-1] == 0:
             raise RootFindingError("leading coefficient underflows double precision")
+        if c[0] == 0:
+            raise RootFindingError("constant coefficient underflows double precision")
         c = c / np.max(np.abs(c))
-        raw, done = aberth_sweeps(lambda z: _horner_ratio(c, z), _initial_points(c))
+        raw, done = aberth_sweeps(lambda z: _horner_ratio(c, z), _companion_starts(cs))
         if not done:
             raw = exact_sweeps(raw)
     roots, residuals = newton_residuals(cs, raw, dps, tol)
     clash = _clashes(roots, tol)
     if clash or max(residuals) > tol:
         # Two points on one root get identical Jacobi updates, so the
-        # simultaneous iteration separates them only after a nudge.
-        for k, j in enumerate(clash):
+        # simultaneous iteration separates them only after a nudge.  So
+        # does a point on a critical point of g, where Newton stops at once
+        # with eta inf and Aberth's correction is 0.
+        stuck = clash + [j for j, r in enumerate(residuals) if r == math.inf and j not in clash]
+        for k, j in enumerate(stuck):
             roots[j] += _NUDGE * (1 + abs(roots[j])) * cmath.exp(1j * (k + 1))
         roots, residuals = newton_residuals(cs, exact_sweeps(roots), dps, tol)
         clash = _clashes(roots, tol)

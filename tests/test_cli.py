@@ -390,6 +390,8 @@ def test_domain_errors_exit_two(tmp_path, monkeypatch, capsys):
     assert run(tmp_path, monkeypatch, "region", "certify", "--q", "0", "--lambda", "3") == 2
     assert run(tmp_path, monkeypatch, "flow", "--dsl", "e", "--pair", "0", "0") == 2
     assert run(tmp_path, monkeypatch, "roots", "solve", "--coeffs", "5") == 2
+    # The constant term underflows once the coefficients are scaled to doubles.
+    assert run(tmp_path, monkeypatch, "roots", "solve", f"--coeffs=1,0,0,{10 ** 400}") == 2
 
 
 def test_manifest_written_even_without_out(tmp_path, monkeypatch, capsys):
@@ -465,7 +467,10 @@ def test_region_boundary_csv_digests(tmp_path, monkeypatch, argv):
 
 ROOT_CSV_DIGESTS = {
     # SHA-256 of each CSV: root location, verification and CSV formatting
-    # must not move a byte of these outputs.
+    # must not move a byte of these outputs.  The two roots solve entries
+    # were re-recorded when the double sweeps moved from hull circles to
+    # companion eigenvalues, which moved residual bits; ROOT_COLUMN_DIGESTS
+    # holds their roots from before.
     ("leaftree", "roots", "--r", "2", "--n", "5"):
         "b62fa0626e321e5613c3115f3198b091a0b69ccf24acfda35ce0d70417899226",
     ("leaftree", "roots", "--r", "3", "--n", "3"):
@@ -473,10 +478,10 @@ ROOT_CSV_DIGESTS = {
     ("leaftree", "roots", "--r", "4", "--n", "3"):
         "8d2b258244cde95cf658ace8937bc1330401a2a94b5991fffad7e69f9b834b25",
     ("roots", "solve", "--coeffs", "1,2,3,4,5,6,7,8,9,10"):
-        "5232b3f2cb2953888632b118c80aa5eb44927eff6074166374f3ffb4d9506d7f",
+        "5378b9b9a68737e02a986496cb617f5adc636e235b51665948a0abb1db13246d",
     # The chromatic polynomial of P(S(e,W),S(e,e,e)), two complex pairs.
     ("roots", "solve", "--coeffs", "0,18,-59,85,-70,34,-9,1"):
-        "914db92224f40e361c367f3a567858b036f0565abf2604676e6076063be8dd0e",
+        "6a86177e3cdd6873851c1e3d49dc531ba589f733e6b30a16ee72bcbf0a612d1d",
 }
 
 
@@ -485,6 +490,26 @@ def test_root_csv_digests(tmp_path, monkeypatch, argv):
     out = tmp_path / "roots.csv"
     assert run(tmp_path, monkeypatch, *argv, "--out", str(out)) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ROOT_CSV_DIGESTS[argv]
+
+
+ROOT_COLUMN_DIGESTS = {
+    # SHA-256 of the re,im,multiplicity columns alone, recorded before the
+    # double sweeps moved from hull circles to companion eigenvalues: a new
+    # start point may move the residual column, never a root.
+    ("roots", "solve", "--coeffs", "1,2,3,4,5,6,7,8,9,10"):
+        "17ce4b8be01d4143f3f4765513e238d1a2f72195a8f70c40cc5f3f1a50193eac",
+    ("roots", "solve", "--coeffs", "0,18,-59,85,-70,34,-9,1"):
+        "f864a7f2570787b787fdb925b5cefc632e8ae4e1e6f4fad618dc6617cc54b2cc",
+}
+
+
+@pytest.mark.parametrize("argv", list(ROOT_COLUMN_DIGESTS))
+def test_root_csv_columns_without_residuals(tmp_path, monkeypatch, argv):
+    out = tmp_path / "roots.csv"
+    assert run(tmp_path, monkeypatch, *argv, "--out", str(out)) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()]
+    kept = "".join(f"{re},{im},{m}\n" for re, im, _res, m in rows)
+    assert hashlib.sha256(kept.encode()).hexdigest() == ROOT_COLUMN_DIGESTS[argv]
 
 
 def test_unconverged_grid_exits_three_and_writes_both_files(tmp_path, monkeypatch, capsys):

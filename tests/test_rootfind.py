@@ -128,7 +128,7 @@ def test_newton_near_clustered_roots_takes_one_pass_at_the_given_digits(monkeypa
     c = rootfind._scaled_float_coeffs(cleared)
     c = c / np.max(np.abs(c))
     raw, _ = rootfind.aberth_sweeps(lambda z: rootfind._horner_ratio(c, z),
-                                    rootfind._initial_points(c))
+                                    _hull_points(c))
     levels = _newton_levels(monkeypatch)
     _roots, residuals = newton_residuals(cleared, raw, dps=rootfind._auto_dps(31), tol=1e-10)
     assert max(residuals) <= 1e-10
@@ -363,6 +363,85 @@ def test_linear_root_beyond_double_range_is_rejected():
         find_roots(BigPoly([10 ** 400, 3]))
 
 
+@pytest.mark.parametrize("coeffs", [[5, -4, 1], [-2, 0, 1], [7, 1, 2 ** 60], [1, -2 ** 1000, 1],
+                                    [3 + 1j, 2 - 5j, 1 + 1j]])
+def test_quadratic_starts_in_closed_form_and_takes_one_sweep(monkeypatch, coeffs):
+    # A quadratic's companion eigenvalues come from the quadratic formula,
+    # so LAPACK is never called, and they are so close to the roots that
+    # the double sweeps stop converged after one sweep.
+    def refuse(matrix):
+        raise AssertionError("a quadratic called np.linalg.eigvals")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    calls = _count_sweeps(monkeypatch)
+    rs = solve_complex_coeffs(coeffs)
+    assert rs.converged and calls == [["complex128", 1]]
+
+
+def test_companion_starts_take_fewer_double_sweeps_than_hull_circles():
+    # The same double sweeps from the retired hull circles and from the
+    # companion eigenvalues, on seeded polynomials of degree 2-12.
+    counts = [0, 0]
+
+    def counted(ratio, k):
+        def f(z):
+            counts[k] += 1
+            return ratio(z)
+        return f
+
+    for cs in _seeded_integer_polys(12)[1:]:
+        c = _double_coeffs(cs)
+        for k, starts in enumerate((_hull_points(c), rootfind._companion_starts(cs))):
+            rootfind.aberth_sweeps(counted(lambda z: rootfind._horner_ratio(c, z), k), starts)
+    assert counts[1] < counts[0]
+
+
+def test_companion_of_coefficients_beyond_the_double_range_is_scaled():
+    # The naive companion -c[:-1]/c[-1] overflows on both: q = 2**k u keeps
+    # its entries finite, with the end coefficients of one size in the
+    # first and the entry 2**1070 below 2**1000 in the second.
+    rs = solve_complex_coeffs([2 ** 1060, 0, 0, 1])
+    assert rs.converged
+    assert all(abs((z / 2.0 ** 353) ** 3 + 2) < 1e-12 for z in rs.roots)     # z^3 = -2**1060
+    rs = solve_complex_coeffs([1, 2 ** 1070, 0, 0, 1])
+    assert rs.converged and len(rs.roots) == 4
+    assert rs.roots[1] == -(2.0 ** -1070)      # the nearest double to the small root
+
+
+def test_coefficients_whose_roots_leave_the_double_range_are_rejected(monkeypatch):
+    calls = _count_sweeps(monkeypatch)
+    with pytest.raises(RootFindingError):        # the constant term underflows
+        solve_complex_coeffs([1, 0, 0, 10 ** 400])
+    with pytest.raises(RootFindingError):        # a root near -2**1050 overflows
+        solve_complex_coeffs([1, 2 ** 1050, 1])
+    assert calls == []                           # rejected before any sweep
+
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    with pytest.raises(RootFindingError):
+        solve_complex_coeffs([1, 2, 3, 4])
+
+
+def test_equal_companion_eigenvalues_are_nudged_apart():
+    # Next to the root 2**200 the companion's eigenvalues for -5, 2 and 3
+    # all come out 0.  Equal starts would stay equal under Aberth, so all
+    # but one are nudged apart first.
+    cs = list(((Q - 2) * (Q - 3) * (Q + 5) * (Q - 2 ** 200)).coeffs)
+    starts = rootfind._companion_starts(cs)
+    assert len(set(starts.tolist())) == 4 and 0 in starts.tolist()
+    rs = solve_complex_coeffs(cs)
+    assert rs.converged and rs.roots == [-5 + 0j, 2 + 0j, 3 + 0j, complex(2 ** 200)]
+
+
+def test_start_on_a_critical_point_is_nudged_before_the_exact_rerun():
+    # g' = 0 at the start 0 of q^2 - 4: Aberth's correction there is 0 and
+    # Newton stops at once with eta inf, so only a nudge moves the point.
+    rs = solve_complex_coeffs([-4, 0, 1], starts=[0, 3 + 1j])
+    assert rs.converged and rs.roots == [-2 + 0j, 2 + 0j]
+
+
 def _mpmath_scaled(coeffs):
     """The scaling that _scaled_float_coeffs replaced: 30-digit mpc values."""
     with mp.workdps(30):
@@ -403,6 +482,39 @@ def test_equal_start_points_stay_finite(arithmetic):
     starts = np.array([arithmetic(2.1), arithmetic(2.1), arithmetic(-0.9)])
     z, _ = rootfind.aberth_sweeps(lambda p: rootfind._horner_ratio(coeffs, p), starts)
     assert all(isinstance(x, arithmetic) and math.isfinite(abs(complex(x))) for x in z)
+
+
+def _hull_points(coeffs: np.ndarray) -> np.ndarray:
+    """The retired start rule of the double sweeps, kept so that tests which
+    compare Aberth trajectories keep their start points: perturbed circles
+    whose radii come from the upper convex hull of (k, log|a_k|)."""
+    d = len(coeffs) - 1
+    logs = np.full(d + 1, -np.inf)
+    nz = np.abs(coeffs) > 0
+    logs[nz] = np.log(np.abs(coeffs[nz]))
+    logs = logs.tolist()
+    hull: list[int] = []
+    for k in range(d + 1):
+        if not math.isfinite(logs[k]):
+            continue
+        while len(hull) >= 2:
+            i, j = hull[-2], hull[-1]
+            if (logs[j] - logs[i]) * (k - j) <= (logs[k] - logs[j]) * (j - i):
+                hull.pop()
+            else:
+                break
+        hull.append(k)
+    points = np.empty(d, dtype=np.complex128)
+    pos = 0
+    for a, b in zip(hull, hull[1:]):
+        n_seg = b - a
+        radius = math.exp((logs[a] - logs[b]) / n_seg)
+        offset = 0.376 + 0.5 * pos / max(d, 1)
+        ang = 2.0 * np.pi * (np.arange(n_seg) + offset) / n_seg
+        points[pos:pos + n_seg] = radius * np.exp(1j * ang)
+        pos += n_seg
+    assert pos == d
+    return points
 
 
 def _reference_horner_ratio(coeffs, z):
@@ -453,10 +565,10 @@ def _sweep_cases():
     cases = []
     for cs in _seeded_integer_polys(12):
         c = _double_coeffs(cs)
-        cases.append(param(c, None, rootfind._initial_points(c), id=f"degree {len(cs) - 1}"))
+        cases.append(param(c, None, _hull_points(c), id=f"degree {len(cs) - 1}"))
     for cs in _seeded_integer_polys(8):
         c = _double_coeffs(cs)
-        cases.append(param(None, cs, rootfind._initial_points(c), id=f"exact {len(cs) - 1}"))
+        cases.append(param(None, cs, _hull_points(c), id=f"exact {len(cs) - 1}"))
     cubic, twice = [6, 1, -4, 1], np.array([2.1, 2.1, -0.9], dtype=complex)
     cases.append(param(cubic, None, twice, id="coincident"))
     cases.append(param(None, cubic, twice, id="coincident exact"))
@@ -466,7 +578,7 @@ def _sweep_cases():
     # Horner overflows at 1e156 on a quadratic: that point drifts by 0.2 z.
     cases.append(param([2, -3, 1], None, np.array([1e156 + 1e155j, 0.5 - 1j]), id="overflow"))
     with mp.workdps(30):
-        ring = rootfind._initial_points(_double_coeffs(cubic))
+        ring = _hull_points(_double_coeffs(cubic))
 
         def mpc_points(points):
             return np.array([mp.mpc(x) for x in points], dtype=object)
@@ -639,16 +751,31 @@ def _random_expression(rng: random.Random, leaves: int, w_share: float) -> str:
                           _random_expression(rng, leaves - cut, w_share))
 
 
-def test_find_roots_bits_are_pinned():
-    # Roots, residuals, multiplicities and flags of e-only and W expressions
-    # of 2-12 leaves and of leaf-joined trees, hashed by repr: a change in
-    # how Newton rounds its iterates or forms eta moves this digest.
+def _pinned_root_sets() -> list[rootfind.RootSet]:
+    """find_roots at tol 1e-8 on e-only and W expressions of 2-12 leaves and
+    on leaf-joined trees up to (2,6) and (3,4)."""
     rng = random.Random(26)
     polys = [chromatic_poly(parse_sp(_random_expression(rng, leaves, w_share))[1])
              for leaves in range(2, 13) for w_share in (0.0, 0.0, 0.4, 0.4)]
     polys += [chromatic_leaf_tree(r, n) for r, top in ((2, 6), (3, 4)) for n in range(2, top + 1)]
+    return [find_roots(p, tol=1e-8) for p in polys]
+
+
+def test_find_roots_bits_are_pinned():
+    # Roots, residuals, multiplicities and flags, hashed by repr: a change in
+    # how Newton rounds its iterates or forms eta, or in where it starts,
+    # moves this digest.
     digest = hashlib.sha256()
-    for p in polys:
-        rs = find_roots(p, tol=1e-8)
+    for rs in _pinned_root_sets():
         digest.update(repr((rs.roots, rs.residuals, rs.multiplicities, rs.converged)).encode())
-    assert digest.hexdigest() == "0406dd761d89d04a491d6a233473fd449d368fbf5a40fbef15c14b82aa458829"
+    assert digest.hexdigest() == "c6492cd3db463897db264082726f1442b488b439f906ce44f68ee9f5ed47f735"
+
+
+def test_find_roots_roots_and_multiplicities_are_pinned():
+    # The same inputs without the residuals, recorded before the double
+    # sweeps moved from hull circles to companion eigenvalues: other start
+    # points may move a residual's bits, never a root's.
+    digest = hashlib.sha256()
+    for rs in _pinned_root_sets():
+        digest.update(repr((rs.roots, rs.multiplicities, rs.converged)).encode())
+    assert digest.hexdigest() == "5bf604714546ac1b95f5b0a67b150026c8d7cc8c6e0c43abc86bed0702634327"
