@@ -296,6 +296,10 @@ def test_region_boundary_at_lambda_five(tmp_path, monkeypatch):
     assert rows[0] == "theta,rho_max" and len(rows) == 5
 
 
+# sha256 of the region counterexample JSON: every root, residual and the witness.
+COUNTEREXAMPLE_DIGEST = "fafe0efe9527fb90dd368e15e89bb1bb92311a85519b7e64c6ac07eb13fa5885"
+
+
 def test_region_counterexample(tmp_path, monkeypatch):
     out = tmp_path / "ce.json"
     assert run(tmp_path, monkeypatch, "region", "counterexample", "--out", str(out)) == 0
@@ -303,6 +307,7 @@ def test_region_counterexample(tmp_path, monkeypatch):
     assert payload["count"] == 31
     assert payload["verified"]
     assert abs(payload["witness_offset"] - 2.009462) < 1e-5
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == COUNTEREXAMPLE_DIGEST
 
 
 def test_leaftree_commands(tmp_path, monkeypatch, capsys):
