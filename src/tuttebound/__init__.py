@@ -8,7 +8,7 @@ from .graphs import (Block, GraphError, Multigraph, TwoTerminalGraph, blocks,
 from .oracles import partial_tutte_brute, potts_brute, tutte_brute
 from .weights import (INF, UNDEF, WeightAssignment, convert, is_finite,
                       load_weights, parallel, save_weights, series)
-from .poly import BigPoly, BiPoly, Jet
+from .poly import BigPoly, BiPoly
 from .sp import (DecompNode, DecompTree, ParseError, check_proper_flow_bound,
                  constituent_flows, decompose_sp, gen_gadget_cycle,
                  gen_leaf_joined_tree, gen_theta, gen_wheatstone, is_nice, parse_sp)

@@ -11,9 +11,11 @@ for a uniform edge weight w, with the partition function q^2 A_n + q B_n.
 Exact coefficients come from the engine's pair route on the realized tree
 (engine.tree_ab): BigPoly at w = -1, BiPoly for a symbolic w.  One private
 step runs the recursion on jets of doubles that carry each value with its
-q-derivative, rescaled between levels.  It gives P/P' to the solver's own
-Aberth loop, started from a ring around q = 1 (rootfind.ring_starts), and
-the transmissivity t_n = B_n/(q A_n + B_n) at an array of points.
+q-derivative, rescaled between levels; it is the package's only jet.  It
+gives P/P' to the solver's own Aberth loop, started from a ring around
+q = 1 (rootfind.ring_starts), the transmissivity t_n = B_n/(q A_n + B_n)
+at an array of points, and F/F' of F = B_n - omega(q A_n + B_n) for the
+cycle counterexample (regions.cycle_counterexample).
 
 In the proper-coloring case the same growth is the one-dimensional map
 y -> ((q-1)/(q-2+y))^r of the effective weight y = 1 + v = 1 + B/A,
@@ -113,10 +115,6 @@ def t_eff_exact(r: int, n: int) -> tuple[BigPoly, BigPoly]:
 # rescaled between levels (the step is homogeneous of degree r in (A, B),
 # so neither ratio changes) to stay in range.  Exact coefficients are used
 # only for the final Newton verification.
-# poly.Jet through engine.tree_ab gives the same roots but other residuals
-# (19 of the 32 rows of the (2,5) root CSV), and it keeps a binary exponent
-# per point instead of this per-level rescale, which makes each of its
-# products about four times as costly, so this step keeps its own jet.
 
 class _Jet:
     """Values and q-derivatives at many points, under + - * and integer **."""

@@ -4,9 +4,7 @@ BigPoly is univariate with int (or Fraction) coefficients stored ascending;
 BiPoly is a small companion for polynomials in two variables, used when a
 single uniform symbolic edge weight is carried alongside q.  Coefficient
 growth is unbounded by design: chromatic polynomials of the graph families
-handled here reach hundreds of digits.  Jet is the numeric counterpart: the
-value and q-derivative of a polynomial at many points in double precision,
-with a binary exponent per point, for root location without coefficients.
+handled here reach hundreds of digits.
 """
 
 from __future__ import annotations
@@ -14,8 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _int_gcd
 from typing import Sequence
-
-import numpy as np
 
 
 class BigPoly:
@@ -394,71 +390,3 @@ def _coerce_bi(x):
     if isinstance(x, (int, Fraction)):
         return BiPoly({(0, 0): x})
     return None
-
-
-class Jet:
-    """Values and q-derivatives at many points, each with a binary exponent.
-
-    A jet stands for (v, d) * 2**e per point: the value of a polynomial in q
-    and its derivative at an array of complex points.  It is a commutative
-    ring under + - * and ** with Python numbers as constants, so the
-    engine's pair route evaluates any decomposition tree on it unchanged.
-    Products renormalise each point so that max(|v|, |d|) lies in [1/2, 1),
-    which keeps degree-500 values in range; a sum aligns both operands to
-    the larger exponent.  The exponent cancels from the Newton ratio v/d.
-    """
-
-    __slots__ = ("v", "d", "e")
-
-    def __init__(self, v, d, e):
-        self.v, self.d, self.e = v, d, e
-
-    @classmethod
-    def variable(cls, z) -> "Jet":
-        """The identity q at the points z."""
-        z = np.asarray(z, dtype=np.complex128)
-        return cls(z, np.ones_like(z), np.zeros(z.shape, dtype=np.int64))
-
-    def _const(self, c) -> "Jet":
-        v = np.full_like(self.v, complex(c))
-        return Jet(v, np.zeros_like(v), np.zeros_like(self.e))
-
-    def ratio(self) -> np.ndarray:
-        """v/d, the Newton ratio p/p'; 0 where both vanish (a multiple root)."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where((self.v == 0) & (self.d == 0), 0, self.v / self.d)
-
-    def __add__(self, other) -> "Jet":
-        if not isinstance(other, Jet):
-            other = self._const(other)
-        e = np.maximum(self.e, other.e)
-        s, t = np.ldexp(1.0, self.e - e), np.ldexp(1.0, other.e - e)
-        return Jet(self.v * s + other.v * t, self.d * s + other.d * t, e)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Jet":
-        return Jet(-self.v, -self.d, self.e)
-
-    def __sub__(self, other) -> "Jet":
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Jet":
-        return (-self) + other
-
-    def __mul__(self, other) -> "Jet":
-        if not isinstance(other, Jet):
-            c = complex(other)
-            return Jet(self.v * c, self.d * c, self.e)
-        v = self.v * other.v
-        d = self.d * other.v + self.v * other.d
-        top = np.maximum(np.maximum(np.abs(v.real), np.abs(v.imag)),
-                         np.maximum(np.abs(d.real), np.abs(d.imag)))
-        _m, k = np.frexp(top)
-        s = np.ldexp(1.0, -k)
-        return Jet(v * s, d * s, self.e + other.e + k)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Jet":
-        return _power(self, n, self._const(1))

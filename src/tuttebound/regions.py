@@ -31,13 +31,13 @@ from functools import cache, lru_cache
 import mpmath as mp
 import numpy as np
 
-from .engine import chromatic_poly, tree_ab
+from .engine import chromatic_poly
 from .graphs import GraphError
-from .leaftree import t_eff_at, t_eff_exact
-from .poly import BigPoly, Jet
+from .leaftree import _scaled_pair, t_eff_at, t_eff_exact
+from .poly import BigPoly
 from .rootfind import (ring_starts, solve_complex_coeffs, _exact_horner, _exact_ratio,
                        _gaussian, _point)
-from .sp import gen_gadget_cycle, leaf_joined_tree_ast, realize
+from .sp import gen_gadget_cycle, leaf_joined_tree_ast
 
 LOG2 = math.log(2.0)
 
@@ -1000,26 +1000,24 @@ def cycle_counterexample(tol: float = 1e-6) -> CycleCounterexample:
 
     t_eff_exact gives the transmissivity B/(qA + B) in lowest terms, hence
     the cleared polynomial F = B - omega(qA + B), whose exact coefficients
-    verify.  The realized depth-5 tree gives F/F' on jets for ring_starts.
+    verify.  The pair step of leaftree, on jets, gives F/F' for ring_starts.
     The root of largest |q-1| is confirmed against the coloring polynomial
     of the 94-vertex graph: three such trees and an edge in a cycle, whose
     own tree gives that polynomial.
     """
-    gadget = leaf_joined_tree_ast(2, 5)
-    tree = realize(gadget)[1]
     cleared = _cleared(*t_eff_exact(2, 5))
     omega = cmath.exp(2j * math.pi / 3)
 
     def ratio(z):
-        qj = Jet.variable(z)
-        pairs = tree_ab(tree, qj, -1)
-        return (pairs.b - omega * (qj * pairs.a + pairs.b)).ratio()
+        qj, a, b = _scaled_pair(z, 2, 5)
+        f = b - omega * (qj * a + b)
+        return f.v / f.d
 
     starts = ring_starts(ratio, len(cleared) - 1, 2.0, 1e-14)
     rs = solve_complex_coeffs(cleared, tol=1e-10, starts=list(starts))
     witness = max(rs.roots, key=lambda z: abs(z - 1.0))
 
-    poly = chromatic_poly(gen_gadget_cycle(gadget, 3)[1])
+    poly = chromatic_poly(gen_gadget_cycle(leaf_joined_tree_ast(2, 5), 3)[1])
     exact = _gaussian(poly.coeffs)
     [ratio] = _exact_ratio(exact, np.array([witness]))
     residual = float(abs(ratio)) / (1 + abs(witness))

@@ -5,9 +5,9 @@ previous sweep, so a sweep is deterministic and trivially data-parallel).
 The one loop, aberth_sweeps, takes the Newton ratio p/p' as a callable, so
 it serves every evaluator: the double Horner (_horner) on the coefficients,
 started from the eigenvalues of the companion matrix (_companion_starts),
-exact values of g/g' (_exact_ratio), the pair recursion of a leaf-joined
-tree in tuttebound.leaftree, and engine.tree_ab on poly.Jet, which gives p
-and p' of any decomposition tree (regions.cycle_counterexample).  The two
+exact values of g/g' (_exact_ratio), and the pair recursion of a
+leaf-joined tree on jets in tuttebound.leaftree, which gives the tree's own
+roots and those of t_n(q) = omega (regions.cycle_counterexample).  The
 tree callers start it from one ring around q = 1 (ring_starts).  Like
 MPSolve (Bini & Fiorentino 2000), a call also stops at its rounding floor:
 in the fast local phase, a sweep that fails to halve the largest
@@ -162,7 +162,9 @@ def ring_starts(ratio: Callable[[np.ndarray], np.ndarray], count: int,
                 radius: float, step_tol: float) -> np.ndarray:
     """aberth_sweeps from count points on |z - 1| = radius, off the real axis.
 
-    The flag is dropped: callers verify on exact coefficients.
+    Both callers evaluate a leaf-joined tree's pair step on jets
+    (tuttebound.leaftree), whose roots gather near such a ring.  The flag
+    is dropped: callers verify on exact coefficients.
     """
     angles = (np.arange(count) + 0.37) / count
     ring = 1.0 + radius * np.exp(2j * np.pi * angles)

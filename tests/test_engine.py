@@ -6,8 +6,6 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-import mpmath as mp
-import numpy as np
 import pytest
 
 from conftest import random_sp_ast, random_small_fraction
@@ -16,7 +14,7 @@ from tuttebound.engine import chromatic_poly, tree_ab, tree_veff
 from tuttebound.graphs import (GraphError, Multigraph, TwoTerminalGraph, banana,
                                cycle_graph, disjoint_union, glue_at_vertex)
 from tuttebound.oracles import tutte_brute
-from tuttebound.poly import BigPoly, Jet
+from tuttebound.poly import BigPoly
 from tuttebound.sp import (SPLeaf, SPOp, decompose_sp, gen_wheatstone, leaf_joined_tree_ast,
                            parse_sp, realize)
 from tuttebound.weights import INF, UNDEF, WeightAssignment, parallel
@@ -360,53 +358,3 @@ def test_undefined_route_builds_its_partial_per_node_on_read(monkeypatch):
     assert (repr(list(eff.per_node.values()))
             == repr([UNDEF, -0.5, 1.0, parallel(-0.5, 1, "V", q)]))
 
-
-def _brute_force_leaf():
-    # A W leaf whose weights are not all -1: no closed form, so the leaf is
-    # deletion plus v_f times contraction of its bridge.
-    _, tree = parse_sp("P(S(W,e),e)")
-    weights = {i: -1 for i in range(tree.graph.graph.edge_count)}
-    weights[2] = Fraction(-1, 2)
-    return tree, weights
-
-
-JET_TREES = {
-    "leaf-joined": lambda: (realize(leaf_joined_tree_ast(2, 6))[1], -1),
-    "W leaves": lambda: (parse_sp("P(S(e,W),S(W,e,e),W)")[1], -1),
-    "brute-force leaf": _brute_force_leaf,
-}
-
-
-@pytest.mark.parametrize("name", list(JET_TREES))
-def test_jet_route_matches_multiprecision(name):
-    # The pair route on jets gives P and P' at many points with no
-    # evaluator of its own: values carry a binary exponent per point.
-    tree, weights = JET_TREES[name]()
-    poly = tree_ab(tree, Q, weights).z
-    dpoly = poly.derivative()
-    points = [1 + rad * np.exp(2j * np.pi * (k + 0.29) / 8)
-              for rad in (0.5, 2.5, 4.0) for k in range(8)]
-    # -1/2 is exact in binary, so the float weights are the same constants.
-    floats = weights if weights == -1 else {i: float(v) for i, v in weights.items()}
-    jet = tree_ab(tree, Jet.variable(points), floats).z
-    if floats is not weights:
-        # Exact constants are coerced to complex: the Fraction weights give
-        # the float-weight jets bit for bit.
-        exact = tree_ab(tree, Jet.variable(points), weights).z
-        for got, want in ((exact.v, jet.v), (exact.d, jet.d), (exact.e, jet.e)):
-            assert np.array_equal(got, want), name
-    with mp.workdps(400):
-        for z, v, d, e in zip(points, jet.v, jet.d, jet.e):
-            p, dp = poly(mp.mpc(z)), dpoly(mp.mpc(z))
-            assert abs(mp.mpc(v) * mp.mpf(2) ** int(e) - p) <= 1e-9 * abs(p), (name, z)
-            assert abs(mp.mpc(d) * mp.mpf(2) ** int(e) - dp) <= 1e-9 * abs(dp), (name, z)
-            assert abs(complex(v / d) - complex(p / dp)) <= 1e-9 * abs(p / dp), (name, z)
-
-
-def test_jet_values_stay_finite_at_degree_510():
-    _, tree = realize(leaf_joined_tree_ast(2, 9))
-    points = np.array([0.5, 1.5 + 1.9j, 3 + 1j, 10, 100j, 1e3])
-    jet = tree_ab(tree, Jet.variable(points), -1).z
-    assert np.all(np.isfinite(jet.v)) and np.all(np.isfinite(jet.d))
-    assert np.all(np.abs(jet.v) > 0)
-    assert jet.e.max() > 1024           # beyond the range of a double

@@ -1,4 +1,6 @@
+import cmath
 import hashlib
+import math
 import random
 
 import mpmath as mp
@@ -7,9 +9,10 @@ import pytest
 
 from tuttebound.engine import chromatic_poly, tree_ab
 from tuttebound.graphs import GraphError
-from tuttebound.leaftree import (_newton_ratio, cardioid_cusp, chromatic_leaf_tree,
-                                 conjecture_scan, leaf_tree_ab, multiplier_loci,
-                                 t_eff_at, t_eff_exact, tree_chromatic_roots)
+from tuttebound.leaftree import (_newton_ratio, _scaled_pair, cardioid_cusp,
+                                 chromatic_leaf_tree, conjecture_scan, leaf_tree_ab,
+                                 multiplier_loci, t_eff_at, t_eff_exact,
+                                 tree_chromatic_roots)
 from tuttebound.poly import BigPoly, BiPoly
 from tuttebound.rootfind import find_roots
 from tuttebound.sp import gen_leaf_joined_tree, leaf_joined_vertex_count
@@ -275,13 +278,21 @@ def test_fast_roots_agree_with_generic_solver():
 def test_jet_newton_ratio_matches_multiprecision():
     # Away from the roots the pair step on jets gives P/P' to near double
     # precision, although the monomial form loses hundreds of digits there.
-    for r, n in ((2, 8), (3, 5), (4, 4)):
-        poly = chromatic_leaf_tree(r, n)
-        dpoly = poly.derivative()
-        points = [1 + rad * np.exp(2j * np.pi * (k + 0.29) / 8)
-                  for rad in (0.5, 2.5, 4.0) for k in range(8)]
-        got = _newton_ratio(np.array(points), r, n)
-        with mp.workdps(400):
+    # Each input is F/F' with F = num - omega*den: P itself (den = 0), and the
+    # cleared F = B - omega(qA + B) at (2, 5), formed on the jets as
+    # regions.cycle_counterexample forms it for its ring starts.
+    points = np.array([1 + rad * np.exp(2j * np.pi * (k + 0.29) / 8)
+                       for rad in (0.5, 2.5, 4.0) for k in range(8)])
+    inputs = [((r, n), _newton_ratio(points, r, n), chromatic_leaf_tree(r, n), BigPoly())
+              for r, n in ((2, 8), (3, 5), (4, 4))]
+    qj, a, b = _scaled_pair(points, 2, 5)
+    f = b - cmath.exp(2j * math.pi / 3) * (qj * a + b)
+    inputs.append(("cleared (2, 5)", f.v / f.d, *t_eff_exact(2, 5)))
+    with mp.workdps(400):
+        omega = mp.expjpi(mp.mpf(2) / 3)
+        for label, got, num, den in inputs:
+            dnum, dden = num.derivative(), den.derivative()
             for z, ratio in zip(points, got):
-                want = complex(poly(mp.mpc(z)) / dpoly(mp.mpc(z)))
-                assert abs(ratio - want) <= 1e-9 * abs(want), (r, n, z)
+                q = mp.mpc(z)
+                want = complex((num(q) - omega * den(q)) / (dnum(q) - omega * dden(q)))
+                assert abs(ratio - want) <= 1e-9 * abs(want), (label, z)

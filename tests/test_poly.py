@@ -3,10 +3,9 @@ import random
 from fractions import Fraction
 
 import mpmath as mp
-import numpy as np
 import pytest
 
-from tuttebound.poly import BigPoly, BiPoly, Jet
+from tuttebound.poly import BigPoly, BiPoly
 
 Q = BigPoly.variable()
 
@@ -187,25 +186,14 @@ def test_bipoly_matches_bigpoly_specialization():
         assert p(qs, ws) == p.subs_w(ws)(qs)
 
 
-_POINTS = np.array([0.5 + 2j, -3.0, 1e-3j])
-
-
-def _scaled(jet: Jet) -> tuple:
-    return jet.v * np.ldexp(1.0, jet.e), jet.d * np.ldexp(1.0, jet.e)
-
-
-@pytest.mark.parametrize("x, one, same", [
-    (BigPoly((2, -1, 3)), BigPoly.const(1), lambda a, b: a == b),
-    (BiPoly.q() - 2 * BiPoly.w() + 1, BiPoly.const(1), lambda a, b: a == b),
-    (Jet.variable(_POINTS) * 7 + 1,
-     Jet(np.ones(3, dtype=complex), np.zeros(3, dtype=complex), np.zeros(3, dtype=np.int64)),
-     lambda a, b: all(np.allclose(u, v, rtol=1e-13, atol=0)
-                      for u, v in zip(_scaled(a), _scaled(b)))),
-], ids=["BigPoly", "BiPoly", "Jet"])
-def test_power_is_the_repeated_product(x, one, same):
+@pytest.mark.parametrize("x, one", [
+    (BigPoly((2, -1, 3)), BigPoly.const(1)),
+    (BiPoly.q() - 2 * BiPoly.w() + 1, BiPoly.const(1)),
+], ids=["BigPoly", "BiPoly"])
+def test_power_is_the_repeated_product(x, one):
     product = one
     for n in range(6):
-        assert same(x ** n, product), n
+        assert x ** n == product, n
         product = product * x
     with pytest.raises(ValueError):
         x ** -1

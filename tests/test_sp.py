@@ -1,15 +1,12 @@
 import hashlib
 import random
 
-import mpmath as mp
-import numpy as np
 import pytest
 
 from conftest import is_2tsp_definitional, random_sp_ast
-from tuttebound.engine import chromatic_poly, tree_ab
+from tuttebound.engine import chromatic_poly
 from tuttebound.graphs import (GraphError, Multigraph, TwoTerminalGraph, banana,
                                max_flow, maxmaxflow, path_graph)
-from tuttebound.poly import Jet
 from tuttebound.sp import (DecompTree, ParseError, SPLeaf, check_proper_flow_bound,
                            constituent_flows, decompose_sp, gen_gadget_cycle,
                            gen_leaf_joined_tree, gen_theta, gen_wheatstone,
@@ -286,15 +283,7 @@ def test_gadget_cycle_218_vertices_evaluates_by_shape():
     assert h.graph.vertex_count == 218
     assert maxmaxflow(h.graph) == 3
     assert (len(tree.order), len(set(tree.shapes))) == (869, 17)
-    poly = chromatic_poly(tree)
-    assert poly == chromatic_poly(h.graph)
-    dpoly = poly.derivative()
-    points = [1 + 2.5 * np.exp(2j * np.pi * (k + 0.29) / 8) for k in range(8)]
-    ratio = tree_ab(tree, Jet.variable(points), -1).z.ratio()
-    with mp.workdps(400):
-        for z, w in zip(points, ratio):
-            exact = poly(mp.mpc(z)) / dpoly(mp.mpc(z))
-            assert abs(w - exact) <= 1e-9 * abs(exact), z
+    assert chromatic_poly(tree) == chromatic_poly(h.graph)
 
 
 def test_realize_refuses_what_is_not_an_expression():
