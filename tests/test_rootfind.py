@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import math
 import random
@@ -779,3 +780,40 @@ def test_find_roots_roots_and_multiplicities_are_pinned():
     for rs in _pinned_root_sets():
         digest.update(repr((rs.roots, rs.multiplicities, rs.converged)).encode())
     assert digest.hexdigest() == "5bf604714546ac1b95f5b0a67b150026c8d7cc8c6e0c43abc86bed0702634327"
+
+
+def _pinned_solve_outcomes() -> list[str]:
+    """repr of each solve_complex_coeffs result, or of each error's message:
+    integer, complex-float, dyadic Fraction and mpc input, q^m splits,
+    supplied starts, and every refusal."""
+    lam = cmath.exp(0.6j * math.pi)
+    c = 4.0 / lam                        # a period-2 locus cubic (leaftree)
+    cases = [
+        ([6, 1, -4, 1], None), (list(range(1, 11)), None),
+        ([-8 * c - 1, 12 * c + 2, -6 * c - 1, c], None),
+        ([Fraction(3, 8), Fraction(-5, 4), Fraction(1, 2), 1], None),
+        (_cleared(*t_eff_exact(2, 5)), None),
+        ([0, 0, 1, 2], None), ([0, 1, 1], None), ([0, 1.5, 2.5], None), ([0, 0, 3], None),
+        ([6, 1, -4, 1], [2.1, 2.1, -0.9]), ([-4, 0, 1], [0, 3 + 1j]),
+        ([5], None), ([Fraction(1, 3), 1], None),
+        ([6, 1, -4, 1], [1.0]), ([0, 0, 3], [1.0]), ([0, 6, 1, -4, 1], [1.0]),
+    ]
+    out = []
+    for coeffs, starts in cases:
+        try:
+            rs = solve_complex_coeffs(coeffs, tol=1e-10, starts=starts)
+        except RootFindingError as exc:
+            out.append(repr(str(exc)))
+        else:
+            out.append(repr((rs.roots, rs.residuals, rs.multiplicities, rs.degree, rs.converged)))
+    return out
+
+
+def test_solve_complex_coeffs_outputs_are_pinned():
+    # Roots, residuals, multiplicities, degree and flag, or the message of
+    # the error raised, hashed by repr: the q^m split, the starts checks and
+    # the assembly of every RootSet must not move a bit.
+    digest = hashlib.sha256()
+    for line in _pinned_solve_outcomes():
+        digest.update(line.encode())
+    assert digest.hexdigest() == "d3a20016204d1a19e43fe4be363f4ca4b09746c491b7c0aff691b1440548137f"
