@@ -35,8 +35,7 @@ from .engine import chromatic_poly
 from .graphs import GraphError
 from .leaftree import _scaled_pair, t_eff_at, t_eff_exact
 from .poly import BigPoly
-from .rootfind import (ring_starts, solve_complex_coeffs, _exact_horner, _exact_ratio,
-                       _gaussian, _point)
+from .rootfind import residual_at, ring_starts, solve_complex_coeffs
 from .sp import gen_gadget_cycle, leaf_joined_tree_ast
 
 LOG2 = math.log(2.0)
@@ -315,12 +314,7 @@ def certify(q: complex, lam: int, mode: str = CHROMATIC) -> CertifyResult:
 # ---------------------------------------------------------------------------
 
 def _t_parallel(a, b, q):
-    den = 1.0 + (q - 1.0) * a * b
-    if isinstance(den, np.ndarray):
-        return (a + b + (q - 2.0) * a * b) / den
-    if den == 0:
-        return None
-    return (a + b + (q - 2.0) * a * b) / den
+    return (a + b + (q - 2.0) * a * b) / (1.0 + (q - 1.0) * a * b)
 
 
 def _y_of_t(t, q):
@@ -1018,15 +1012,7 @@ def cycle_counterexample(tol: float = 1e-6) -> CycleCounterexample:
     witness = max(rs.roots, key=lambda z: abs(z - 1.0))
 
     poly = chromatic_poly(gen_gadget_cycle(leaf_joined_tree_ast(2, 5), 3)[1])
-    exact = _gaussian(poly.coeffs)
-    [ratio] = _exact_ratio(exact, np.array([witness]))
-    residual = float(abs(ratio)) / (1 + abs(witness))
-    if not ratio:
-        # g or g' vanishes at the witness, and the residual is then |g|.
-        x, y, s = _point(witness)
-        pr, pi, _, _ = _exact_horner(*exact, x, y, s)
-        scale = 1 << (s * poly.degree)
-        residual = math.hypot(pr / scale, pi / scale)
+    residual = residual_at(poly.coeffs, witness)
     return CycleCounterexample(
         roots=rs.roots,
         witness=witness,

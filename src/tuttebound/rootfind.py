@@ -41,7 +41,9 @@ a gcd(f, f') = 1 certificate modulo a fixed prime settles the common
 squarefree case, and Yun's algorithm over the integers handles the rest.
 Each distinct factor is solved once and its roots carry their exact
 multiplicity, so repeated roots (series joins, cut vertices, the (q-2)^2 of
-a Wheatstone bridge) never reach the numerical solver.
+a Wheatstone bridge) never reach the numerical solver.  Each entry,
+find_roots and solve_complex_coeffs, slices a factor q^m off and checks
+supplied starts once; every RootSet is built in one place (_root_set).
 
 The reported residual of a root z is |g(z)/g'(z)| / (1 + |z|), measured on
 the squarefree factor g that holds z: the Newton correction relative to the
@@ -361,17 +363,18 @@ def newton_residuals(coeffs, roots, dps: int, tol: float
     return out, res
 
 
-def _scaled_float_coeffs(coeffs: Sequence) -> np.ndarray:
-    """Exact/mp coefficients -> complex128, scaled so the largest is ~1.
-
-    Each part is its _gaussian integer over a power of two taken from the
-    integers' bit lengths, so the division rounds it to a double once.  The
-    formula this replaced rounded each part to 103 bits first, so it can
-    give other bits for a coefficient with more than 103 significant bits,
-    or for a scaled value in the subnormal range; otherwise the two agree
-    after normalising by the largest modulus.
-    """
-    return _float_parts(*_gaussian(coeffs))
+def residual_at(coeffs, z: complex) -> float:
+    """|g(z)/g'(z)| / (1 + |z|) on the exact coefficients of g, or |g(z)|
+    where that ratio vanishes, which says nothing of how near z is to a root."""
+    exact = _gaussian(coeffs)
+    [ratio] = _exact_ratio(exact, np.array([z]))
+    residual = float(abs(ratio)) / (1 + abs(z))
+    if not ratio:
+        x, y, s = _point(z)
+        pr, pi, _, _ = _exact_horner(*exact, x, y, s)
+        scale = 1 << (s * (len(exact[0]) - 1))
+        residual = math.hypot(pr / scale, pi / scale)
+    return residual
 
 
 def _float_parts(re: list[int], im: list[int]) -> np.ndarray:
@@ -451,43 +454,33 @@ def solve_complex_coeffs(coeffs, tol: float = 1e-10,
                          starts: Sequence[complex] | None = None) -> RootSet:
     """All roots of a polynomial given by exact (int/mpc) ascending coeffs.
 
-    Double-precision Horner sweeps first, from the companion eigenvalues
-    (_companion_starts), skipped when starting points are supplied and for
-    a linear polynomial, which starts at its root rounded once from the
-    exact coefficients (_linear_root).  When the sweeps stop
-    unconverged, the same Aberth loop continues from their points on exact
-    values (_exact_ratio).  Newton then verifies every point at
-    _auto_dps(degree) digits.  Every step reads one conversion of the
-    coefficients to Gaussian integers (_Converted).  Roots within
-    tol*(1+|z|) of each other are taken for two approximations of one root
-    and nudged apart, and so is a point where g' = 0.  A clash or a residual
-    above tol reruns the exact sweeps and Newton once; what still fails
-    flags the result unconverged rather than trimmed.  The coefficients
-    may be inexact, so no multiplicity is claimed: every root is reported
-    with multiplicity 1, except that a factor q^m (m zero low
-    coefficients) is split off exactly, as in find_roots, and reported as
-    m roots at 0 with multiplicity m and residual 0.  Starts, if given,
-    are for the roots of the rest.
+    A factor q^m (m zero low coefficients) is sliced off and reported as m
+    roots at 0 with multiplicity m and residual 0.  Starts, if given, are
+    for the rest, and their count is checked once.  The coefficients may be
+    inexact, so each root of the rest has multiplicity 1.  It takes double
+    Horner sweeps from the companion eigenvalues (_companion_starts), unless
+    starts are given or it is linear: then it starts at its root, rounded
+    once from the exact coefficients (_linear_root).  Sweeps that stop
+    unconverged continue on exact values (_exact_ratio), and Newton then
+    verifies every point at _auto_dps(degree) digits, all on one conversion
+    to Gaussian integers (_Converted).  Roots within tol*(1+|z|) of each
+    other are taken for two approximations of one root and nudged apart,
+    and so is a point where g' = 0.  A clash or a residual above tol reruns
+    the exact sweeps and Newton once; what still fails flags the result
+    unconverged rather than trimmed.
     """
     cs = list(coeffs)
     while cs and cs[-1] == 0:
         cs.pop()
     if len(cs) < 2:
         raise RootFindingError("need degree >= 1")
-    if cs[0] == 0:
-        m = next(k for k, c in enumerate(cs) if c != 0)
-        roots, residuals, mult, converged = [0j] * m, [0.0] * m, [m] * m, True
-        if len(cs) > m + 1:
-            part = solve_complex_coeffs(cs[m:], tol=tol, starts=starts)
-            roots += part.roots
-            residuals += part.residuals
-            mult += part.multiplicities
-            converged = part.converged
-        elif starts is not None and len(starts):
-            raise RootFindingError("starts must supply one point per root")
-        order = sorted(range(len(roots)), key=lambda i: (roots[i].real, roots[i].imag))
-        return RootSet([roots[i] for i in order], [residuals[i] for i in order],
-                       [mult[i] for i in order], len(cs) - 1, tol, converged)
+    degree = len(cs) - 1
+    m = next(k for k, c in enumerate(cs) if c != 0)
+    cs = cs[m:]
+    if starts is not None and len(starts) != len(cs) - 1:
+        raise RootFindingError("starts must supply one point per root")
+    if len(cs) == 1:
+        return _root_set([0j] * m, [0.0] * m, [m] * m, degree, tol, True)
     cs = _Converted(cs)
     dps = _auto_dps(len(cs) - 1)
     if starts is None and len(cs) == 2:
@@ -498,11 +491,9 @@ def solve_complex_coeffs(coeffs, tol: float = 1e-10,
         return aberth_sweeps(lambda p: _exact_ratio(cs.parts, p), z, step_tol=1e-14)[0]
 
     if starts is not None:
-        if len(starts) != len(cs) - 1:
-            raise RootFindingError("starts must supply one point per root")
         raw = starts
     else:
-        c = _scaled_float_coeffs(cs)
+        c = _float_parts(*cs.parts)
         if c[-1] == 0:
             raise RootFindingError("leading coefficient underflows double precision")
         if c[0] == 0:
@@ -523,11 +514,16 @@ def solve_complex_coeffs(coeffs, tol: float = 1e-10,
             roots[j] += _NUDGE * (1 + abs(roots[j])) * cmath.exp(1j * (k + 1))
         roots, residuals = newton_residuals(cs, exact_sweeps(roots), dps, tol)
         clash = _clashes(roots, tol)
+    return _root_set([0j] * m + roots, [0.0] * m + residuals, [m] * m + [1] * len(roots),
+                     degree, tol, max(residuals) <= tol and not clash)
+
+
+def _root_set(roots: list[complex], residuals: list[float], mult: list[int],
+              degree: int, tol: float, converged: bool) -> RootSet:
+    """The one constructor of a RootSet: the roots sorted by (real, imag)."""
     order = sorted(range(len(roots)), key=lambda i: (roots[i].real, roots[i].imag))
-    roots = [roots[i] for i in order]
-    residuals = [residuals[i] for i in order]
-    return RootSet(roots, residuals, [1] * len(roots), len(cs) - 1, tol,
-                   max(residuals) <= tol and not clash)
+    return RootSet([roots[i] for i in order], [residuals[i] for i in order],
+                   [mult[i] for i in order], degree, tol, converged)
 
 
 def _clashes(roots: list[complex], tol: float) -> list[int]:
@@ -618,8 +614,8 @@ def find_roots(p: BigPoly, tol: float = 1e-10,
                starts: Sequence[complex] | None = None) -> RootSet:
     """All complex roots of an exact integer polynomial (integral Fractions pass).
 
-    Roots at q = 0 and q = 1 are stripped by exact synthetic division first
-    and reported with residual 0.  The rest is split exactly into squarefree
+    Roots at q = 0 are sliced off and roots at q = 1 stripped by exact
+    synthetic division first, all reported with residual 0.  The rest is split exactly into squarefree
     factors (see squarefree_factors); each distinct factor goes through the
     Aberth pipeline once, and its roots are repeated with their exact
     multiplicity and the residual measured on that factor.  Callers with
@@ -639,10 +635,8 @@ def find_roots(p: BigPoly, tol: float = 1e-10,
     roots: list[complex] = []
     residuals: list[float] = []
     mult: list[int] = []
-    zeros = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        zeros += 1
+    zeros = next(k for k, c in enumerate(coeffs) if c != 0)
+    coeffs = coeffs[zeros:]
     ones = 0
     while len(coeffs) > 1 and sum(coeffs) == 0:
         # Synthetic division by (q - 1), exact in integers.
@@ -670,6 +664,4 @@ def find_roots(p: BigPoly, tol: float = 1e-10,
             residuals += [res] * m
             mult += [m] * m
         converged = converged and part.converged
-    order = sorted(range(len(roots)), key=lambda i: (roots[i].real, roots[i].imag))
-    return RootSet([roots[i] for i in order], [residuals[i] for i in order],
-                   [mult[i] for i in order], p.degree, tol, converged)
+    return _root_set(roots, residuals, mult, p.degree, tol, converged)

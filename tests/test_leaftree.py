@@ -9,7 +9,7 @@ import pytest
 
 from tuttebound.engine import chromatic_poly, tree_ab
 from tuttebound.graphs import GraphError
-from tuttebound.leaftree import (_newton_ratio, _scaled_pair, cardioid_cusp,
+from tuttebound.leaftree import (_newton_ratio, _pair_step, _scaled_pair, cardioid_cusp,
                                  chromatic_leaf_tree, conjecture_scan, leaf_tree_ab,
                                  multiplier_loci, t_eff_at, t_eff_exact,
                                  tree_chromatic_roots)
@@ -42,6 +42,20 @@ def test_recursion_matches_tree_engine():
             _, tree = gen_leaf_joined_tree(r, n)
             z = tree_ab(tree, BiPoly.q(), BiPoly.w()).z
             assert leaf_tree_ab(r, n, symbolic_weight=True).partition_poly() == z
+    # leaf_tree_ab is tree_ab on the same realized tree, so the checks above
+    # hold by construction.  The pair recursion from A_1 = 1 and
+    # B_1 = (1 + w)^r - 1, in closed-form powers instead of binary joins, is
+    # an independent route to each (A_n, B_n).
+    w = BiPoly.w()
+    for one, qw, one_w, runs in ((BigPoly.const(1), Q - 1, 0, ((2, 5), (3, 4), (4, 3))),
+                                 (BiPoly.const(1), BiPoly.q() + w, 1 + w, ((2, 5), (3, 4)))):
+        for r, n_max in runs:
+            a, b = one, one * one_w ** r - one
+            for n in range(1, n_max + 1):
+                if n > 1:
+                    a, b = _pair_step(a, b, qw, one_w, r)
+                state = leaf_tree_ab(r, n, symbolic_weight=isinstance(one, BiPoly))
+                assert (state.a, state.b) == (a, b), (r, n, one_w)
 
 
 # SHA-256 (first 16 hex digits) of "A|B", each written as its coefficient

@@ -13,7 +13,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from tuttebound import regions
+from tuttebound import regions, rootfind
 from tuttebound.engine import chromatic_poly
 from tuttebound.graphs import GraphError
 from tuttebound.leaftree import leaf_tree_ab, t_eff_exact
@@ -720,7 +720,7 @@ def test_cycle_counterexample_values():
 def test_counterexample_residual_is_abs_g_where_the_ratio_vanishes(monkeypatch):
     # g/g' is 0 where g or g' vanishes, which says nothing of the witness:
     # the residual is then |g| on the 94-vertex polynomial, never 0.
-    monkeypatch.setattr(regions, "_exact_ratio", lambda exact, z: np.zeros(len(z), complex))
+    monkeypatch.setattr(rootfind, "_exact_ratio", lambda exact, z: np.zeros(len(z), complex))
     ce = cycle_counterexample()
     poly = chromatic_poly(gen_gadget_cycle(leaf_joined_tree_ast(2, 5), 3)[1])
     with mp.workdps(400):

@@ -126,7 +126,7 @@ def test_newton_near_clustered_roots_takes_one_pass_at_the_given_digits(monkeypa
     # near clustered roots: Newton approaches them slowly and needs more
     # steps, which each point takes in one pass at the given digits.
     cleared = _cleared(*t_eff_exact(2, 5))
-    c = rootfind._scaled_float_coeffs(cleared)
+    c = rootfind._float_parts(*rootfind._gaussian(cleared))
     c = c / np.max(np.abs(c))
     raw, _ = rootfind.aberth_sweeps(lambda z: rootfind._horner_ratio(c, z),
                                     _hull_points(c))
@@ -444,7 +444,7 @@ def test_start_on_a_critical_point_is_nudged_before_the_exact_rerun():
 
 
 def _mpmath_scaled(coeffs):
-    """The scaling that _scaled_float_coeffs replaced: 30-digit mpc values."""
+    """The scaling that _float_parts replaced: 30-digit mpc values."""
     with mp.workdps(30):
         top = max(abs(mp.mpc(c)) for c in coeffs)
         shift = mp.power(2, int(mp.log(top, 2))) if top > 0 else mp.mpf(1)
@@ -468,11 +468,11 @@ def test_scaled_float_coeffs_match_the_mpmath_formula(kind):
 
     for _ in range(50):
         cs = [coeff() for _ in range(rng.randint(1, 12))] + [coeff() or 1]
-        got, want = rootfind._scaled_float_coeffs(cs), _mpmath_scaled(cs)
+        got, want = rootfind._float_parts(*rootfind._gaussian(cs)), _mpmath_scaled(cs)
         got, want = got / np.max(np.abs(got)), want / np.max(np.abs(want))
         assert got.tobytes() == want.tobytes(), cs
     with pytest.raises(RootFindingError):
-        rootfind._scaled_float_coeffs([Fraction(1, 3), 1])
+        rootfind._float_parts(*rootfind._gaussian([Fraction(1, 3), 1]))
 
 
 @pytest.mark.parametrize("arithmetic", [complex, mp.mpc])
@@ -555,7 +555,7 @@ def _seeded_integer_polys(top: int) -> list[list[int]]:
 
 
 def _double_coeffs(cs: list[int]) -> np.ndarray:
-    c = rootfind._scaled_float_coeffs(cs)
+    c = rootfind._float_parts(*rootfind._gaussian(cs))
     return c / np.max(np.abs(c))
 
 
