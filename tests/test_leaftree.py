@@ -15,7 +15,8 @@ from tuttebound.leaftree import (_newton_ratio, _pair_step, _scaled_pair, cardio
                                  tree_chromatic_roots)
 from tuttebound.poly import BigPoly, BiPoly
 from tuttebound.rootfind import find_roots
-from tuttebound.sp import gen_leaf_joined_tree, leaf_joined_vertex_count
+from tuttebound.sp import (gen_gadget_cycle, gen_leaf_joined_tree, leaf_joined_tree_ast,
+                           leaf_joined_vertex_count)
 
 Q = BigPoly.variable()
 
@@ -91,6 +92,26 @@ def test_pair_coefficients_match_recorded_digests():
         symbolic = key.startswith("w")
         r, n = map(int, key.lstrip("w").split(","))
         assert _pair_digest(leaf_tree_ab(r, n, symbolic_weight=symbolic)) == want, key
+
+
+# SHA-256 of each polynomial's comma-joined coefficients, recorded from the
+# BigPoly ring route: sizes past every benchmark input, where the largest
+# coefficients reach hundreds of digits.
+LARGE_POLY_DIGESTS = {
+    "leaf tree 2,10": "625ad618333d75a9de602d53b85455e7e61161586f16d8af22ac5daabc8dc792",
+    "leaf tree 3,6": "2da11fa5cbcb4a492f3bae83ff7750c36fa075d03c2045a447f0eda4e6993da8",
+    "leaf tree 4,5": "1ef15ff9b7650fade6dec938d2a47cb2988b64ecd4825d5f9af98393fc2631f7",
+    "218-vertex cycle": "248df6df1835784dae82a743026765cbbeed7c431a8965b266131acdb39437e6",
+}
+
+
+def test_large_exact_polynomials_are_pinned():
+    polys = {f"leaf tree {r},{n}": chromatic_leaf_tree(r, n) for r, n in ((2, 10), (3, 6), (4, 5))}
+    polys["218-vertex cycle"] = chromatic_poly(gen_gadget_cycle(leaf_joined_tree_ast(2, 5), 7)[1])
+    assert polys["218-vertex cycle"].degree == 218
+    for key, want in LARGE_POLY_DIGESTS.items():
+        text = ",".join(str(c) for c in polys[key].coeffs)
+        assert hashlib.sha256(text.encode()).hexdigest() == want, key
 
 
 def test_degree_equals_vertex_count():
