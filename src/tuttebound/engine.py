@@ -29,6 +29,29 @@ built from the step values on its first read, in post-order; values of
 nodes with equal shapes may be the same object.  The effective-weight route
 still multiplies its prefactor node by node in post-order, so both
 programs give the same bits.
+
+Exact chromatic polynomials (chromatic_poly, chromatic_pair) come from the
+pair route over Python ints at one point q = 2^k, not over BigPoly: each
+join is then one big-int product, and the coefficients are read back as the
+balanced base-2^k digits of the result (Kronecker substitution;
+BigPoly.from_balanced_digits).  The width k rests on a bound M on every
+coefficient, taken from one pass of the pair route at q = -1:
+
+* under weights -1, q^2 A + q B = P(G) and q(A + B) = P(G/st), the
+  chromatic polynomial of G with s and t identified (0 when an s-t edge
+  becomes a loop);
+* the chromatic polynomial of a loopless graph alternates in sign
+  (Whitney), so the sum of its coefficients' absolute values is |P(-1)|,
+  the number of acyclic orientations (Stanley);
+* q(q - 1)A = P(G) - P(G/st), and dividing by q - 1 takes partial sums, so
+  no coefficient of A exceeds |P(G)(-1)| + |P(G/st)(-1)| in absolute
+  value; B = P(G/st)/q - A adds at most |P(G/st)(-1)| more;
+* at q = -1 the pair gives P(G)(-1) = A - B and P(G/st)(-1) = -(A + B).
+
+So M = |A - B| + 2|A + B| bounds every |coefficient| of A, B and P(G), and
+k = 8 ceil((bitlen M + 2)/8) makes M < 2^(k-2), inside one balanced digit.
+The ring route (tree_ab on BigPoly) gives the same polynomials, coefficient
+for coefficient.
 """
 
 from __future__ import annotations
@@ -42,7 +65,7 @@ from .graphs import GraphError, Multigraph, TwoTerminalGraph, blocks
 from .oracles import tutte_brute
 from .poly import BigPoly
 from .sp import DecompNode, DecompTree, decompose_sp
-from .weights import INF, UNDEF, WeightAssignment, _combiner, is_finite
+from .weights import INF, UNDEF, WeightAssignment, combiner, is_finite
 
 
 def _weights_plan(tree: DecompTree, weights, q):
@@ -164,7 +187,7 @@ def tree_veff(tree: DecompTree, q, weights=None) -> TreeEffective:
     if q == 0:
         raise GraphError("q must be nonzero")
     wfn, by_shape = _weights_plan(tree, weights, q)
-    par, ser = _combiner("V", q, "Y"), _combiner("V", q, "T")
+    par, ser = combiner("V", q, "Y"), combiner("V", q, "T")
     order = tree.order
     at, kids, slots = tree.program(by_shape)
     values: list = []
@@ -211,20 +234,40 @@ def tree_veff(tree: DecompTree, q, weights=None) -> TreeEffective:
 # Chromatic polynomials
 # ---------------------------------------------------------------------------
 
+def _coefficient_bound(tree: DecompTree) -> int:
+    """M = |A - B| + 2|A + B| at q = -1: at least |c| for each coefficient c of A, B and Z."""
+    at = tree_ab(tree, -1, weights=-1)
+    return abs(at.a - at.b) + 2 * abs(at.a + at.b)
+
+
+def _pairs_at_power_of_two(tree: DecompTree) -> tuple[TreePairs, int]:
+    """The pair route under weights -1 at q = 2^k, and k: 8 ceil((bitlen M + 2)/8)."""
+    width = 8 * -(-(_coefficient_bound(tree).bit_length() + 2) // 8)
+    return tree_ab(tree, 1 << width, weights=-1), width
+
+
+def chromatic_pair(tree: DecompTree) -> tuple[BigPoly, BigPoly]:
+    """Exact (A, B) under all weights -1, read off one integer evaluation at q = 2^k."""
+    pairs, width = _pairs_at_power_of_two(tree)
+    return (BigPoly.from_balanced_digits(pairs.a, width),
+            BigPoly.from_balanced_digits(pairs.b, width))
+
+
 def _chromatic_from_tree(tree: DecompTree) -> BigPoly:
-    q = BigPoly.variable()
-    return tree_ab(tree, q, weights=-1).z
+    pairs, width = _pairs_at_power_of_two(tree)
+    return BigPoly.from_balanced_digits(pairs.z, width)
 
 
 def chromatic_poly(g: Multigraph | TwoTerminalGraph | DecompTree) -> BigPoly:
     """Exact chromatic polynomial (all weights -1).
 
-    A decomposition tree goes through the pair route symbolically, whatever
-    its leaves.  A graph (of a 2-terminal one, its graph) factors over
-    components and blocks, each block through decompose_sp and the pair
-    route; only a block with a K4 minor, which no s-t series-parallel graph
-    has, falls back to the subset oracle (guarded by its DEFAULT_EDGE_LIMIT).
-    Loops are rejected: a loop makes the polynomial identically zero.
+    A decomposition tree goes through the pair route at one integer point,
+    whatever its leaves (see the module docstring).  A graph (of a
+    2-terminal one, its graph) factors over components and blocks, each
+    block through decompose_sp and the pair route; only a block with a K4
+    minor, which no s-t series-parallel graph has, falls back to the subset
+    oracle (guarded by its DEFAULT_EDGE_LIMIT).  Loops are rejected: a loop
+    makes the polynomial identically zero.
     """
     if isinstance(g, DecompTree):
         return _chromatic_from_tree(g)

@@ -8,13 +8,15 @@ satisfies the pair recursion
     A_1 = 1,  B_1 = (1+w)^r - 1,
 
 for a uniform edge weight w, with the partition function q^2 A_n + q B_n.
-Exact coefficients come from the engine's pair route on the realized tree
-(engine.tree_ab): BigPoly at w = -1, BiPoly for a symbolic w.  One private
-step runs the recursion on jets of doubles that carry each value with its
+Exact coefficients come from the engine's pair route on the realized tree:
+at w = -1 from one integer evaluation at q = 2^k (engine.chromatic_pair),
+and for a symbolic w over BiPoly (engine.tree_ab).  One private step runs
+the recursion on jets of doubles that carry each value with its
 q-derivative, rescaled between levels; it is the package's only jet.  It
 gives P/P' to the solver's own Aberth loop, started from a ring around
 q = 1 (rootfind.ring_starts), the transmissivity t_n = B_n/(q A_n + B_n)
-at an array of points, and F/F' of F = B_n - omega(q A_n + B_n) for the
+at an array of points, and F/F' of F = B_n - omega(q A_n + B_n)
+(cleared_ratio), whose zeros are the points where t_n = omega, for the
 cycle counterexample (regions.cycle_counterexample).
 
 In the proper-coloring case the same growth is the one-dimensional map
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import tree_ab
+from .engine import chromatic_pair, tree_ab
 from .graphs import GraphError
 from .poly import BigPoly, BiPoly
 from .rootfind import RootSet, find_roots, ring_starts, solve_complex_coeffs
@@ -66,14 +68,13 @@ def leaf_tree_ab(r: int, n: int, symbolic_weight: bool = False) -> LeafTreeState
         raise GraphError("need r >= 2 and n >= 1")
     if r ** n > EXACT_SIZE_LIMIT:
         raise GraphError(f"r^n = {r ** n} exceeds exact-recursion limit {EXACT_SIZE_LIMIT}")
-    if symbolic_weight:
-        one, q, w = BiPoly.const(1), BiPoly.q(), BiPoly.w()
-    else:
-        one, q, w = BigPoly.const(1), BigPoly.variable(), -1
     _tt, tree = realize(leaf_joined_tree_ast(r, n))
-    pairs = tree_ab(tree, q, weights=w)
+    if not symbolic_weight:
+        return LeafTreeState(r, n, *chromatic_pair(tree), False)
+    one = BiPoly.const(1)
+    pairs = tree_ab(tree, BiPoly.q(), weights=BiPoly.w())
     # At n = 1 no series rule brings in q, so the pair may be plain ints.
-    return LeafTreeState(r, n, one * pairs.a, one * pairs.b, symbolic_weight)
+    return LeafTreeState(r, n, one * pairs.a, one * pairs.b, True)
 
 
 def chromatic_leaf_tree(r: int, n: int) -> BigPoly:
@@ -170,6 +171,17 @@ def _newton_ratio(q, r: int, n: int):
     p = qj * (qj * a + b)
     with np.errstate(divide="ignore", invalid="ignore"):
         return p.v / p.d
+
+
+def cleared_ratio(q, r: int, n: int, omega: complex):
+    """F/F' of F = B_n - omega (q A_n + B_n) at the points q (ndarray), in doubles.
+
+    F vanishes where the transmissivity t_n equals omega (away from the
+    poles of t_n), so this is the Newton step toward t_n(q) = omega.
+    """
+    qj, a, b = _scaled_pair(q, r, n)
+    f = b - omega * (qj * a + b)
+    return f.v / f.d
 
 
 def t_eff_at(q, r: int, n: int):

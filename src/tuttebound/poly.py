@@ -39,6 +39,27 @@ class BigPoly:
     def monomial(cls, k: int) -> "BigPoly":
         return cls((0,) * k + (1,))
 
+    @classmethod
+    def from_balanced_digits(cls, value: int, width: int) -> "BigPoly":
+        """The p with p(2**width) == value and every coefficient in [-2**(width-1), 2**(width-1)).
+
+        Kronecker substitution read backwards: the coefficients are the
+        balanced base-2**width digits of value, which every integer has
+        exactly once.  width is a positive multiple of 8, so a digit is a
+        whole number of bytes.  Adding 2**(width-1) to every digit at once
+        makes them all non-negative; each is then read off the little-endian
+        bytes and shifted back.  The count of digits read covers value's
+        bit length with one digit to spare; the spare reads as zero.
+        """
+        if width <= 0 or width % 8:
+            raise ValueError(f"digit width must be a positive multiple of 8, not {width}")
+        size, half = width // 8, 1 << (width - 1)
+        count = value.bit_length() // width + 2
+        offset = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+        data = (value + offset).to_bytes(size * count, "little")
+        return cls([int.from_bytes(data[i:i + size], "little") - half
+                    for i in range(0, len(data), size)])
+
     # -- basics -------------------------------------------------------------
 
     @property

@@ -33,7 +33,7 @@ import numpy as np
 
 from .engine import chromatic_poly
 from .graphs import GraphError
-from .leaftree import _scaled_pair, t_eff_at, t_eff_exact
+from .leaftree import cleared_ratio, t_eff_at, t_eff_exact
 from .poly import BigPoly
 from .rootfind import residual_at, ring_starts, solve_complex_coeffs
 from .sp import gen_gadget_cycle, leaf_joined_tree_ast
@@ -994,20 +994,14 @@ def cycle_counterexample(tol: float = 1e-6) -> CycleCounterexample:
 
     t_eff_exact gives the transmissivity B/(qA + B) in lowest terms, hence
     the cleared polynomial F = B - omega(qA + B), whose exact coefficients
-    verify.  The pair step of leaftree, on jets, gives F/F' for ring_starts.
+    verify.  leaftree.cleared_ratio, on jets, gives F/F' for ring_starts.
     The root of largest |q-1| is confirmed against the coloring polynomial
     of the 94-vertex graph: three such trees and an edge in a cycle, whose
     own tree gives that polynomial.
     """
     cleared = _cleared(*t_eff_exact(2, 5))
     omega = cmath.exp(2j * math.pi / 3)
-
-    def ratio(z):
-        qj, a, b = _scaled_pair(z, 2, 5)
-        f = b - omega * (qj * a + b)
-        return f.v / f.d
-
-    starts = ring_starts(ratio, len(cleared) - 1, 2.0, 1e-14)
+    starts = ring_starts(lambda z: cleared_ratio(z, 2, 5, omega), len(cleared) - 1, 2.0, 1e-14)
     rs = solve_complex_coeffs(cleared, tol=1e-10, starts=list(starts))
     witness = max(rs.roots, key=lambda z: abs(z - 1.0))
 

@@ -118,7 +118,7 @@ def _sphere_mul(a, b):
     return a * b
 
 
-def _combiner(system: str, q, via: str):
+def combiner(system: str, q, via: str):
     """Combination of two values of system at q: map into via, multiply, map back.
 
     Checks system and q and builds both matrices once, for all the calls of
@@ -148,7 +148,7 @@ def parallel(a, b, system: str, q):
     Undefined pairs per system: V at (-1, INF); Y at (0, INF);
     T at (1/(1-q), 1) -- plus the mirror images.
     """
-    return _combiner(system, q, "Y")(a, b)
+    return combiner(system, q, "Y")(a, b)
 
 
 def series(a, b, system: str, q):
@@ -157,7 +157,7 @@ def series(a, b, system: str, q):
     Undefined pairs per system: V at (0, -q); Y at (1, 1-q); T at (0, INF)
     -- plus the mirror images.
     """
-    return _combiner(system, q, "T")(a, b)
+    return combiner(system, q, "T")(a, b)
 
 
 # ---------------------------------------------------------------------------

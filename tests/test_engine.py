@@ -358,3 +358,57 @@ def test_undefined_route_builds_its_partial_per_node_on_read(monkeypatch):
     assert (repr(list(eff.per_node.values()))
             == repr([UNDEF, -0.5, 1.0, parallel(-0.5, 1, "V", q)]))
 
+
+
+def _random_chromatic_trees(seed: int, count: int) -> list:
+    """Seeded trees over e and W leaves: single leaves, some under an s-t edge (P(G/st) = 0)."""
+    rng = random.Random(seed)
+    trees = [realize(SPLeaf(base))[1] for base in ("e", "W")]
+    trees += [parse_sp(text)[1] for text in ("P(e,W)", "S(e,W)", "P(e,e,e)")]
+    while len(trees) < count:
+        ast = random_sp_ast(rng, rng.randint(1, 9), bases=("e", "W"))
+        if rng.random() < 0.3:
+            ast = SPOp("p", (SPLeaf("e"), ast))
+        trees.append(realize(ast)[1])
+    return trees
+
+
+def test_integer_route_matches_the_ring_route():
+    # chromatic_poly and chromatic_pair read one evaluation at q = 2^k; the
+    # BigPoly ring route through tree_ab must give the same coefficients.
+    for tree in _random_chromatic_trees(320, 80):
+        ring = tree_ab(tree, Q, -1)
+        a, b = engine.chromatic_pair(tree)
+        z = chromatic_poly(tree)
+        assert (a, b, z) == (ring.a, ring.b, ring.z)
+        assert all(type(c) is int for p in (a, b, z) for c in p.coeffs)
+
+
+def test_coefficient_bound_holds_with_two_bits_to_spare():
+    inputs = _bench_inputs()
+    trees = _random_chromatic_trees(321, 60)
+    for text in inputs.big_graphs_inputs(7)[:4]:
+        tt, tree = parse_sp(text)
+        trees.append(decompose_sp(tt) or tree)
+    for tree in trees:
+        bound = engine._coefficient_bound(tree)
+        ring = tree_ab(tree, Q, -1)
+        # A single edge's pair is the plain ints (1, -1).
+        largest = max(abs(c) for p in (ring.a, ring.b, ring.z) for c in (BigPoly() + p).coeffs)
+        assert largest <= bound
+        _, width = engine._pairs_at_power_of_two(tree)
+        assert width % 8 == 0 and bound < 1 << (width - 2)
+
+
+def test_a_reader_one_byte_narrower_is_wrong():
+    # The width is tight to within a byte or two: read one byte narrower, a
+    # seed-7 big_graphs polynomial comes out wrong.
+    wrong = 0
+    for text in _bench_inputs().big_graphs_inputs(7):
+        tt, tree = parse_sp(text)
+        tree = decompose_sp(tt) or tree
+        pairs, width = engine._pairs_at_power_of_two(tree)
+        assert BigPoly.from_balanced_digits(pairs.z, width) == chromatic_poly(tree)
+        narrow = tree_ab(tree, 1 << (width - 8), -1)
+        wrong += BigPoly.from_balanced_digits(narrow.z, width - 8) != chromatic_poly(tree)
+    assert wrong > 0

@@ -197,3 +197,40 @@ def test_power_is_the_repeated_product(x, one):
         product = product * x
     with pytest.raises(ValueError):
         x ** -1
+
+
+def _at_power_of_two(coeffs, width: int) -> int:
+    return sum(c << (width * i) for i, c in enumerate(coeffs))
+
+
+def test_balanced_digits_hand_cases():
+    read = BigPoly.from_balanced_digits
+    assert read(0, 8) == BigPoly() and read(0, 64).coeffs == ()
+    # A negative leading digit under non-negative lower ones, and the reverse.
+    assert read(-3 * 256 * 256 + 5 * 256 + 7, 8).coeffs == (7, 5, -3)
+    assert read(3 * 256 * 256 - 5 * 256 - 7, 8).coeffs == (-7, -5, 3)
+    assert read(-1, 16).coeffs == (-1,)
+    # The last case, (-2^(width-1), -2^(width-1), 1), has three digits in a
+    # value of bit length 2 width - 1.
+    for width in (8, 16, 192):
+        top = (1 << (width - 1)) - 1        # the largest |digit| a coefficient bound admits
+        for coeffs in ((top,), (-top,), (top, -top, top), (-top, top, -top), (0, 0, top),
+                       (-top - 1, 1), (top, -top - 1), (-top - 1, -top - 1, 1)):
+            assert read(_at_power_of_two(coeffs, width), width).coeffs == coeffs, (width, coeffs)
+    # 2^(width-1) is one past the top digit: it reads as 2^width - 2^(width-1).
+    assert read(128, 8).coeffs == (-128, 1)
+    for width in (0, -8, 12):
+        with pytest.raises(ValueError):
+            read(5, width)
+
+
+def test_balanced_digits_invert_evaluation_at_a_power_of_two():
+    rng = random.Random(32)
+    for _ in range(300):
+        width = 8 * rng.randint(1, 6)
+        half = 1 << (width - 1)
+        p = BigPoly([rng.choice((-half, half - 1, 0, 1, -1, rng.randint(-half, half - 1)))
+                     for _ in range(rng.randint(0, 9))])
+        value = p(1 << width)
+        assert value == _at_power_of_two(p.coeffs, width)
+        assert BigPoly.from_balanced_digits(value, width) == p
