@@ -359,7 +359,6 @@ def test_undefined_route_builds_its_partial_per_node_on_read(monkeypatch):
             == repr([UNDEF, -0.5, 1.0, parallel(-0.5, 1, "V", q)]))
 
 
-
 def _random_chromatic_trees(seed: int, count: int) -> list:
     """Seeded trees over e and W leaves: single leaves, some under an s-t edge (P(G/st) = 0)."""
     rng = random.Random(seed)
