@@ -12,6 +12,7 @@ from tuttebound import cli
 from tuttebound.cli import main, parse_complex
 from tuttebound.engine import chromatic_poly
 from tuttebound.graphs import GraphError
+from tuttebound.leaftree import chromatic_leaf_tree
 from tuttebound.regions import GridFamily
 from tuttebound.sp import gen_leaf_joined_tree, parse_sp
 
@@ -515,6 +516,18 @@ def test_root_csv_columns_without_residuals(tmp_path, monkeypatch, argv):
     rows = [line.split(",") for line in out.read_text().splitlines()]
     kept = "".join(f"{re},{im},{m}\n" for re, im, _res, m in rows)
     assert hashlib.sha256(kept.encode()).hexdigest() == ROOT_COLUMN_DIGESTS[argv]
+
+
+def test_exact_sweeps_csv_is_pinned(tmp_path, monkeypatch):
+    # On the depth-5 binary tree's chromatic polynomial the double sweeps
+    # stop unconverged, so the exact sweeps and Newton write every byte.
+    cf = tmp_path / "c25.json"
+    cf.write_text(json.dumps([str(c) for c in chromatic_leaf_tree(2, 5).coeffs]))
+    out = tmp_path / "s25.csv"
+    assert run(tmp_path, monkeypatch, "roots", "solve", "--coeffs-file", str(cf),
+               "--out", str(out)) == 0
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == "ede752bccafa75be5479d79643809add29e0320c43c62cabbd9a99908e45e951")
 
 
 def test_unconverged_grid_exits_three_and_writes_both_files(tmp_path, monkeypatch, capsys):
