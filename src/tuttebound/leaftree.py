@@ -131,7 +131,9 @@ class _Jet:
         return _Jet(self.v + other, self.d)
 
     def __sub__(self, other):
-        return self + (-1) * other
+        if isinstance(other, _Jet):
+            return _Jet(self.v - other.v, self.d - other.d)
+        return _Jet(self.v - other, self.d)
 
     def __mul__(self, other):
         if isinstance(other, _Jet):
@@ -145,10 +147,13 @@ class _Jet:
 
 
 def _pair_step(a, b, qw, one_w, r: int):
-    """(A_k, B_k) -> (A_{k+1}, B_{k+1}) over any ring holding qw = q+w, one_w = 1+w."""
+    """(A_k, B_k) -> (A_{k+1}, B_{k+1}) over any ring holding qw = q+w, one_w = 1+w.
+
+    A zero one_w (w = -1, proper colorings) drops the term one_w * b.
+    """
     y = qw * a
     a_next = (y + b) ** r
-    return a_next, (y + one_w * b) ** r - a_next
+    return a_next, (y + one_w * b if one_w else y) ** r - a_next
 
 
 def _scaled_pair(q, r: int, n: int):
@@ -157,8 +162,9 @@ def _scaled_pair(q, r: int, n: int):
     one = _Jet(np.ones_like(q), np.zeros_like(q))
     qj = _Jet(q, np.ones_like(q))
     a, b = one, -1 * one
+    q1 = qj - 1
     for _ in range(n - 1):
-        a, b = _pair_step(a, b, qj - 1, 0, r)
+        a, b = _pair_step(a, b, q1, 0, r)
         scale = np.maximum(np.abs(a.v), np.abs(b.v))
         scale = 1.0 / np.where(scale == 0, 1.0, scale)
         a, b = a * scale, b * scale

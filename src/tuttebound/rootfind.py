@@ -51,14 +51,19 @@ root's magnitude, a first-order bound on the distance to a true root that
 stays meaningful when coefficients span hundreds of digits.  Every
 coefficient and every iterate is a dyadic rational, so the exact sweeps and
 Newton verification evaluate g and g' exactly, in Gaussian integers over a
-power of two (_exact_horner).  Newton starts at the point itself and
-rounds each later iterate, exact z - g/g', once to the bits of the given
-digits; the residual comes from the same integers, rounded to a float
-once.  Cancellation therefore costs no digits and there is no rounding
-floor: each root takes one Newton pass, which stops once the residual
-drops below tol*1e-3, when a step no longer halves a residual of at most
-tol, or after 30 steps.  A slow approach to a clustered root needs more
-steps, not more digits.  Root finding uses no mpmath: it runs in numpy
+power of two (_exact_horner).  Each real part of g is divided by the real
+quadratic (t - Z)(t - conj(Z)) (Knuth, TAOCP 2, 4.6.4): the remainder gives
+the value at Z and the quotient, divided once more, the derivative.  Real
+coefficients take four multiplications a step where complex Horner takes
+eight, and the integers are the same.  A ratio or residual past the double
+range reads as inf, and a Newton iterate past it raises RootFindingError.
+Newton starts at the point itself and rounds each later iterate, exact
+z - g/g', once to the bits of the given digits; the residual comes from the
+same integers, rounded to a float once.  Cancellation therefore costs no
+digits and there is no rounding floor: each root takes one Newton pass,
+which stops once the residual drops below tol*1e-3, when a step no longer
+halves a residual of at most tol, or after 30 steps.  A slow approach to a
+clustered root needs more steps, not more digits.  Root finding uses no mpmath: it runs in numpy
 doubles and Python integers.
 """
 
@@ -228,26 +233,58 @@ def _point(z) -> tuple[int, int, int]:
     return mr << (er + s), mi << (ei + s), s
 
 
+def _quadratic_division(a: list[int], s: int, x: int, y: int) -> tuple[int, int, int, int]:
+    """(c0, c1, e0, e1) with R(Z) = c0 - c1 conj(Z) and, unless y = 0,
+    H(Z) = e0 - e1 conj(Z), at Z = x + iy.
+
+    R is the real polynomial with ascending coefficients a[k] 2**(s(d-k)),
+    d = len(a) - 1, and H its quotient by Q = t^2 - 2x t + x^2 + y^2.
+    Synthetic division by Q runs c_k = a_k + 2x c_(k+1) - |Z|^2 c_(k+2)
+    from the top; H's coefficients are c_2 .. c_d, which the same
+    recurrence divides once more (e), and the remainder c_1 t + c_0 - 2x c_1
+    of R is c_0 - c_1 conj(Z) at Z.  (e0, e1) stay 0 when y = 0, where H(Z)
+    is not needed.
+    """
+    u, v = 2 * x, x * x + y * y
+    c1 = c2 = e1 = e2 = shift = 0
+    for k in range(len(a) - 1, -1, -1):
+        c1, c2 = (a[k] << shift) + u * c1 - v * c2, c1
+        if y and k > 1:
+            e1, e2 = c1 + u * e1 - v * e2, e1
+        shift += s
+    return c1, c2, e1, e2
+
+
 def _exact_horner(re: list[int], im: list[int], x: int, y: int, s: int
                   ) -> tuple[int, int, int, int]:
     """S^d g(z) and S^(d-1) g'(z) at z = (x + iy)/S, S = 2**s, in integers.
 
     g has the ascending Gaussian-integer coefficients re + i im; the result
-    is (Re, Im) of the first, then of the second.  Horner on the
-    homogenised polynomial: each coefficient enters scaled by its power of S.
+    is (Re, Im) of the first, then of the second.  These are G(Z) and G'(Z)
+    at Z = x + iy for the homogenised G, whose coefficients are g's scaled
+    by powers of S.  Each real part R of G (re, then im unless it is all 0)
+    is divided by the real quadratic Q = (t - Z)(t - conj(Z)) with
+    remainder r1 t + r0 (_quadratic_division; Knuth, TAOCP 2, 4.6.4), so
+    R(Z) = r1 Z + r0 and R'(Z) = H(Z) Q'(Z) + r1 = 2iy H(Z) + r1 for the
+    quotient H.  A real part takes four multiplications a step, two of them
+    by |Z|^2, where complex Horner takes eight, so real coefficients cost
+    less and Gaussian ones more.  The integers are exact, so they equal
+    Horner's bit for bit (tests/test_rootfind.py keeps Horner as the oracle).
     """
-    d = len(re) - 1
-    pr, pi, dr, di = re[d], im[d], 0, 0
-    for k in range(d - 1, -1, -1):
-        shift = s * (d - k)
-        dr, di = dr * x - di * y + pr, dr * y + di * x + pi
-        pr, pi = pr * x - pi * y + (re[k] << shift), pr * y + pi * x + (im[k] << shift)
+    c0, c1, e0, e1 = _quadratic_division(re, s, x, y)
+    pr, pi = c0 - x * c1, y * c1
+    dr, di = c1 - 2 * y * y * e1, 2 * y * (e0 - x * e1)
+    if any(im):
+        c0, c1, e0, e1 = _quadratic_division(im, s, x, y)
+        pr, pi = pr - y * c1, pi + c0 - x * c1
+        dr, di = dr - 2 * y * (e0 - x * e1), di + c1 - 2 * y * y * e1
     return pr, pi, dr, di
 
 
 def _exact_ratio(exact, z: np.ndarray) -> np.ndarray:
     """g/g' at complex128 points on the _gaussian coefficients, 0 where g'
-    vanishes: exact in integers, each part rounded to a double once."""
+    vanishes: exact in integers, each part rounded to a double once, and inf
+    where a part exceeds the double range."""
     re, im = exact
     out = np.zeros(len(z), dtype=np.complex128)
     for k, point in enumerate(z):
@@ -256,7 +293,10 @@ def _exact_ratio(exact, z: np.ndarray) -> np.ndarray:
         # S g/g' = P/D for P = S^d g and D = S^(d-1) g', S = 2**s.
         den = (dr * dr + di * di) << s
         if den:
-            out[k] = complex((pr * dr + pi * di) / den, (pi * dr - pr * di) / den)
+            try:
+                out[k] = complex((pr * dr + pi * di) / den, (pi * dr - pr * di) / den)
+            except OverflowError:
+                out[k] = math.inf
     return out
 
 
@@ -339,7 +379,10 @@ def _newton_once(coeffs, z0, dps: int, tol: float) -> tuple[complex, float]:
                                  (dr * dr + di * di) << s, bits)
         if eta < goal or stalled:
             break
-    return complex(x / (1 << s), y / (1 << s)), eta
+    try:
+        return complex(x / (1 << s), y / (1 << s)), eta
+    except OverflowError:
+        raise RootFindingError("a Newton iterate overflows double precision") from None
 
 
 def newton_residuals(coeffs, roots, dps: int, tol: float
@@ -365,7 +408,8 @@ def newton_residuals(coeffs, roots, dps: int, tol: float
 
 def residual_at(coeffs, z: complex) -> float:
     """|g(z)/g'(z)| / (1 + |z|) on the exact coefficients of g, or |g(z)|
-    where that ratio vanishes, which says nothing of how near z is to a root."""
+    where that ratio vanishes, which says nothing of how near z is to a root;
+    inf where either exceeds the double range."""
     exact = _gaussian(coeffs)
     [ratio] = _exact_ratio(exact, np.array([z]))
     residual = float(abs(ratio)) / (1 + abs(z))
@@ -373,7 +417,10 @@ def residual_at(coeffs, z: complex) -> float:
         x, y, s = _point(z)
         pr, pi, _, _ = _exact_horner(*exact, x, y, s)
         scale = 1 << (s * (len(exact[0]) - 1))
-        residual = math.hypot(pr / scale, pi / scale)
+        try:
+            residual = math.hypot(pr / scale, pi / scale)
+        except OverflowError:
+            residual = math.inf
     return residual
 
 

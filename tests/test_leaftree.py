@@ -331,3 +331,68 @@ def test_jet_newton_ratio_matches_multiprecision():
                 q = mp.mpc(z)
                 want = complex((num(q) - omega * den(q)) / (dnum(q) - omega * dden(q)))
                 assert abs(ratio - want) <= 1e-9 * abs(want), (label, z)
+
+
+class _ReferenceJet:
+    """leaftree._Jet as it was written, subtracting by adding (-1) * other,
+    kept to pin the bits of the lighter jets."""
+
+    __slots__ = ("v", "d")
+
+    def __init__(self, v, d):
+        self.v, self.d = v, d
+
+    def __add__(self, other):
+        if isinstance(other, _ReferenceJet):
+            return _ReferenceJet(self.v + other.v, self.d + other.d)
+        return _ReferenceJet(self.v + other, self.d)
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def __mul__(self, other):
+        if isinstance(other, _ReferenceJet):
+            return _ReferenceJet(self.v * other.v, self.d * other.v + self.v * other.d)
+        return _ReferenceJet(self.v * other, self.d * other)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        return _ReferenceJet(self.v ** k, k * self.v ** (k - 1) * self.d)
+
+
+def _reference_scaled_pair(q, r: int, n: int):
+    """leaftree._scaled_pair as it was written: q - 1 formed at every level,
+    and the term (1 + w) B kept at w = -1."""
+    q = np.asarray(q, dtype=np.complex128)
+    one = _ReferenceJet(np.ones_like(q), np.zeros_like(q))
+    qj = _ReferenceJet(q, np.ones_like(q))
+    a, b = one, -1 * one
+    for _ in range(n - 1):
+        y = (qj - 1) * a
+        a_next = (y + b) ** r
+        a, b = a_next, (y + 0 * b) ** r - a_next
+        scale = np.maximum(np.abs(a.v), np.abs(b.v))
+        scale = 1.0 / np.where(scale == 0, 1.0, scale)
+        a, b = a * scale, b * scale
+    return qj, a, b
+
+
+def test_scaled_pair_matches_the_reference_jets():
+    # Equal under == wherever the reference is finite: only the sign of an
+    # exactly-zero imaginary part may differ, as it does at real q for r = 3.
+    # Where the reference overflows, the lighter jets overflow too.
+    ring = [1 + rad * cmath.exp(2j * math.pi * (k + 0.37) / 16)
+            for rad in (0.5, 2.0, 3.0) for k in range(16)]
+    real = [-3.0, -0.5, 0.25, 0.5, 1.5, 2.0, 3.7, 10.0]
+    huge = [1e100, -1e150j, 1e200 * (1 + 1j), -1e300]
+    points = np.array(ring + real + huge, dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in (2, 3, 4):
+            for n in range(1, 10):
+                got, want = _scaled_pair(points, r, n), _reference_scaled_pair(points, r, n)
+                for new, old in zip(got, want):
+                    for x, y in ((new.v, old.v), (new.d, old.d)):
+                        finite = np.isfinite(y)
+                        assert (x[finite] == y[finite]).all(), (r, n)
+                        assert not np.isfinite(x[~finite]).any(), (r, n)

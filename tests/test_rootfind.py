@@ -203,6 +203,61 @@ def test_newton_eta_beyond_the_float_range_is_inf():
     assert z == complex(1.5e308, 1.5e308) and eta == math.inf
 
 
+def test_exact_ratio_beyond_the_double_range_is_not_finite():
+    # q^2 + 10^400 at 2^-600: g/g' is about 10^400 * 2^599, past any double.
+    ratio = rootfind._exact_ratio(rootfind._gaussian([10 ** 400, 0, 1]),
+                                  np.array([2.0 ** -600 + 0j]))
+    assert not np.isfinite(ratio).any()
+
+
+def test_residual_beyond_the_double_range_is_inf():
+    # At 0, g' = 0 and |g| = 10^400 is past any double.
+    assert rootfind.residual_at([10 ** 400, 0, 1], 0j) == math.inf
+
+
+def test_newton_iterate_beyond_the_double_range_is_rejected():
+    # Newton from 2^-600 on q^2 + 10^400 jumps to about -10^400 * 2^599 and
+    # halves toward the roots +-10^200 i too slowly to come back in 30 steps.
+    with pytest.raises(RootFindingError):
+        solve_complex_coeffs([10 ** 400, 0, 1], starts=[2.0 ** -600 + 0j, 1 + 1j])
+
+
+def _reference_exact_horner(re, im, x, y, s):
+    """_exact_horner as it was written, complex Horner on the homogenised
+    polynomial, kept as the oracle of the division by the real quadratic."""
+    d = len(re) - 1
+    pr, pi, dr, di = re[d], im[d], 0, 0
+    for k in range(d - 1, -1, -1):
+        shift = s * (d - k)
+        dr, di = dr * x - di * y + pr, dr * y + di * x + pi
+        pr, pi = pr * x - pi * y + (re[k] << shift), pr * y + pi * x + (im[k] << shift)
+    return pr, pi, dr, di
+
+
+def _exact_horner_cases():
+    """Seeded (re, im, x, y, s): real and Gaussian coefficients of degree 0 to
+    80 with parts up to 2^300 of either sign, s from 0 to 1079, each at a
+    general point, on the real axis, on the imaginary axis and at 0."""
+    rng = random.Random(33)
+    cases = []
+    for d in range(81):
+        for gaussian in (False, True):
+            top = 2 ** rng.choice((1, 30, 300))
+            s = 1000 + d if d % 8 == 7 else rng.choice((0, 1, 53))
+            re = [rng.randint(-top, top) for _ in range(d + 1)]
+            im = [rng.randint(-top, top) if gaussian else 0 for _ in range(d + 1)]
+            x, y = (rng.randint(-2 ** (s + 3), 2 ** (s + 3)) for _ in range(2))
+            cases += [(re, im, x, y, s), (re, im, x, 0, s), (re, im, 0, y, s), (re, im, 0, 0, s)]
+    return cases
+
+
+def test_exact_horner_equals_complex_horner():
+    cases = _exact_horner_cases()
+    assert any(s >= 1000 for *_, s in cases) and any(c < 0 for re, *_ in cases for c in re)
+    for case in cases:
+        assert rootfind._exact_horner(*case) == _reference_exact_horner(*case), case
+
+
 def test_newton_iterate_beyond_two_to_the_bits_is_a_rounded_integer():
     # An iterate with |z| >= 2^bits lies on a grid coarser than 1: it comes
     # back with s = 0 as exact integers, within half a grid unit.
