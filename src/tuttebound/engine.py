@@ -9,10 +9,15 @@ Two routes up the tree:
   evaluates numerically (complex, Fraction) and symbolically (BigPoly,
   BiPoly);
 
-* the effective-weight route carries v_eff = B/A per constituent, combining
-  with the weight algebra and collecting scalar prefactors.  It can hit a
-  genuine 0/0 at a series node whose prefactor q + v1 + v2 vanishes; that
-  outcome is reported as undefined, not raised.
+* the effective-weight route carries v_eff = B/A per constituent and joins
+  by the paper's rules: v = (1 + v1)(1 + v2) - 1 in parallel, and in series
+  v = v1*v2/(q + v1 + v2), whose denominator is the series prefactor that
+  the route also collects.  It can hit a genuine 0/0 at a series node whose
+  prefactor vanishes; that outcome is reported as undefined, not raised.
+  Only a parallel join with an INF operand goes through the sphere algebra
+  (weights.parallel).  A finite parallel join equals weights.parallel; a
+  series join agrees with weights.series to rounding, since v1*v2 over the
+  prefactor rounds differently from the round trip through t.
 
 Both routes take their leaf values from one rule: a single edge has
 (A, B) = (1, v_e); a Wheatstone leaf with all weights -1 has
@@ -65,7 +70,7 @@ from .graphs import GraphError, Multigraph, TwoTerminalGraph, blocks
 from .oracles import tutte_brute
 from .poly import BigPoly
 from .sp import DecompNode, DecompTree, decompose_sp
-from .weights import INF, UNDEF, WeightAssignment, combiner, is_finite
+from .weights import INF, UNDEF, WeightAssignment, is_finite, parallel
 
 
 def _weights_plan(tree: DecompTree, weights, q):
@@ -167,15 +172,21 @@ class TreeEffective:
     per_node = cached_property(lambda self: _per_node(*self._steps))    # on first read
 
 
-def _prefactor_is_zero(pref, q) -> bool:
+def _prefactor_is_zero(pref, tol) -> bool:
     # float and complex first: a Fraction check is an abstract-class check.
     if not isinstance(pref, (float, complex)) and isinstance(pref, (int, Fraction)):
         return pref == 0
-    return abs(pref) < 1e-14 * (1.0 + abs(q))
+    return abs(pref) < tol
 
 
 def tree_veff(tree: DecompTree, q, weights=None) -> TreeEffective:
     """Label nodes with v_eff, collecting series prefactors and leaf A values.
+
+    Finite operands join by the paper's rules: v = (1 + v1)(1 + v2) - 1 in
+    parallel, and v = v1*v2/(q + v1 + v2) in series, whose denominator is
+    the series prefactor itself.  Only a parallel join with an INF operand
+    goes through the sphere algebra (weights.parallel); a series join with
+    one has no prefactor and is undefined.
 
     Requires q != 0 and a nonzero A value at every leaf.  When a series
     prefactor q + v1 + v2 vanishes (exactly for exact inputs, below
@@ -187,7 +198,7 @@ def tree_veff(tree: DecompTree, q, weights=None) -> TreeEffective:
     if q == 0:
         raise GraphError("q must be nonzero")
     wfn, by_shape = _weights_plan(tree, weights, q)
-    par, ser = combiner("V", q, "Y"), combiner("V", q, "T")
+    tol = 1e-14 * (1.0 + abs(q))
     order = tree.order
     at, kids, slots = tree.program(by_shape)
     values: list = []
@@ -216,13 +227,14 @@ def tree_veff(tree: DecompTree, q, weights=None) -> TreeEffective:
             v1, v2 = values[pair[0]], values[pair[1]]
             if v1 is UNDEF or v2 is UNDEF:
                 return result(k, False)
-            if order[k].kind == "p":
-                v = par(v1, v2)
-            elif (v1 is not INF and v2 is not INF
-                  and not _prefactor_is_zero(pref := q + v1 + v2, q)):
-                factor, v = pref, ser(v1, v2)
-            else:                     # a zero prefactor, or none (an infinite operand)
+            if v1 is INF or v2 is INF:    # INF, or UNDEF against -1; no series prefactor
+                v = parallel(v1, v2, "V", q) if order[k].kind == "p" else UNDEF
+            elif order[k].kind == "p":
+                v = (1 + v1) * (1 + v2) - 1
+            elif _prefactor_is_zero(pref := q + v1 + v2, tol):
                 v = UNDEF
+            else:
+                factor, v = pref, v1 * v2 / pref
             if v is UNDEF:
                 return result(k, False, failed=True)
         values.append(v)

@@ -118,28 +118,12 @@ def _sphere_mul(a, b):
     return a * b
 
 
-def combiner(system: str, q, via: str):
-    """Combination of two values of system at q: map into via, multiply, map back.
-
-    Checks system and q and builds both matrices once, for all the calls of
-    the function it returns.  Finite operands take _mobius's and _sphere_mul's
-    own operations inline, so they round exactly as the composed maps would.
-    """
+def _combine(x, y, system: str, q, via: str):
+    """Combination of two values of system at q: map into via, multiply, map back."""
     system = _check_system(system)
     _check_q(q)
-    into, back = _matrix(system, via, q), _matrix(via, system, q)
-    a, b, c, d = into
-    a2, b2, c2, d2 = back
-
-    def combine(x, y):
-        if (x is not INF and x is not UNDEF and y is not INF and y is not UNDEF
-                and (dx := c * x + d) != 0 and (dy := c * y + d) != 0):
-            p = ((a * x + b) / dx) * ((a * y + b) / dy)
-            den = c2 * p + d2
-            return INF if den == 0 else (a2 * p + b2) / den
-        return _mobius(back, _sphere_mul(_mobius(into, x), _mobius(into, y)))
-
-    return combine
+    into = _matrix(system, via, q)
+    return _mobius(_matrix(via, system, q), _sphere_mul(_mobius(into, x), _mobius(into, y)))
 
 
 def parallel(a, b, system: str, q):
@@ -148,7 +132,7 @@ def parallel(a, b, system: str, q):
     Undefined pairs per system: V at (-1, INF); Y at (0, INF);
     T at (1/(1-q), 1) -- plus the mirror images.
     """
-    return combiner(system, q, "Y")(a, b)
+    return _combine(a, b, system, q, "Y")
 
 
 def series(a, b, system: str, q):
@@ -157,7 +141,7 @@ def series(a, b, system: str, q):
     Undefined pairs per system: V at (0, -q); Y at (1, 1-q); T at (0, INF)
     -- plus the mirror images.
     """
-    return combiner(system, q, "T")(a, b)
+    return _combine(a, b, system, q, "T")
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from tuttebound.oracles import tutte_brute
 from tuttebound.poly import BigPoly
 from tuttebound.sp import (SPLeaf, SPOp, decompose_sp, gen_wheatstone, leaf_joined_tree_ast,
                            parse_sp, realize)
-from tuttebound.weights import INF, UNDEF, WeightAssignment, parallel
+from tuttebound.weights import INF, UNDEF, WeightAssignment, is_finite, parallel, series
 
 Q = BigPoly.variable()
 
@@ -109,6 +109,20 @@ def test_effective_route_matches_pair_route():
         z_ref = tree_ab(tree, q, w).z
         assert abs(eff.z - z_ref) <= 1e-10 * (1 + abs(z_ref))
         checked += 1
+    # At bench scale, in the antiferromagnetic regime: per-edge weights in
+    # [-1, 0] and one complex scalar weight.
+    inputs = _bench_inputs()
+    checked = 0
+    for text in inputs.big_graphs_inputs(11) + inputs.sp_w_catalogue():
+        tt, tree = parse_sp(text)
+        tree = decompose_sp(tt) or tree
+        for q in RING[::16]:
+            for w in ({i: -rng.random() for i in range(tt.graph.edge_count)}, -0.5 + 0.25j):
+                eff = tree_veff(tree, q, w)
+                z_ref = tree_ab(tree, q, w).z
+                assert eff.defined and abs(eff.z - z_ref) <= 1e-12 * abs(z_ref), (text, q, w)
+                checked += 1
+    assert checked == 8 * (len(inputs.big_graphs_inputs(11)) + len(inputs.sp_w_catalogue()))
 
 
 def test_effective_route_rejects_zero_leaf_a():
@@ -280,17 +294,30 @@ def test_shape_route_matches_node_route():
     assert undefined > 0 and raised > 0
 
 
-ROUTE_DIGEST = "15f101d20b8347d574d1ee1a8bae64097ef67bc3e7db59819a85c2ef0d7e73ef"
+# tree_ab's heads and per_node; tree_veff's structure (defined flag, error,
+# per_node keys, INF/UNDEF positions); tree_veff's values.  Only the last
+# depends on how tree_veff rounds its joins.
+ROUTE_PINS = {
+    "pairs": "bbebda87465db2d57d89ca74f166fcedbdd86a6322e8e976d896964528c0e3bf",
+    "effective_structure": "936213aaa90a15bdba8e023a4927139fbb33971914af54fa13839522d574c504",
+    "effective_values": "8aeeb5232eda6f449e0f839613ac1e1cf1b0816742f445b3220add418c1ca33e",
+}
 
 
-def test_routes_match_recorded_bits():
-    # One sha256 over the repr of every head and per_node value (in per_node
-    # order, keyed by post-order position), or of the error, of both routes.
+def _marker(value):
+    """INF or UNDEF itself, None for any finite value."""
+    return value if value is INF or value is UNDEF else None
+
+
+def _route_pins() -> dict:
+    """One sha256 per pin over the repr of each route output (per_node in its
+    order, keyed by post-order position) or error, on the recorded cases."""
     inputs = _bench_inputs()
     cases = [(text, RING) for text in inputs.big_graphs_inputs(7)]
     cases += [(text, [2.0, 3 + 0j, 0.5, Fraction(1, 3), Fraction(5, 2)])
               for text in inputs.sp_w_catalogue()]
-    digest = hashlib.sha256()
+    digests = {name: hashlib.sha256() for name in ROUTE_PINS}
+    pairs, structure, values = digests.values()
     for text, points in cases:
         tt, tree = parse_sp(text)
         tree = decompose_sp(tt) or tree
@@ -298,18 +325,55 @@ def test_routes_match_recorded_bits():
         per_edge = {i: -1 for i in range(tt.graph.edge_count)}
         for q in points:
             for weights in (-1, per_edge):
-                for route in (tree_ab, tree_veff):
+                for route, digest in ((tree_ab, pairs), (tree_veff, structure)):
                     try:
                         out = route(tree, q, weights)
                     except GraphError as exc:
                         digest.update(repr(exc).encode())
                         continue
-                    head = ((out.a, out.b, out.z) if route is tree_ab
-                            else (out.veff, out.prefactor, out.z, out.defined))
-                    digest.update(repr(head).encode())
-                    digest.update(repr([(position[node], value)
-                                        for node, value in out.per_node.items()]).encode())
-    assert digest.hexdigest() == ROUTE_DIGEST
+                    per_node = [(position[node], value) for node, value in out.per_node.items()]
+                    if route is tree_ab:
+                        pairs.update(repr((out.a, out.b, out.z)).encode())
+                        pairs.update(repr(per_node).encode())
+                        continue
+                    head = (_marker(out.veff), _marker(out.z), out.defined)
+                    structure.update(repr(head).encode())
+                    structure.update(repr([(k, _marker(v)) for k, v in per_node]).encode())
+                    values.update(repr((out.veff, out.prefactor, out.z)).encode())
+                    values.update(repr(per_node).encode())
+    return {name: digest.hexdigest() for name, digest in digests.items()}
+
+
+def test_routes_match_recorded_bits():
+    assert _route_pins() == ROUTE_PINS
+
+
+def test_joins_follow_the_weight_algebra():
+    # tree_veff joins finite operands by the paper's two rules; the sphere
+    # algebra in weights stays the reference for each join in per_node.
+    inputs = _bench_inputs()
+    joins = {"p": 0, "s": 0}
+    for text in inputs.sp_w_catalogue() + inputs.big_graphs_inputs(7):
+        tt, tree = parse_sp(text)
+        tree = decompose_sp(tt) or tree
+        for q in RING:
+            try:
+                per_node = tree_veff(tree, q, -1).per_node
+            except GraphError:
+                continue
+            for node, v in per_node.items():
+                if node.is_leaf() or v is UNDEF:
+                    continue
+                v1, v2 = (per_node[child] for child in node.children)
+                if not (is_finite(v1) and is_finite(v2)):
+                    continue
+                if node.kind == "p":      # equal values; a zero's sign may differ
+                    assert v == parallel(v1, v2, "V", q), (text, q)
+                else:
+                    want = series(v1, v2, "V", q)
+                    assert abs(v - want) <= 2e-15 * abs(want), (text, q)
+                joins[node.kind] += 1
+    assert joins["p"] > 0 and joins["s"] > 0
 
 
 def test_scalar_weights_share_values_per_shape():
