@@ -38,7 +38,7 @@ from .regions import (certify, cycle_counterexample, boundary_rho, grid_closure,
                       sp_rho_threshold, wheatstone_rho_threshold)
 from .rootfind import RootSet, find_roots
 from .sp import DecompTree, ParseError, decompose_sp, parse_sp
-from .weights import is_finite, load_weights
+from .weights import load_weights
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -132,7 +132,7 @@ def cmd_tutte_eval(args):
         "z": {"re": complex(pairs.z).real, "im": complex(pairs.z).imag},
         "effective_route_defined": eff is not None and eff.defined,
     }
-    if eff is not None and eff.defined and is_finite(eff.veff):
+    if eff is not None and eff.defined:
         v = complex(eff.veff)
         payload["v_eff"] = {"re": v.real, "im": v.imag}
     return payload, True

@@ -9,15 +9,18 @@ Two routes up the tree:
   evaluates numerically (complex, Fraction) and symbolically (BigPoly,
   BiPoly);
 
-* the effective-weight route carries v_eff = B/A per constituent and joins
-  by the paper's rules: v = (1 + v1)(1 + v2) - 1 in parallel, and in series
-  v = v1*v2/(q + v1 + v2), whose denominator is the series prefactor that
-  the route also collects.  It can hit a genuine 0/0 at a series node whose
-  prefactor vanishes; that outcome is reported as undefined, not raised.
-  Only a parallel join with an INF operand goes through the sphere algebra
-  (weights.parallel).  A finite parallel join equals weights.parallel; a
+* the effective-weight route carries v_eff = B/A and the prefactor A per
+  constituent and joins by the paper's rules: v = (1 + v1)(1 + v2) - 1 and
+  A = A1*A2 in parallel, and in series v = v1*v2/(q + v1 + v2) and
+  A = A1*A2*(q + v1 + v2), the series prefactor.  It can hit a genuine 0/0
+  at a series node whose prefactor vanishes; that outcome is reported as
+  undefined, not raised.  A parallel join equals weights.parallel; a
   series join agrees with weights.series to rounding, since v1*v2 over the
   prefactor rounds differently from the round trip through t.
+
+Both routes take finite weights only and refuse INF and UNDEF with a
+GraphError that names the edge; the sphere algebra of weights, which
+handles them, stays the reference for the joins.
 
 Both routes take their leaf values from one rule: a single edge has
 (A, B) = (1, v_e); a Wheatstone leaf with all weights -1 has
@@ -31,9 +34,8 @@ BiPoly) equal shapes have equal values, so the loop runs the shape program:
 one step per shape, at its first node.  Per-edge weights (a Mapping or a
 WeightAssignment) run the node program, one step per node.  per_node is
 built from the step values on its first read, in post-order; values of
-nodes with equal shapes may be the same object.  The effective-weight route
-still multiplies its prefactor node by node in post-order, so both
-programs give the same bits.
+nodes with equal shapes may be the same object.  A step's values depend
+only on its children's, so both programs give the same bits.
 
 Exact chromatic polynomials (chromatic_poly, chromatic_pair) come from the
 pair route over Python ints at one point q = 2^k, not over BigPoly: each
@@ -70,28 +72,36 @@ from .graphs import GraphError, Multigraph, TwoTerminalGraph, blocks
 from .oracles import tutte_brute
 from .poly import BigPoly
 from .sp import DecompNode, DecompTree, decompose_sp
-from .weights import INF, UNDEF, WeightAssignment, is_finite, parallel
+from .weights import INF, UNDEF, WeightAssignment
 
 
-def _weights_plan(tree: DecompTree, weights, q):
-    """Edge index -> v value, and whether equal shapes share values (a scalar weight)."""
+_NUMERIC = (int, float, complex, Fraction)
+
+
+def _weights_plan(weights, q):
+    """Edge index -> v value, refusing INF and UNDEF; and whether equal shapes share values."""
     if isinstance(weights, WeightAssignment):
-        if not isinstance(q, (int, float, complex, Fraction)):
+        if not isinstance(q, _NUMERIC):
             raise GraphError("system-tagged weights need numeric q; "
                              "symbolic runs take raw v values")
-        return weights.in_system("V", q).value, False
-    if isinstance(weights, Mapping):
-        return (lambda i: weights[i]), False
-    v = -1 if weights is None else weights
-    return (lambda i: v), True
+        given, by_shape = weights.in_system("V", q).value, False
+    elif isinstance(weights, Mapping):
+        given, by_shape = weights.__getitem__, False
+    else:
+        v = -1 if weights is None else weights
+        given, by_shape = (lambda i: v), True
+
+    def finite(i):
+        if (v := given(i)) is INF or v is UNDEF:
+            raise GraphError(f"edge {i} has weight {v!r}; both routes need finite weights")
+        return v
+
+    return finite, by_shape
 
 
-def _per_node(tree: DecompTree, values: list, slots, count: int, failed: bool) -> dict:
-    """The first count nodes of the post-order with their steps' values; a failed next one, UNDEF."""
-    per_node = dict(zip(tree.order[:count], map(values.__getitem__, slots[:count])))
-    if failed:
-        per_node[tree.order[count]] = UNDEF
-    return per_node
+def _per_node(tree: DecompTree, values: list, slots, count: int) -> dict:
+    """The first count nodes of the post-order with their steps' values."""
+    return dict(zip(tree.order[:count], map(values.__getitem__, slots[:count])))
 
 
 @dataclass
@@ -122,9 +132,6 @@ def _leaf_pair(node: DecompNode, q, wfn) -> tuple:
     if node.base == "e":
         return (1, wfn(node.edges[0]))
     vals = [wfn(i) for i in node.edges]
-    for i, v in zip(node.edges, vals):
-        if v is INF or v is UNDEF:
-            raise GraphError(f"edge {i} has weight {v!r}; a leaf of several edges needs finite weights")
     if all(v == -1 for v in vals):
         return ((q - 2) * (q - 3), 2 * (q - 2))
     # The edges in the order of _TEMPLATES["W"]; e2 is the bridge f, which
@@ -140,15 +147,9 @@ def _leaf_pair(node: DecompNode, q, wfn) -> tuple:
 def tree_ab(tree: DecompTree, q, weights=None) -> TreePairs:
     """Evaluate the split pairs bottom-up; exact whenever the inputs are.
 
-    Unlike tree_veff, this refuses INF and UNDEF weights (GraphError).
+    Refuses INF and UNDEF weights (GraphError), as tree_veff does.
     """
-    given, by_shape = _weights_plan(tree, weights, q)
-
-    def wfn(i):
-        if (v := given(i)) is INF or v is UNDEF:
-            raise GraphError(f"edge {i} has weight {v!r}; the pair route needs finite weights")
-        return v
-
+    wfn, by_shape = _weights_plan(weights, q)
     order = tree.order
     at, kids, slots = tree.program(by_shape)
     values: list[tuple] = []
@@ -158,15 +159,15 @@ def tree_ab(tree: DecompTree, q, weights=None) -> TreePairs:
         else:
             values.append(_leaf_pair(order[k], q, wfn))
     a, b = values[-1]
-    return TreePairs(a, b, q * q * a + q * b, (tree, values, slots, len(order), False))
+    return TreePairs(a, b, q * q * a + q * b, (tree, values, slots, len(order)))
 
 
 @dataclass
 class TreeEffective:
-    """Effective-weight-route result; undefined outcomes flagged, not raised."""
-    veff: object                      # finite complex, INF, or UNDEF
-    prefactor: object                 # product of series prefactors and leaf A values
-    z: object                         # value, or UNDEF when the route failed
+    """Effective-weight-route result; an undefined outcome is flagged, not raised."""
+    veff: object                      # finite value, or UNDEF
+    prefactor: object                 # leaf A values times series prefactors, or UNDEF
+    z: object                         # q(q + veff) * prefactor, or UNDEF
     defined: bool
     _steps: tuple = field(repr=False, compare=False)    # _per_node's arguments
     per_node = cached_property(lambda self: _per_node(*self._steps))    # on first read
@@ -180,66 +181,51 @@ def _prefactor_is_zero(pref, tol) -> bool:
 
 
 def tree_veff(tree: DecompTree, q, weights=None) -> TreeEffective:
-    """Label nodes with v_eff, collecting series prefactors and leaf A values.
+    """Label nodes with v_eff; each step also carries its subtree's prefactor.
 
-    Finite operands join by the paper's rules: v = (1 + v1)(1 + v2) - 1 in
-    parallel, and v = v1*v2/(q + v1 + v2) in series, whose denominator is
-    the series prefactor itself.  Only a parallel join with an INF operand
-    goes through the sphere algebra (weights.parallel); a series join with
-    one has no prefactor and is undefined.
+    Steps join by the paper's rules: v = (1 + v1)(1 + v2) - 1 in parallel,
+    and v = v1*v2/(q + v1 + v2) in series, whose denominator is the series
+    prefactor itself.  A step's prefactor is its A value at a leaf, the
+    product of its children's in parallel, and that product times
+    q + v1 + v2 in series; the root's gives z = q(q + v_eff) * prefactor.
 
-    Requires q != 0 and a nonzero A value at every leaf.  When a series
-    prefactor q + v1 + v2 vanishes (exactly for exact inputs, below
-    1e-14*(1+|q|) in floating point) the result is undefined; whenever the
-    route completes, z agrees with the pair route.  An undefined result
-    carries per_node and the prefactor up to the node where the route
-    failed, in post-order.
+    Requires a numeric q != 0, finite weights and a nonzero A value at
+    every leaf (GraphError otherwise).  When a series prefactor q + v1 + v2
+    vanishes (exactly for exact inputs, below 1e-14*(1+|q|) in floating
+    point) the result is undefined: v_eff, prefactor and z are UNDEF, and
+    per_node ends at that node, in post-order, mapped to UNDEF.  Whenever
+    the route completes, z agrees with the pair route.
     """
+    if not isinstance(q, _NUMERIC):
+        raise GraphError("the effective-weight route needs a numeric q")
     if q == 0:
         raise GraphError("q must be nonzero")
-    wfn, by_shape = _weights_plan(tree, weights, q)
+    wfn, by_shape = _weights_plan(weights, q)
     tol = 1e-14 * (1.0 + abs(q))
     order = tree.order
     at, kids, slots = tree.program(by_shape)
     values: list = []
-    factors: list = []                # per step: its factor of the prefactor, or None
-
-    def result(count: int, defined: bool, failed: bool = False) -> TreeEffective:
-        """The outcome after the first count nodes of the post-order, or failing at the next."""
-        prefactor = 1
-        for step in slots[:count]:    # node by node, in post-order
-            if (factor := factors[step]) is not None:
-                prefactor = prefactor * factor
-        steps = (tree, values, slots, count, failed)
-        if not defined:
-            return TreeEffective(UNDEF, prefactor, UNDEF, False, steps)
-        return TreeEffective(values[-1], prefactor, q * (q + values[-1]) * prefactor,
-                             True, steps)
-
+    prefactors: list = []
     for k, pair in zip(at, kids):
-        factor = None
         if not pair:
-            a, b = _leaf_pair(order[k], q, wfn)
-            if a == 0:
+            pref, b = _leaf_pair(order[k], q, wfn)
+            if pref == 0:
                 raise GraphError("leaf A value is zero; the effective-weight route needs A != 0")
-            factor, v = a, (b / a if is_finite(b) else b)
+            v = b / pref
         else:
             v1, v2 = values[pair[0]], values[pair[1]]
-            if v1 is UNDEF or v2 is UNDEF:
-                return result(k, False)
-            if v1 is INF or v2 is INF:    # INF, or UNDEF against -1; no series prefactor
-                v = parallel(v1, v2, "V", q) if order[k].kind == "p" else UNDEF
-            elif order[k].kind == "p":
+            pref = prefactors[pair[0]] * prefactors[pair[1]]
+            if order[k].kind == "p":
                 v = (1 + v1) * (1 + v2) - 1
-            elif _prefactor_is_zero(pref := q + v1 + v2, tol):
-                v = UNDEF
+            elif _prefactor_is_zero(join := q + v1 + v2, tol):
+                values.append(UNDEF)
+                return TreeEffective(UNDEF, UNDEF, UNDEF, False, (tree, values, slots, k + 1))
             else:
-                factor, v = pref, v1 * v2 / pref
-            if v is UNDEF:
-                return result(k, False, failed=True)
+                v, pref = v1 * v2 / join, pref * join
         values.append(v)
-        factors.append(factor)
-    return result(len(order), is_finite(values[-1]))
+        prefactors.append(pref)
+    v, pref = values[-1], prefactors[-1]
+    return TreeEffective(v, pref, q * (q + v) * pref, True, (tree, values, slots, len(order)))
 
 
 # ---------------------------------------------------------------------------

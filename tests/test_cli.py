@@ -116,9 +116,9 @@ def test_tutte_eval_with_weight_file(tmp_path, monkeypatch, capsys):
     assert abs(out["z"]["re"] - 12.0) < 1e-9     # q(q-1) at q=4
 
 
-@pytest.mark.parametrize("system, value", [("V", "inf"), ("T", {"re": 1.0})])
+@pytest.mark.parametrize("system, value", [("V", "inf"), ("T", {"re": 1.0}), ("V", "undef")])
 def test_tutte_eval_rejects_an_infinite_weight(tmp_path, monkeypatch, capsys, system, value):
-    # T = 1 maps to v = INF, which the pair route cannot multiply.
+    # INF, UNDEF and T = 1 (which maps to v = INF) are refused before any step.
     wfile = tmp_path / "w.json"
     wfile.write_text(json.dumps({"system": system, "0": value, "1": {"re": 0.5}}))
     assert run(tmp_path, monkeypatch, "tutte", "eval", "--dsl", "P(e,e)", "--q", "2",

@@ -125,19 +125,80 @@ def test_effective_route_matches_pair_route():
     assert checked == 8 * (len(inputs.big_graphs_inputs(11)) + len(inputs.sp_w_catalogue()))
 
 
+def _routes_agree_exactly(tree, q, weights) -> str:
+    """Check tree_veff against tree_ab's pairs node by node; return the outcome."""
+    pairs = tree_ab(tree, q, weights)
+    ab = pairs.per_node
+    order = list(tree.order)
+    # The first node in post-order whose A vanishes ends the effective-weight
+    # route: a leaf is refused, a series join is undefined.
+    cut = next((k for k, node in enumerate(order) if ab[node][0] == 0), None)
+    if cut is not None and order[cut].is_leaf():
+        with pytest.raises(GraphError, match="leaf A value is zero"):
+            tree_veff(tree, q, weights)
+        return "raised"
+    eff = tree_veff(tree, q, weights)
+    assert eff.defined == (cut is None)
+    if eff.defined:
+        assert (eff.prefactor, eff.z) == (pairs.a, pairs.z)
+        assert list(eff.per_node) == order
+    else:
+        assert eff.veff is UNDEF and eff.prefactor is UNDEF and eff.z is UNDEF
+        assert list(eff.per_node) == order[:cut + 1] and eff.per_node[order[cut]] is UNDEF
+        order = order[:cut]
+    for node in order:
+        a, b = ab[node]
+        assert eff.per_node[node] == b / a
+    return "defined" if eff.defined else "undefined"
+
+
+def test_effective_route_is_the_pair_route_over_fractions():
+    # Exact inputs: v = B/A at every node, the root prefactor is A, and a
+    # vanishing A is the only way to an undefined result.
+    rng = random.Random(35)
+    outcomes = {"defined": 0, "undefined": 0, "raised": 0}
+    for _ in range(150):
+        tt, tree = realize(random_sp_ast(rng, rng.randint(1, 7), bases=("e", "W")))
+        q = random_small_fraction(rng)
+        per_edge = {i: random_small_fraction(rng) for i in range(tt.graph.edge_count)}
+        for weights in (random_small_fraction(rng), per_edge):
+            outcomes[_routes_agree_exactly(tree, q, weights)] += 1
+    assert outcomes["defined"] > 200 and min(outcomes.values()) > 0, outcomes
+    # Constructed zeros of A: at the root, inside the tree, after a W leaf,
+    # at a W leaf, and at a series node that comes before a zero W leaf.
+    f = Fraction
+    cases = [("S(e,e)", f(3), f(-3, 2), "undefined"),
+             ("P(e,S(e,e))", f(3), {0: f(-1), 1: f(-1), 2: f(-2)}, "undefined"),
+             ("S(e,W)", f(4), {0: f(-6), **{i: f(-1) for i in range(1, 6)}}, "undefined"),
+             ("P(e,W)", f(2), f(-1), "raised"),
+             ("P(S(e,e),W)", f(2), f(-1), "undefined")]
+    for text, q, weights, outcome in cases:
+        assert _routes_agree_exactly(parse_sp(text)[1], q, weights) == outcome, text
+
+
 def test_effective_route_rejects_zero_leaf_a():
     _, tree = realize(SPLeaf("W"))
     with pytest.raises(GraphError):
         tree_veff(tree, 2.0, -1)      # leaf A = (q-2)(q-3) vanishes at q=2
 
 
+def test_effective_route_needs_a_numeric_q():
+    _, tree = parse_sp("S(e,P(e,e))")
+    with pytest.raises(GraphError, match="needs a numeric q"):
+        tree_veff(tree, Q)
+
+
 def test_effective_route_rejects_an_infinite_weight_on_a_w_leaf():
-    # An edge leaf takes v = INF (its A value is 1); a W leaf's oracle cannot.
+    # Both routes refuse an INF weight, on a W leaf's edge and on an edge
+    # leaf, naming the edge; a scalar INF is refused at the first leaf edge.
     _, tree = parse_sp("P(e,W)")
     weights = {i: -1 for i in range(6)}
-    with pytest.raises(GraphError, match="edge 3"):
-        tree_veff(tree, 2.5, {**weights, 3: INF})
-    assert not tree_veff(tree, 2.5, {**weights, 0: INF}).defined
+    for route in (tree_veff, tree_ab):
+        for edge in (3, 0):
+            with pytest.raises(GraphError, match=f"edge {edge} has weight INF"):
+                route(tree, 2.5, {**weights, edge: INF})
+        with pytest.raises(GraphError, match=r"edge \d has weight INF"):
+            route(tree, 2.5, INF)
 
 
 def test_weight_assignment_input_conversion():
@@ -296,11 +357,11 @@ def test_shape_route_matches_node_route():
 
 # tree_ab's heads and per_node; tree_veff's structure (defined flag, error,
 # per_node keys, INF/UNDEF positions); tree_veff's values.  Only the last
-# depends on how tree_veff rounds its joins.
+# depends on how tree_veff rounds its joins and multiplies its prefactor.
 ROUTE_PINS = {
     "pairs": "bbebda87465db2d57d89ca74f166fcedbdd86a6322e8e976d896964528c0e3bf",
     "effective_structure": "936213aaa90a15bdba8e023a4927139fbb33971914af54fa13839522d574c504",
-    "effective_values": "8aeeb5232eda6f449e0f839613ac1e1cf1b0816742f445b3220add418c1ca33e",
+    "effective_values": "35a9e7c92216482bef896e364b3df1a593054cada916e362b27a4feaf4fcf5e8",
 }
 
 
@@ -415,12 +476,11 @@ def test_undefined_route_builds_its_partial_per_node_on_read(monkeypatch):
     assert list(eff.per_node) == list(tree.order)
     assert (repr(list(eff.per_node.values()))
             == repr([-q, -0.5, 1.0, parallel(-0.5, 1, "V", q), UNDEF]))
-    # An undefined operand stops the route before the root: the root has no entry.
-    eff = tree_veff(tree, q, {0: UNDEF, 1: -0.5, 2: 1})
-    assert not eff.defined and len(builds) == 1
-    assert list(eff.per_node) == list(tree.order[:4])
-    assert (repr(list(eff.per_node.values()))
-            == repr([UNDEF, -0.5, 1.0, parallel(-0.5, 1, "V", q)]))
+    # An UNDEF weight is refused before any step, naming the edge.
+    for weights in ({0: UNDEF, 1: -0.5, 2: 1}, UNDEF):
+        with pytest.raises(GraphError, match="edge 0 has weight UNDEF"):
+            tree_veff(tree, q, weights)
+    assert len(builds) == 1
 
 
 def _random_chromatic_trees(seed: int, count: int) -> list:
