@@ -86,7 +86,12 @@ def _weights_plan(weights, q):
                              "symbolic runs take raw v values")
         given, by_shape = weights.in_system("V", q).value, False
     elif isinstance(weights, Mapping):
-        given, by_shape = weights.__getitem__, False
+        def given(i):
+            try:
+                return weights[i]
+            except KeyError as exc:
+                raise GraphError(f"no weight for edge {i}") from exc
+        by_shape = False
     else:
         v = -1 if weights is None else weights
         given, by_shape = (lambda i: v), True

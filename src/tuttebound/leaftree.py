@@ -8,16 +8,17 @@ satisfies the pair recursion
     A_1 = 1,  B_1 = (1+w)^r - 1,
 
 for a uniform edge weight w, with the partition function q^2 A_n + q B_n.
-Exact coefficients come from the engine's pair route on the realized tree:
-at w = -1 from one integer evaluation at q = 2^k (engine.chromatic_pair),
-and for a symbolic w over BiPoly (engine.tree_ab).  One private step runs
-the recursion on jets of doubles that carry each value with its
-q-derivative, rescaled between levels; it is the package's only jet.  It
-gives P/P' to the solver's own Aberth loop, started from a ring around
-q = 1 (rootfind.ring_starts), the transmissivity t_n = B_n/(q A_n + B_n)
-at an array of points, and F/F' of F = B_n - omega(q A_n + B_n)
-(cleared_ratio), whose zeros are the points where t_n = omega, for the
-cycle counterexample (regions.cycle_counterexample).
+Exact coefficients at w = -1 come from the engine's pair route on the
+realized tree, from one integer evaluation at q = 2^k
+(engine.chromatic_pair); for a symbolic w, call engine.tree_ab over BiPoly
+on the same tree.  One private step runs the recursion on jets of doubles
+that carry each value with its q-derivative, rescaled between levels; it
+is the package's only jet.  It gives P/P' to the solver's own Aberth loop,
+started from a ring around q = 1 (rootfind.ring_starts), the
+transmissivity t_n = B_n/(q A_n + B_n) at an array of points, and F/F' of
+F = B_n - omega(q A_n + B_n) (cleared_ratio), whose zeros are the points
+where t_n = omega, for the cycle counterexample
+(regions.cycle_counterexample).
 
 In the proper-coloring case the same growth is the one-dimensional map
 y -> ((q-1)/(q-2+y))^r of the effective weight y = 1 + v = 1 + B/A,
@@ -35,9 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import chromatic_pair, tree_ab
+from .engine import chromatic_pair
 from .graphs import GraphError
-from .poly import BigPoly, BiPoly
+from .poly import BigPoly
 from .rootfind import RootSet, find_roots, ring_starts, solve_complex_coeffs
 from .sp import leaf_joined_tree_ast, realize
 
@@ -46,35 +47,25 @@ EXACT_SIZE_LIMIT = 2 ** 16      # r**n cap for the exact recursion
 
 @dataclass
 class LeafTreeState:
-    """Exact pair state at depth n; a/b are BigPoly (w = -1) or BiPoly."""
+    """Exact pair state at depth n under w = -1; a/b are BigPoly."""
     r: int
     n: int
-    a: object
-    b: object
-    symbolic_weight: bool
+    a: BigPoly
+    b: BigPoly
 
-    def partition_poly(self):
-        q = BiPoly.q() if self.symbolic_weight else BigPoly.variable()
+    def partition_poly(self) -> BigPoly:
+        q = BigPoly.variable()
         return q * q * self.a + q * self.b
 
 
-def leaf_tree_ab(r: int, n: int, symbolic_weight: bool = False) -> LeafTreeState:
-    """Pair state (A_n, B_n) of the depth-n tree from the engine's pair route.
-
-    With symbolic_weight the result is bivariate in (q, w); otherwise the
-    proper-coloring specialization w = -1 is used throughout.
-    """
+def leaf_tree_ab(r: int, n: int) -> LeafTreeState:
+    """Pair state (A_n, B_n) of the depth-n tree from the engine's pair route, at w = -1."""
     if r < 2 or n < 1:
         raise GraphError("need r >= 2 and n >= 1")
     if r ** n > EXACT_SIZE_LIMIT:
         raise GraphError(f"r^n = {r ** n} exceeds exact-recursion limit {EXACT_SIZE_LIMIT}")
     _tt, tree = realize(leaf_joined_tree_ast(r, n))
-    if not symbolic_weight:
-        return LeafTreeState(r, n, *chromatic_pair(tree), False)
-    one = BiPoly.const(1)
-    pairs = tree_ab(tree, BiPoly.q(), weights=BiPoly.w())
-    # At n = 1 no series rule brings in q, so the pair may be plain ints.
-    return LeafTreeState(r, n, one * pairs.a, one * pairs.b, True)
+    return LeafTreeState(r, n, *chromatic_pair(tree))
 
 
 def chromatic_leaf_tree(r: int, n: int) -> BigPoly:

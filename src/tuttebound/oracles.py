@@ -1,9 +1,13 @@
 """Brute-force oracles for partition-function values.
 
-Direct subset expansion over edge sets, its split by terminal connectivity,
-and the coloring sum for integer q.  These are reference implementations:
-exponential in the input, guarded by size limits, and exact whenever q and
-the weights are exact (int / Fraction).
+One loop runs the subset expansion: it enumerates the edge subsets A once
+and adds each one's weight product to the sum of its class (k(A), whether A
+joins the terminals).  The full expansion and its split by terminal
+connectivity both read those class sums, so each power of q is taken once
+per class, not once per subset.  The coloring sum for integer q is the
+other oracle.  These are reference implementations: exponential in the
+input, guarded by size limits, and exact whenever q and the weights are
+exact (int / Fraction).
 """
 
 from __future__ import annotations
@@ -52,19 +56,21 @@ class _DSU:
         return True
 
 
-def tutte_brute(g: Multigraph, q, weights, max_edges: int = DEFAULT_EDGE_LIMIT):
-    """Subset expansion: sum over A of q^k(A) times the product of weights in A.
+def _class_sums(g: Multigraph, weights, max_edges: int,
+                terminals: tuple[int, int] | None = None) -> list:
+    """Sums of the weight products over the edge subsets A, by class, in sorted order.
 
-    k(A) is the number of connected components of (V, A).  Loops are allowed
-    (a loop in A contributes its weight but no merge).
+    A class is (k(A), joined): k(A) is the number of connected components of
+    (V, A), and joined says whether A connects the two terminals (always
+    False without them).  Loops are allowed (a loop in A contributes its
+    weight but no merge).
     """
     if g.edge_count > max_edges:
         raise GraphError(f"{g.edge_count} edges exceeds brute-force limit {max_edges}")
     v = _weight_list(g, weights)
-    m = g.edge_count
     n = g.vertex_count
-    total = 0
-    for mask in range(1 << m):
+    sums: dict = {}
+    for mask in range(1 << g.edge_count):
         dsu = _DSU(n)
         comps = n
         w = 1
@@ -78,8 +84,17 @@ def tutte_brute(g: Multigraph, q, weights, max_edges: int = DEFAULT_EDGE_LIMIT):
                     comps -= 1
             mm >>= 1
             i += 1
-        total = total + w * q ** comps
-    return total
+        joined = terminals is not None and dsu.find(terminals[0]) == dsu.find(terminals[1])
+        sums[comps, joined] = sums.get((comps, joined), 0) + w
+    return sorted(sums.items())
+
+
+def tutte_brute(g: Multigraph, q, weights, max_edges: int = DEFAULT_EDGE_LIMIT):
+    """Subset expansion: sum over A of q^k(A) times the product of weights in A.
+
+    k(A) is the number of connected components of (V, A).
+    """
+    return sum(w * q ** k for (k, _joined), w in _class_sums(g, weights, max_edges))
 
 
 def partial_tutte_brute(tt: TwoTerminalGraph, q, weights,
@@ -90,35 +105,13 @@ def partial_tutte_brute(tt: TwoTerminalGraph, q, weights,
     contribute a factor q.  No division by q is ever performed, so both
     values are polynomials in q when q is symbolic or exact.
     """
-    g = tt.graph
-    if g.edge_count > max_edges:
-        raise GraphError(f"{g.edge_count} edges exceeds brute-force limit {max_edges}")
-    v = _weight_list(g, weights)
-    m = g.edge_count
-    n = g.vertex_count
     a_total = 0
     b_total = 0
-    for mask in range(1 << m):
-        dsu = _DSU(n)
-        comps = n
-        w = 1
-        mm = mask
-        i = 0
-        while mm:
-            if mm & 1:
-                w = w * v[i]
-                a, b = g.edges[i]
-                if a != b and dsu.union(a, b):
-                    comps -= 1
-            mm >>= 1
-            i += 1
-        rs, rt = dsu.find(tt.s), dsu.find(tt.t)
-        if rs == rt:
-            term = w * q ** (comps - 1)
-            b_total = b_total + term
+    for (k, joined), w in _class_sums(tt.graph, weights, max_edges, (tt.s, tt.t)):
+        if joined:
+            b_total = b_total + w * q ** (k - 1)
         else:
-            term = w * q ** (comps - 2)
-            a_total = a_total + term
+            a_total = a_total + w * q ** (k - 2)
     return a_total, b_total
 
 

@@ -97,6 +97,20 @@ def test_tutte_chromatic_evaluates_the_parsed_tree(tmp_path, monkeypatch, capsys
     assert payload["coefficients"] == [str(c) for c in want.coeffs]
 
 
+def test_tutte_chromatic_graph_file_matches_the_parsed_tree(tmp_path, monkeypatch, capsys):
+    # A graph file carries no tree; this one's single 12-edge block has a K4
+    # minor, so decompose_sp gives up and the subset oracle answers.
+    dsl = "P(S(e,W),S(e,W))"
+    path = tmp_path / "g.json"
+    path.write_text(parse_sp(dsl)[0].graph.to_json())
+    payloads = []
+    for source in (("--dsl", dsl), ("--graph", str(path))):
+        assert run(tmp_path, monkeypatch, "tutte", "chromatic", *source) == 0
+        payloads.append(json.loads(capsys.readouterr().out))
+    assert payloads[0]["degree"] == 8
+    assert payloads[1] == payloads[0]
+
+
 def test_tutte_eval(tmp_path, monkeypatch, capsys):
     assert run(tmp_path, monkeypatch, "tutte", "eval", "--dsl", "S(e,e)",
                "--q", "3", "--v", "-1") == 0

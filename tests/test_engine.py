@@ -201,6 +201,16 @@ def test_effective_route_rejects_an_infinite_weight_on_a_w_leaf():
             route(tree, 2.5, INF)
 
 
+def test_both_routes_name_an_edge_missing_from_the_weights():
+    # A Mapping and a WeightAssignment that lack edge 2 give the same error.
+    _, tree = parse_sp("P(S(e,e),e)")
+    given = {0: -1, 1: -1}
+    for route in (tree_veff, tree_ab):
+        for weights in (given, WeightAssignment("V", given)):
+            with pytest.raises(GraphError, match="no weight for edge 2"):
+                route(tree, 2.5, weights)
+
+
 def test_weight_assignment_input_conversion():
     _, tree = parse_sp("P(e,e)")
     q = 4.0

@@ -13,12 +13,26 @@ from tuttebound.leaftree import (_newton_ratio, _pair_step, _scaled_pair, cardio
                                  chromatic_leaf_tree, conjecture_scan, leaf_tree_ab,
                                  multiplier_loci, t_eff_at, t_eff_exact,
                                  tree_chromatic_roots)
+from tuttebound.oracles import tutte_brute
 from tuttebound.poly import BigPoly, BiPoly
 from tuttebound.rootfind import find_roots
 from tuttebound.sp import (gen_gadget_cycle, gen_leaf_joined_tree, leaf_joined_tree_ast,
                            leaf_joined_vertex_count)
 
 Q = BigPoly.variable()
+
+
+def _pair(r: int, n: int, symbolic_weight: bool = False) -> tuple:
+    """(A_n, B_n) of the depth-n tree: leaf_tree_ab's at w = -1, or over BiPoly in (q, w).
+
+    The bivariate pair is the engine's pair route on the same realized tree.
+    """
+    if not symbolic_weight:
+        state = leaf_tree_ab(r, n)
+        return state.a, state.b
+    pairs = tree_ab(gen_leaf_joined_tree(r, n)[1], BiPoly.q(), weights=BiPoly.w())
+    one = BiPoly.const(1)   # at n = 1 no series rule brings in q, so A is a plain int
+    return one * pairs.a, one * pairs.b
 
 
 def test_depth_one_pair():
@@ -40,11 +54,12 @@ def test_recursion_matches_tree_engine():
             assert chromatic_leaf_tree(r, n) == tree_ab(tree, Q, -1).z
     for r, n_max in ((2, 3), (3, 2)):
         for n in range(1, n_max + 1):
-            _, tree = gen_leaf_joined_tree(r, n)
-            z = tree_ab(tree, BiPoly.q(), BiPoly.w()).z
-            assert leaf_tree_ab(r, n, symbolic_weight=True).partition_poly() == z
-    # leaf_tree_ab is tree_ab on the same realized tree, so the checks above
-    # hold by construction.  The pair recursion from A_1 = 1 and
+            tt, _ = gen_leaf_joined_tree(r, n)
+            a, b = _pair(r, n, True)
+            qb = BiPoly.q()
+            assert qb * qb * a + qb * b == tutte_brute(tt.graph, qb, BiPoly.w())
+    # leaf_tree_ab is tree_ab on the same realized tree, so the univariate
+    # checks above hold by construction.  The pair recursion from A_1 = 1 and
     # B_1 = (1 + w)^r - 1, in closed-form powers instead of binary joins, is
     # an independent route to each (A_n, B_n).
     w = BiPoly.w()
@@ -55,8 +70,7 @@ def test_recursion_matches_tree_engine():
             for n in range(1, n_max + 1):
                 if n > 1:
                     a, b = _pair_step(a, b, qw, one_w, r)
-                state = leaf_tree_ab(r, n, symbolic_weight=isinstance(one, BiPoly))
-                assert (state.a, state.b) == (a, b), (r, n, one_w)
+                assert _pair(r, n, isinstance(one, BiPoly)) == (a, b), (r, n, one_w)
 
 
 # SHA-256 (first 16 hex digits) of "A|B", each written as its coefficient
@@ -79,19 +93,19 @@ PAIR_DIGESTS = {
 }
 
 
-def _pair_digest(state) -> str:
+def _pair_digest(a, b) -> str:
     def text(p) -> str:
         if isinstance(p, BiPoly):
             return ",".join(f"{i}:{j}:{c}" for (i, j), c in sorted(p.terms.items()))
         return ",".join(str(c) for c in p.coeffs)
-    return hashlib.sha256(f"{text(state.a)}|{text(state.b)}".encode()).hexdigest()[:16]
+    return hashlib.sha256(f"{text(a)}|{text(b)}".encode()).hexdigest()[:16]
 
 
 def test_pair_coefficients_match_recorded_digests():
     for key, want in PAIR_DIGESTS.items():
         symbolic = key.startswith("w")
         r, n = map(int, key.lstrip("w").split(","))
-        assert _pair_digest(leaf_tree_ab(r, n, symbolic_weight=symbolic)) == want, key
+        assert _pair_digest(*_pair(r, n, symbolic)) == want, key
 
 
 # SHA-256 of each polynomial's comma-joined coefficients, recorded from the
@@ -120,8 +134,9 @@ def test_degree_equals_vertex_count():
 
 
 def test_bivariate_specializes_to_chromatic():
-    st = leaf_tree_ab(2, 3, symbolic_weight=True)
-    assert st.partition_poly().subs_w(-1) == chromatic_leaf_tree(2, 3)
+    a, b = _pair(2, 3, True)
+    qb = BiPoly.q()
+    assert (qb * qb * a + qb * b).subs_w(-1) == chromatic_leaf_tree(2, 3)
 
 
 def test_size_guard():
