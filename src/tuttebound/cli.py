@@ -78,10 +78,9 @@ def _as_two_terminal(g) -> TwoTerminalGraph:
     raise GraphError("this command needs terminals: use --dsl or a graph file with s and t")
 
 
-def _weights_arg(args, q):
+def _weights_arg(args):
     if args.weights:
-        wa = load_weights(Path(args.weights))
-        return wa.in_system("V", q)
+        return load_weights(Path(args.weights))
     if args.v is not None:
         return complex(parse_complex(args.v))
     return -1
@@ -121,7 +120,7 @@ def cmd_tutte_eval(args):
     if tree is None:
         raise GraphError("graph is not 2-terminal series-parallel")
     q = parse_complex(args.q)
-    weights = _weights_arg(args, q)
+    weights = _weights_arg(args)
     pairs = tree_ab(tree, q, weights)
     try:
         eff = tree_veff(tree, q, weights)
@@ -183,10 +182,8 @@ def cmd_region_certify(args):
 
 def cmd_region_grid(args):
     fam = grid_closure(parse_complex(args.q), args.lam, args.resolution)
-    h = 2.0 / fam.resolution
-    # Every coordinate is a cell centre -1 + (i + 1/2) h, at GridFamily.center,
-    # so each is formatted once, by the repr the csv writer would use.
-    axis = [repr(-1.0 + (i + 0.5) * h) for i in range(fam.resolution)]
+    # Each cell-centre coordinate is formatted once, by the csv writer's repr.
+    axis = [repr(c) for c in fam.cell_centres().tolist()]
     rows = []
     for k in range(1, fam.lam):       # the cells in row-major order
         iy, ix = fam.levels[k - 1].nonzero()

@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 
 class GraphError(ValueError):
@@ -153,7 +153,7 @@ def load_graph(source: str | Path) -> tuple[Multigraph, int | None, int | None]:
     """Parse the JSON record {"vertices": n, "edges": [[a,b],...], "s":?, "t":?}.
 
     ``source`` may be a path or a JSON string (see json_source_text).
-    Returns (graph, s, t) with the terminals None when absent.
+    Returns (graph, s, t): the record gives both terminals or neither (None).
     """
     text = json_source_text(source)
     try:
@@ -161,8 +161,9 @@ def load_graph(source: str | Path) -> tuple[Multigraph, int | None, int | None]:
         g = Multigraph(int(record["vertices"]), tuple((int(a), int(b)) for a, b in record["edges"]))
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise GraphError(f"bad graph record: {exc}") from exc
-    s = record.get("s")
-    t = record.get("t")
+    s, t = record.get("s"), record.get("t")
+    if (s is None) != (t is None):
+        raise GraphError(f"bad graph record: missing key {'s' if s is None else 't'!r}")
     return g, (None if s is None else int(s)), (None if t is None else int(t))
 
 
@@ -344,17 +345,16 @@ def blocks(g: Multigraph) -> list[Block]:
 
 def _make_block(g: Multigraph, edge_members: list[int]) -> Block:
     edge_members = sorted(edge_members)
-    vmap: dict[int, int] = {}
-    verts: list[int] = []
-    pairs = []
-    for j in edge_members:
-        a, b = g.edges[j]
-        for v in (a, b):
-            if v not in vmap:
-                vmap[v] = len(verts)
-                verts.append(v)
-        pairs.append((vmap[a], vmap[b]))
-    return Block(Multigraph(len(verts), tuple(pairs)), tuple(verts), tuple(edge_members))
+    label: dict[int, int] = {}
+    pairs = number_vertices([g.edges[j] for j in edge_members], label)
+    return Block(Multigraph(len(label), tuple(pairs)), tuple(label), tuple(edge_members))
+
+
+def number_vertices(pairs: Iterable[tuple[int, int]], label: dict) -> list[tuple[int, int]]:
+    """The edges with each vertex replaced by its number in order of first
+    appearance; label holds the numbers given so far and gains the new ones."""
+    return [(label.setdefault(a, len(label)), label.setdefault(b, len(label)))
+            for a, b in pairs]
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,14 @@ class StalkDiscFamily:
     radii: tuple[float, ...]
 
 
+@lru_cache(maxsize=4)
+def _cell_centres(resolution: int) -> np.ndarray:
+    """Centre -1 + (i + 1/2) h of raster column (and row) i, h = 2/resolution."""
+    out = -1.0 + (np.arange(resolution) + 0.5) * (2.0 / resolution)
+    out.flags.writeable = False         # every caller shares the cached array
+    return out
+
+
 @dataclass(frozen=True)
 class GridFamily:
     lam: int
@@ -248,9 +256,13 @@ class GridFamily:
         ys, xs = np.nonzero(self.levels[k - 1])
         return list(zip(xs.tolist(), ys.tolist()))
 
+    def cell_centres(self) -> np.ndarray:
+        """The centre coordinate of each column, which is also each row's."""
+        return _cell_centres(self.resolution)
+
     def center(self, ix: int, iy: int) -> complex:
-        h = 2.0 / self.resolution
-        return complex(-1.0 + (ix + 0.5) * h, -1.0 + (iy + 0.5) * h)
+        c = self.cell_centres()
+        return complex(c[ix], c[iy])
 
 
 @dataclass(frozen=True)
@@ -353,7 +365,7 @@ class _FamilySets:
                 inner = self.radii[k - 2] * np.exp(2j * np.pi * self.rng.random(count))
                 pts.append(_t_parallel(arc, inner, self.q))
         else:
-            pts.append(np.full(count // 4 + 1, 1.0 / (1.0 - self.q)))
+            pts.append(np.full(count // 4 + 1, self.family.t0))
         return np.concatenate(pts)
 
     def contains(self, t: np.ndarray, k: int, tol: float = 1e-9) -> np.ndarray:
@@ -371,7 +383,7 @@ class _FamilySets:
                     hit |= np.abs(y - s * center) <= s * radius * (1 + tol) + tol
                 ok |= hit
         else:
-            ok |= np.abs(t - 1.0 / (1.0 - self.q)) <= tol
+            ok |= np.abs(t - self.family.t0) <= tol
         return ok
 
 
@@ -432,6 +444,7 @@ def _verify_grid(family: GridFamily, samples: int) -> bool:
         return False
     res = family.resolution
     h = 2.0 / res
+    c = family.cell_centres()
     rng = np.random.default_rng(7)
     lam = family.lam
     pts = []
@@ -439,8 +452,7 @@ def _verify_grid(family: GridFamily, samples: int) -> bool:
         iy, ix = np.nonzero(family.levels[k - 1])
         if not len(ix):
             return False
-        # GridFamily.center of every cell, in the same arithmetic
-        arr = (-1.0 + (ix + 0.5) * h) + 1j * (-1.0 + (iy + 0.5) * h)
+        arr = c[ix] + 1j * c[iy]
         if np.any(np.abs(arr) >= 1.0):
             return False
         pts.append(arr)
@@ -596,6 +608,8 @@ def exact_parallel_max(x: float, y: float, q: complex,
     """
     if x < 0 or y < 0:
         raise GraphError("radii must be nonnegative")
+    if resolution < 1:
+        raise GraphError("resolution must be >= 1")
     return float(_parallel_maxima(np.array([x], dtype=float), np.array([y], dtype=float),
                                   np.array([q], dtype=complex), resolution)[0])
 
@@ -772,9 +786,7 @@ def grid_closure(q: complex, lam: int, resolution: int = 256) -> GridFamily:
     scale = res / 2.0                   # 1/h, exactly
     rasters = [np.zeros(res * res, dtype=bool) for _ in range(lam - 1)]
     points = [np.zeros(0, dtype=complex) for _ in range(lam - 1)]
-
-    def centers(flat: np.ndarray) -> np.ndarray:
-        return (-1.0 + (flat % res + 0.5) * h) + 1j * (-1.0 + (flat // res + 0.5) * h)
+    axis = _cell_centres(res)
 
     # Distance from 0 to each closed cell square; grid lines are exact dyadics.
     edge = -1.0 + np.arange(res) * h
@@ -823,7 +835,7 @@ def grid_closure(q: complex, lam: int, resolution: int = 256) -> GridFamily:
         if worst:
             return "a combination reached |t| >= 1"
         new = cells[0] if len(cells) == 1 else _sorted_unique(np.concatenate(cells))
-        c = centers(new)
+        c = axis[new % res] + 1j * axis[new // res]
         if np.any(c.real * c.real + c.imag * c.imag >= 1.0):
             return "a cell center reached |t| >= 1"
         for m in range(level - 1, lam - 1):

@@ -10,17 +10,19 @@ only leaves list their host edges, so a tree takes memory linear in its
 edge count at any depth.
 
 Trees are built without recursion.  `realize` walks an expression with an
-explicit stack; `decompose_sp` recognises a graph by a worklist series /
-parallel reduction and orients the result once, from s.  Both hand one
-post-order list to the same node builder, which stores that order on the
-tree and interns a shape id per node (hash-consing; Filliatre & Conchon, ML
-Workshop 2006): kind, leaf base and the children's shape ids in order, not
-edge labels or terminals.  The same pass records two evaluation programs:
-each node's children positions (the node program), and each shape's first
-node and children's shape ids (the shape program, a DAG).  The engine runs
-the shape program under a scalar weight and the node program under per-edge
-weights.  A gadget is an expression like any other, so the copies in a
-gadget cycle share their shapes.
+explicit stack, numbering each vertex as its first edge is emitted
+(`graphs.number_vertices`, which `DecompTree.constituent` and `blocks` use
+too) and building each leaf's node there; `decompose_sp` recognises a graph
+by a worklist series / parallel reduction and orients the result once, from
+s.  Both hand one post-order list to the same node builder, which stores
+that order on the tree and interns a shape id per node (hash-consing;
+Filliatre & Conchon, ML Workshop 2006): kind, leaf base and the children's
+shape ids in order, not edge labels or terminals.  The same pass records
+two evaluation programs: each node's children positions (the node program),
+and each shape's first node and children's shape ids (the shape program, a
+DAG).  The engine runs the shape program under a scalar weight and the node
+program under per-edge weights.  A gadget is an expression like any other,
+so the copies in a gadget cycle share their shapes.
 
 The DSL grammar:
 
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from typing import Iterator, Sequence
 
-from .graphs import GraphError, Multigraph, TwoTerminalGraph, blocks
+from .graphs import GraphError, Multigraph, TwoTerminalGraph, blocks, number_vertices
 
 
 class ParseError(ValueError):
@@ -155,17 +157,12 @@ class DecompTree:
 
     def constituent(self, node: DecompNode) -> TwoTerminalGraph:
         """Materialize a node's subgraph, relabeled by first edge appearance."""
-        g = self.graph.graph
-        vmap: dict[int, int] = {}
-        pairs = []
-        for i in sorted(i for n in _subtree(node) for i in n.edges):
-            a, b = g.edges[i]
-            for v in (a, b):
-                if v not in vmap:
-                    vmap[v] = len(vmap)
-            pairs.append((vmap[a], vmap[b]))
-        return TwoTerminalGraph(Multigraph(len(vmap), tuple(pairs)),
-                                vmap[node.s], vmap[node.t])
+        edges = self.graph.graph.edges
+        label: dict[int, int] = {}
+        pairs = number_vertices([edges[i] for i in sorted(i for n in _subtree(node)
+                                                          for i in n.edges)], label)
+        return TwoTerminalGraph(Multigraph(len(label), tuple(pairs)),
+                                label[node.s], label[node.t])
 
 
 def constituent_flows(tree: DecompTree) -> dict[DecompNode, int]:
@@ -209,12 +206,14 @@ _TEMPLATES = {
 def realize(ast: SPExpr) -> tuple[TwoTerminalGraph, DecompTree]:
     """Build the denoted 2-terminal graph plus its decomposition tree.
 
-    Terminals are assigned top-down, every leaf copies its template, and
-    vertices are numbered by first appearance along the edge list.  Anything
-    but an SPOp or an 'e' or 'W' leaf is refused (GraphError).
+    Terminals are assigned top-down and every leaf copies its template.  A
+    vertex is numbered when its first edge is emitted (number_vertices), so
+    each leaf's node is built with its edges.  Anything but an SPOp or an
+    'e' or 'W' leaf is refused (GraphError).
     """
     edges: list[tuple[int, int]] = []
-    post: list = []                    # leaf records and 's' / 'p' marks
+    label: dict[int, int] = {}         # abstract vertex -> its number
+    post: list = []                    # leaf nodes and 's' / 'p' marks
     fresh = 2                          # abstract vertices; 0 and 1 are s and t
     work: list = [(ast, 0, 1)]
     while work:
@@ -243,20 +242,11 @@ def realize(ast: SPExpr) -> tuple[TwoTerminalGraph, DecompTree]:
         vmap = [s, t, *range(fresh, fresh + count - 2)]
         fresh += count - 2
         first = len(edges)
-        edges.extend((vmap[a], vmap[b]) for a, b in pairs)
-        post.append((s, t, range(first, len(edges)), flow, expr.base))
+        edges += number_vertices([(vmap[a], vmap[b]) for a, b in pairs], label)
+        post.append(DecompNode(LEAF, label[s], label[t], tuple(range(first, len(edges))),
+                               (), flow, expr.base))
 
-    label: dict[int, int] = {}
-    for a, b in edges:
-        label.setdefault(a, len(label))
-        label.setdefault(b, len(label))
-    graph = Multigraph(len(label), tuple((label[a], label[b]) for a, b in edges))
-    tt = TwoTerminalGraph(graph, label[0], label[1])
-
-    def leaf(s: int, t: int, span: range, flow: int, base: str) -> DecompNode:
-        return DecompNode(LEAF, label[s], label[t], tuple(span), (), flow, base)
-
-    post = [item if isinstance(item, str) else leaf(*item) for item in post]
+    tt = TwoTerminalGraph(Multigraph(len(label), tuple(edges)), label[0], label[1])
     return tt, _assemble(tt, post)
 
 

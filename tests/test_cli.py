@@ -412,6 +412,24 @@ def test_domain_errors_exit_two(tmp_path, monkeypatch, capsys):
     assert run(tmp_path, monkeypatch, "roots", "solve", "--coeffs", "5") == 2
     # The constant term underflows once the coefficients are scaled to doubles.
     assert run(tmp_path, monkeypatch, "roots", "solve", f"--coeffs=1,0,0,{10 ** 400}") == 2
+    k4 = [[a, b] for a in range(4) for b in range(a + 1, 4)]
+    graphs = {"path.json": {"vertices": 3, "edges": [[0, 1], [1, 2]]},
+              "lone.json": {"vertices": 3, "edges": [[0, 1], [1, 2]], "s": 0},
+              "k4.json": {"vertices": 4, "edges": k4, "s": 0, "t": 1}}
+    for name, record in graphs.items():
+        (tmp_path / name).write_text(json.dumps(record))
+    capsys.readouterr()
+    for argv, message in [
+        (("flow",), "provide --dsl or --graph"),
+        (("flow", "--graph", "lone.json"), "bad graph record: missing key 't'"),
+        (("sp", "decompose", "--graph", "path.json"), "this command needs terminals"),
+        (("tutte", "eval", "--graph", "k4.json", "--q", "2.5"),
+         "graph is not 2-terminal series-parallel"),
+        (("roots", "solve"), "provide --coeffs or --coeffs-file"),
+    ]:
+        assert run(tmp_path, monkeypatch, *argv) == 2, argv
+        assert capsys.readouterr().err.startswith(f"error: {message}"), argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(graphs)   # no manifest
 
 
 def test_manifest_written_even_without_out(tmp_path, monkeypatch, capsys):

@@ -39,6 +39,12 @@ def test_max_flow_rejects_equal_endpoints():
 def test_max_flow_rejects_out_of_range():
     with pytest.raises(GraphError):
         max_flow(banana(2), 0, 5)
+    with pytest.raises(GraphError, match="needs a vertex pair"):
+        max_flow(banana(2), 0)
+    with pytest.raises(GraphError, match="terminal out of range"):
+        TwoTerminalGraph(banana(2), 0, 2)
+    with pytest.raises(GraphError, match="terminals must be distinct"):
+        TwoTerminalGraph(banana(2), 1, 1)
 
 
 def test_max_flow_rejects_loops():
@@ -288,6 +294,12 @@ def test_load_graph_rejects_malformed():
         load_graph(json.dumps({"edges": [[0, 1]]}))
     with pytest.raises(GraphError):
         load_graph(json.dumps({"vertices": 1, "edges": [[0, 1]]}))
+    with pytest.raises(GraphError, match="vertex_count must be nonnegative"):
+        load_graph(json.dumps({"vertices": -1, "edges": []}))
+    with pytest.raises(GraphError, match="missing key 't'"):
+        load_graph(json.dumps({"vertices": 3, "edges": [[0, 1], [1, 2]], "s": 0}))
+    with pytest.raises(GraphError, match="missing key 's'"):
+        load_graph(json.dumps({"vertices": 3, "edges": [[0, 1], [1, 2]], "t": 2}))
 
 
 def test_load_graph_long_json_string():

@@ -107,6 +107,10 @@ def test_edge_limit_guard():
         tutte_brute(g, 2, -1)
     with pytest.raises(GraphError):
         partial_tutte_brute(TwoTerminalGraph(g, 0, 1), 2, -1)
+    with pytest.raises(GraphError, match="missing weight for edge 2"):
+        tutte_brute(banana(3), 2, {0: -1, 1: -1})
+    with pytest.raises(GraphError, match="weight list length mismatch"):
+        partial_tutte_brute(TwoTerminalGraph(banana(3), 0, 1), 2, [-1, -1])
 
 
 def test_vertex_limit_guard_and_q_validation():

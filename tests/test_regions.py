@@ -104,6 +104,12 @@ def test_parallel_bound_preconditions():
         parallel_bound(0.3, 0.1, 0.3)
     with pytest.raises(GraphError):
         parallel_bound(0.1, 0.1, 1.2)
+    with pytest.raises(GraphError, match="unknown radii choice"):
+        disc_radii(0.5, 3, "median")
+    with pytest.raises(GraphError, match="rho must lie in"):
+        disc_radii(1.5, 3)
+    with pytest.raises(GraphError, match="need lam >= 2"):
+        disc_radii(0.5, 1)
 
 
 def test_radii_collapse_identity():
@@ -195,6 +201,8 @@ def test_certify_validation():
         certify(1.0, 3)
     with pytest.raises(GraphError):
         certify(3.0, 1)
+    with pytest.raises(GraphError, match="unknown mode"):
+        certify(9.0, 3, "ferro")
     assert not certify(9.0, 2, WHEATSTONE).certified
 
 
@@ -416,6 +424,18 @@ def test_boundary_rho_stops_at_the_rounding_floor():
 def test_boundary_rho_refuses_non_finite_angles():
     with pytest.raises(GraphError, match="theta must be finite"):
         boundary_rho(3, [0.0, math.nan])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: exact_parallel_max(0.1, 0.2, 3 + 1j, resolution=0), "resolution must be >= 1"),
+    (lambda: exact_parallel_max(0.1, 0.2, 3 + 1j, resolution=-4), "resolution must be >= 1"),
+    (lambda: exact_parallel_max(-0.1, 0.2, 3 + 1j), "radii must be nonnegative"),
+    (lambda: boundary_rho(2, 0.0), "boundary scan needs lam >= 3"),
+], ids=["resolution-0", "resolution-negative", "negative-radius", "boundary-lam-2"])
+def test_circle_scans_refuse_bad_arguments(call, message):
+    # boundary_rho and exact_parallel_max share the scan, so they share its refusals.
+    with pytest.raises(GraphError, match=message):
+        call()
 
 
 def test_certified_weight_bound_beats_rho_squared_on_grid():

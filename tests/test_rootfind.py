@@ -782,6 +782,8 @@ def test_rejects_degenerate_inputs():
                    (Fraction(1, 3), Fraction(-4, 3), 1)]:
         with pytest.raises(RootFindingError):
             find_roots(BigPoly(coeffs))
+    with pytest.raises(RootFindingError, match="one point per root"):
+        find_roots(BigPoly((-2, 0, 1)), starts=[1.0])
 
 
 def test_accepts_integral_fraction_coefficients():

@@ -48,7 +48,8 @@ def test_parse_repetition_sugar():
 
 
 def test_parse_errors_carry_position():
-    for text, pos in [("", 0), ("P(e,", 4), ("P(e)", 4), ("Q(e,e)", 0), ("e e", 2)]:
+    for text, pos in [("", 0), ("P(e,", 4), ("P(e)", 4), ("Q(e,e)", 0), ("e e", 2),
+                      ("e^||", 4), ("e^x2", 2), ("e^||0", 5)]:
         with pytest.raises(ParseError) as err:
             parse_sp(text)
         assert err.value.position == pos

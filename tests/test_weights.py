@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tuttebound.graphs import banana
+from tuttebound.graphs import GraphError, banana
 from tuttebound.weights import (INF, UNDEF, WeightAssignment, WeightDomainError,
                                 convert, is_finite, load_weights, parallel,
                                 save_weights, series)
@@ -180,6 +180,10 @@ def test_weight_json_round_trip(tmp_path):
     path = tmp_path / "w.json"
     path.write_text(text)
     assert load_weights(path).value(0) == 0.25 + 0.5j
+    with pytest.raises(GraphError, match="bad weight value"):
+        load_weights('{"system": "V", "0": {"im": 1.0}}')
+    with pytest.raises(GraphError, match="bad weight file"):
+        load_weights('{"0": {"re": 1.0}}')
 
 
 def test_load_weights_long_json_string():
