@@ -1,18 +1,21 @@
 """Multigraphs, two-terminal graphs, flows, and block decomposition.
 
-Vertices are integers ``0..n-1``.  Edges are an ordered tuple of endpoint
-pairs; the position of an edge in that tuple is its identity, so parallel
-edges are distinct and weight maps key on edge indices.  Loops are allowed
-in raw input, but flow and coloring operations reject them.
+Vertices are integers ``0..n-1``, and Multigraph refuses any other number.
+Edges are an ordered tuple of endpoint pairs; the position of an edge in
+that tuple is its identity, so parallel edges are distinct and weight maps
+key on edge indices.  Loops are allowed in raw input, but flow and coloring
+operations reject them.
 
-Flows are unit-capacity augmenting-path max flows.  maxmaxflow takes one
-per edge of Gusfield's equivalent-flow tree over the vertices of high
-enough degree, instead of one per vertex pair.
+A graph's one adjacency is its arc lists, shared by degree and by every
+cut, component and block search.  Flows are unit-capacity augmenting-path
+max flows.  maxmaxflow takes one per edge of Gusfield's equivalent-flow
+tree over the vertices of high enough degree, instead of one per vertex pair.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,12 +33,18 @@ class Multigraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.vertex_count < 0:
+        index = operator.index          # exact ints only: no float, str or rounding
+        try:
+            n = index(self.vertex_count)
+            edges = tuple((index(a), index(b)) for a, b in self.edges)
+        except TypeError as exc:
+            raise GraphError(f"vertex_count and endpoints must be integers: {exc}") from None
+        if n < 0:
             raise GraphError("vertex_count must be nonnegative")
-        edges = tuple((int(a), int(b)) for a, b in self.edges)
         for a, b in edges:
-            if not (0 <= a < self.vertex_count and 0 <= b < self.vertex_count):
-                raise GraphError(f"edge ({a},{b}) has endpoint outside 0..{self.vertex_count - 1}")
+            if not (0 <= a < n and 0 <= b < n):
+                raise GraphError(f"edge ({a},{b}) has endpoint outside 0..{n - 1}")
+        object.__setattr__(self, "vertex_count", n)
         object.__setattr__(self, "edges", edges)
 
     @property
@@ -50,23 +59,16 @@ class Multigraph:
             raise GraphError(f"{what} requires a loopless graph")
 
     def degree(self, v: int) -> int:
-        """Degree of v; a loop at v counts twice."""
-        return self._degrees[v]
-
-    @cached_property
-    def _degrees(self) -> tuple[int, ...]:
-        degrees = [0] * self.vertex_count
-        for a, b in self.edges:
-            degrees[a] += 1
-            degrees[b] += 1
-        return tuple(degrees)
+        """Degree of v: its number of arcs, so a loop at v counts twice."""
+        return len(self._arcs[1][v])
 
     @cached_property
     def _arcs(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """The flow network: the head of each arc and the arcs out of each vertex.
+        """The adjacency: the head of each arc and the arcs out of each vertex.
 
-        Edge i becomes arcs 2i (a->b) and 2i+1 (b->a); arc j and j^1 are
-        reverses of each other.  Built on first use and shared by every cut.
+        Edge i becomes arcs 2i (a->b) and 2i+1 (b->a), so arc j runs along
+        edge j >> 1 and j^1 is its reverse; a vertex's arcs come in edge
+        order.  Built on first use (see the module docstring).
         """
         head = [0] * (2 * self.edge_count)
         out: list[list[int]] = [[] for _ in range(self.vertex_count)]
@@ -77,19 +79,10 @@ class Multigraph:
             out[b].append(2 * i + 1)
         return tuple(head), tuple(map(tuple, out))
 
-    def incidence(self) -> list[list[int]]:
-        """For each vertex, the indices of incident edges (loops listed once)."""
-        inc: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for i, (a, b) in enumerate(self.edges):
-            inc[a].append(i)
-            if b != a:
-                inc[b].append(i)
-        return inc
-
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists."""
         seen = [False] * self.vertex_count
-        inc = self.incidence()
+        head, out = self._arcs
         comps = []
         for start in range(self.vertex_count):
             if seen[start]:
@@ -99,9 +92,8 @@ class Multigraph:
             queue = deque([start])
             while queue:
                 v = queue.popleft()
-                for i in inc[v]:
-                    a, b = self.edges[i]
-                    u = b if a == v else a
+                for j in out[v]:
+                    u = head[j]
                     if not seen[u]:
                         seen[u] = True
                         comp.append(u)
@@ -158,13 +150,14 @@ def load_graph(source: str | Path) -> tuple[Multigraph, int | None, int | None]:
     text = json_source_text(source)
     try:
         record = json.loads(text)
-        g = Multigraph(int(record["vertices"]), tuple((int(a), int(b)) for a, b in record["edges"]))
+        g = Multigraph(record["vertices"], record["edges"])
+        # Terminals are vertex numbers, held to Multigraph's rule.
+        s, t = (None if record.get(k) is None else operator.index(record[k]) for k in "st")
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise GraphError(f"bad graph record: {exc}") from exc
-    s, t = record.get("s"), record.get("t")
     if (s is None) != (t is None):
         raise GraphError(f"bad graph record: missing key {'s' if s is None else 't'!r}")
-    return g, (None if s is None else int(s)), (None if t is None else int(t))
+    return g, s, t
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +237,10 @@ def maxmaxflow(g: Multigraph, limit: int | None = None) -> int:
     if n < 2:
         raise GraphError("maxmaxflow needs at least 2 vertices")
     g.require_loopless("maxmaxflow")
-    k = sorted(g._degrees)[-2]
+    degrees = list(map(len, g._arcs[1]))
+    k = sorted(degrees)[-2]
     while True:
-        terminals = [v for v in range(n) if g.degree(v) >= k]
+        terminals = [v for v, d in enumerate(degrees) if d >= k]
         parent = dict.fromkeys(terminals, terminals[0])
         best = 0
         for i, s in enumerate(terminals[1:], 2):
@@ -283,7 +277,7 @@ class Block:
 
 def blocks(g: Multigraph) -> list[Block]:
     """Block decomposition; the blocks partition the edge set."""
-    inc = g.incidence()
+    head, arcs = g._arcs
     visited_edge = [False] * g.edge_count
     num = [0] * g.vertex_count          # DFS numbers, 1-based; 0 = unvisited
     low = [0] * g.vertex_count
@@ -302,23 +296,21 @@ def blocks(g: Multigraph) -> list[Block]:
         num[root] = low[root] = counter
         counter += 1
         edge_stack: list[int] = []
-        stack: list[tuple[int, int, Iterator[int]]] = [(root, -1, iter(inc[root]))]
-        touched_any_edge = False
+        stack: list[tuple[int, int, Iterator[int]]] = [(root, -1, iter(arcs[root]))]
         while stack:
             v, in_edge, it = stack[-1]
             advanced = False
-            for j in it:
+            for arc in it:
+                j = arc >> 1
                 if visited_edge[j]:
                     continue
-                a, b = g.edges[j]
-                u = b if a == v else a
+                u = head[arc]
                 visited_edge[j] = True
-                touched_any_edge = True
                 edge_stack.append(j)
                 if num[u] == 0:
                     num[u] = low[u] = counter
                     counter += 1
-                    stack.append((u, j, iter(inc[u])))
+                    stack.append((u, j, iter(arcs[u])))
                     advanced = True
                     break
                 low[v] = min(low[v], num[u])
@@ -337,7 +329,7 @@ def blocks(g: Multigraph) -> list[Block]:
                         if j == in_edge:
                             break
                     out.append(_make_block(g, members))
-        if not touched_any_edge and not inc[root]:
+        if not arcs[root]:              # an isolated vertex; a loop has arcs
             out.append(Block(Multigraph(1, ()), (root,), ()))
         assert not edge_stack
     return out

@@ -606,8 +606,8 @@ def exact_parallel_max(x: float, y: float, q: complex,
     (see _diagonal_maxima).  One pair of the
     lockstep kernel that boundary_rho runs on every angle at once.
     """
-    if x < 0 or y < 0:
-        raise GraphError("radii must be nonnegative")
+    if not (0 <= x < math.inf and 0 <= y < math.inf):     # NaN fails both
+        raise GraphError("radii must be nonnegative and finite")
     if resolution < 1:
         raise GraphError("resolution must be >= 1")
     return float(_parallel_maxima(np.array([x], dtype=float), np.array([y], dtype=float),
@@ -736,18 +736,18 @@ def grid_closure(q: complex, lam: int, resolution: int = 256) -> GridFamily:
     the reason: they are those of scanning each chunk whole.
 
     The parallel rule is symmetric, so a rule (k, k) evaluates each
-    unordered pair once: row r of the new cells meets the new cells from
-    its own index onwards, then every older cell, in bands of
-    _TRIANGLE_ROWS rows broadcast against their suffix (so a band also
-    repeats the pairs below its own diagonal), each band split by columns
-    into blocks.  The chunks are the row slices, with the step, of the
-    first of the two parts every other rule runs (new cells x all cells,
-    then older cells x new cells).  Each pair left out has its mirror in
-    the same chunk or in an earlier one, which was marked already, so the
-    marks and the escape state are those of both parts up to the last
-    bits of t || t' against t' || t: on the four converged benchmark
-    closures 26 % of the 5.0 M ordered pairs differ in their bits and none
-    lands in another cell.
+    unordered pair once: row r of the new cells meets the new cells from its
+    own index onwards, then every older cell, in bands of _TRIANGLE_ROWS
+    rows broadcast against their suffix (so a band also repeats the pairs
+    below its own diagonal); a band's blocks are whole rows, at most _BLOCK
+    pairs or one row, as for every other rule.  The chunks are the row
+    slices, with the step, of the first of the two parts every other rule
+    runs (new cells x all cells, then older cells x new cells).  Each pair
+    left out has its mirror in the same chunk or in an earlier one, which
+    was marked already, so the marks and the escape state are those of both
+    parts up to the last bits of t || t' against t' || t: on the four
+    converged benchmark closures 26 % of the 5.0 M ordered pairs differ in
+    their bits and none lands in another cell.
 
     Product rules skip the pairs that provably change nothing.  Before
     each part of a product rule, r0 is the least distance from 0 to the
@@ -893,14 +893,11 @@ def grid_closure(q: complex, lam: int, resolution: int = 256) -> GridFamily:
 
     def triangle(rows: np.ndarray, right: np.ndarray, start: int):
         """parallel over rows[r] paired with right[start+r:]: each band of
-        _TRIANGLE_ROWS rows against its suffix, split by columns into blocks
-        of at most _BLOCK pairs."""
+        _TRIANGLE_ROWS rows through kept_pairs, sharing its suffix."""
         for j in range(0, len(rows), _TRIANGLE_ROWS):
-            band = rows[j:j + _TRIANGLE_ROWS, None]
-            suffix = right[start + j:]
-            width = max(1, _BLOCK // len(band))
-            for c in range(0, len(suffix), width):
-                yield parallel(band, suffix[None, c:c + width]).ravel()
+            band = rows[j:j + _TRIANGLE_ROWS]
+            yield from kept_pairs(parallel, band, right[start + j:],
+                                  np.zeros(len(band), dtype=np.int64))
 
     def sweep() -> str:
         """One pass over the rule table; the escape reason or ""."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from itertools import combinations
@@ -85,7 +86,7 @@ def test_maxmaxflow_matches_all_pairs_definition():
         if draw % 5 == 1:
             g = Multigraph(g.vertex_count + rng.randint(1, 2), g.edges)
         kinds["disconnected"] += not g.is_connected()
-        kinds["isolated"] += any(not edges for edges in g.incidence())
+        kinds["isolated"] += any(g.degree(v) == 0 for v in range(g.vertex_count))
         kinds["parallel"] += len({tuple(sorted(e)) for e in g.edges}) < g.edge_count
         lam = _all_pairs_maxmaxflow(g)
         assert maxmaxflow(g) == lam
@@ -149,6 +150,31 @@ def test_built_tables_leave_equality_and_hash_alone():
     assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
     assert {h: "h"}[g] == "h"
     assert g != Multigraph(3, edges[:3])
+
+
+# sha256 of the components, degrees and blocks of the graphs drawn below, so
+# any change of search order, block order or block relabelling shows.
+ADJACENCY_DIGEST = "90e60d2d14c6c65ae4736701c85c503aa75163fde6a50c4fc4dab886bf1fbb7f"
+
+
+def test_adjacency_walks_match_recorded_digest():
+    rng = random.Random(38)
+    digest, kinds = hashlib.sha256(), {"loop": 0, "parallel": 0, "isolated": 0, "split": 0}
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 14))]
+        edges += rng.sample(edges, min(len(edges), rng.randint(0, 2)))
+        g = Multigraph(n, tuple(edges))
+        comps = g.components()
+        degrees = [g.degree(v) for v in range(n)]
+        kinds["loop"] += g.has_loops()
+        kinds["parallel"] += len({tuple(sorted(e)) for e in edges}) < len(edges)
+        kinds["isolated"] += 0 in degrees
+        kinds["split"] += len(comps) > 1
+        bl = [(b.vertices, b.edge_indices, b.graph.vertex_count, b.graph.edges) for b in blocks(g)]
+        digest.update(repr((comps, degrees, bl)).encode())
+    assert min(kinds.values()) >= 100, kinds
+    assert digest.hexdigest() == ADJACENCY_DIGEST
 
 
 def test_flow_equals_min_cut_on_small_graphs():
@@ -289,6 +315,16 @@ def test_graph_json_round_trip(tmp_path):
     assert g3 == g and (s3, t3) == (0, 2)
 
 
+def test_multigraph_takes_integer_vertex_numbers_only():
+    import numpy as np
+    g = Multigraph(np.int64(2), ((np.int64(0), True),))
+    assert g == Multigraph(2, ((0, 1),))
+    assert type(g.vertex_count) is int and all(type(v) is int for v in g.edges[0])
+    for bad in ((2.0, ((0, 1),)), (2, ((0, 1.0),)), ("2", ()), (2, ((0, None),))):
+        with pytest.raises(GraphError, match="must be integers"):
+            Multigraph(*bad)
+
+
 def test_load_graph_rejects_malformed():
     with pytest.raises(GraphError):
         load_graph(json.dumps({"edges": [[0, 1]]}))
@@ -300,6 +336,13 @@ def test_load_graph_rejects_malformed():
         load_graph(json.dumps({"vertices": 3, "edges": [[0, 1], [1, 2]], "s": 0}))
     with pytest.raises(GraphError, match="missing key 's'"):
         load_graph(json.dumps({"vertices": 3, "edges": [[0, 1], [1, 2]], "t": 2}))
+    # Vertex numbers are integers; none is truncated or parsed from a string.
+    with pytest.raises(GraphError, match="must be integers"):
+        load_graph(json.dumps({"vertices": 2.9, "edges": [[0.9, 1]], "s": 0.5, "t": 1}))
+    with pytest.raises(GraphError, match="must be integers"):
+        load_graph(json.dumps({"vertices": 3, "edges": [[0, "1"]]}))
+    with pytest.raises(GraphError, match="bad graph record"):
+        load_graph(json.dumps({"vertices": 2, "edges": [[0, 1]], "s": 0.5, "t": 1}))
 
 
 def test_load_graph_long_json_string():

@@ -430,8 +430,11 @@ def test_boundary_rho_refuses_non_finite_angles():
     (lambda: exact_parallel_max(0.1, 0.2, 3 + 1j, resolution=0), "resolution must be >= 1"),
     (lambda: exact_parallel_max(0.1, 0.2, 3 + 1j, resolution=-4), "resolution must be >= 1"),
     (lambda: exact_parallel_max(-0.1, 0.2, 3 + 1j), "radii must be nonnegative"),
+    (lambda: exact_parallel_max(math.nan, 0.2, 3 + 1j), "radii must be nonnegative and finite"),
+    (lambda: exact_parallel_max(0.1, math.inf, 3 + 1j), "radii must be nonnegative and finite"),
     (lambda: boundary_rho(2, 0.0), "boundary scan needs lam >= 3"),
-], ids=["resolution-0", "resolution-negative", "negative-radius", "boundary-lam-2"])
+], ids=["resolution-0", "resolution-negative", "negative-radius", "nan-radius", "infinite-radius",
+        "boundary-lam-2"])
 def test_circle_scans_refuse_bad_arguments(call, message):
     # boundary_rho and exact_parallel_max share the scan, so they share its refusals.
     with pytest.raises(GraphError, match=message):
