@@ -28,14 +28,17 @@ Both routes take their leaf values from one rule: a single edge has
 deletion plus v_f times contraction of its bridge f, two series-parallel
 networks joined by the pair rules.
 
-Each route is one loop over one of the tree's two programs
-(DecompTree.program).  Under a scalar weight (None, a number, a BigPoly or
-BiPoly) equal shapes have equal values, so the loop runs the shape program:
-one step per shape, at its first node.  Per-edge weights (a Mapping or a
-WeightAssignment) run the node program, one step per node.  per_node is
-built from the step values on its first read, in post-order; values of
-nodes with equal shapes may be the same object.  A step's values depend
-only on its children's, so both programs give the same bits.
+Each route is one loop over the steps of one of the tree's two programs,
+compiled once per tree (DecompTree.steps): a join step (kind, i, j) joins
+the values of steps i and j, a leaf step (LEAF, base, edges) takes
+_leaf_pair, and no step reads a tree node.  Under a scalar weight (None, a
+number, a BigPoly or BiPoly) equal shapes have equal values, so the loop
+runs the shape program: one step per shape, at its first node.  Per-edge
+weights (a Mapping or a WeightAssignment) run the node program, one step
+per node.  per_node (and with it the tree's nodes) is built from the step
+values on its first read, in post-order; values of nodes with equal shapes
+may be the same object.  A step's values depend only on its children's, so
+both programs give the same bits.
 
 Exact chromatic polynomials (chromatic_poly, chromatic_pair) come from the
 pair route over Python ints at one point q = 2^k, not over BigPoly: each
@@ -71,7 +74,7 @@ from typing import Mapping
 from .graphs import GraphError, Multigraph, TwoTerminalGraph, blocks
 from .oracles import tutte_brute
 from .poly import BigPoly
-from .sp import DecompNode, DecompTree, decompose_sp
+from .sp import LEAF, DecompTree, decompose_sp
 from .weights import INF, UNDEF, WeightAssignment
 
 
@@ -132,11 +135,11 @@ def _join(kind: str, left: tuple, right: tuple, q) -> tuple:
     return (cross + q * a1 * a2, b1 * b2)
 
 
-def _leaf_pair(node: DecompNode, q, wfn) -> tuple:
-    """(A, B) of an edge or a Wheatstone leaf."""
-    if node.base == "e":
-        return (1, wfn(node.edges[0]))
-    vals = [wfn(i) for i in node.edges]
+def _leaf_pair(base: str, edges: tuple[int, ...], q, wfn) -> tuple:
+    """(A, B) of an edge ("e") or a Wheatstone ("W") leaf."""
+    if base == "e":
+        return (1, wfn(edges[0]))
+    vals = [wfn(i) for i in edges]
     if all(v == -1 for v in vals):
         return ((q - 2) * (q - 3), 2 * (q - 2))
     # The edges in the order of _TEMPLATES["W"]; e2 is the bridge f, which
@@ -155,16 +158,15 @@ def tree_ab(tree: DecompTree, q, weights=None) -> TreePairs:
     Refuses INF and UNDEF weights (GraphError), as tree_veff does.
     """
     wfn, by_shape = _weights_plan(weights, q)
-    order = tree.order
-    at, kids, slots = tree.program(by_shape)
+    slots = tree.program(by_shape)[2]
     values: list[tuple] = []
-    for k, pair in zip(at, kids):
-        if pair:
-            values.append(_join(order[k].kind, values[pair[0]], values[pair[1]], q))
+    for kind, i, j in tree.steps(by_shape):       # a leaf step's i, j: base, edges
+        if kind == LEAF:
+            values.append(_leaf_pair(i, j, q, wfn))
         else:
-            values.append(_leaf_pair(order[k], q, wfn))
+            values.append(_join(kind, values[i], values[j], q))
     a, b = values[-1]
-    return TreePairs(a, b, q * q * a + q * b, (tree, values, slots, len(order)))
+    return TreePairs(a, b, q * q * a + q * b, (tree, values, slots, len(slots)))
 
 
 @dataclass
@@ -207,30 +209,30 @@ def tree_veff(tree: DecompTree, q, weights=None) -> TreeEffective:
         raise GraphError("q must be nonzero")
     wfn, by_shape = _weights_plan(weights, q)
     tol = 1e-14 * (1.0 + abs(q))
-    order = tree.order
-    at, kids, slots = tree.program(by_shape)
+    at, _, slots = tree.program(by_shape)
     values: list = []
     prefactors: list = []
-    for k, pair in zip(at, kids):
-        if not pair:
-            pref, b = _leaf_pair(order[k], q, wfn)
+    for kind, i, j in tree.steps(by_shape):
+        if kind == LEAF:
+            pref, b = _leaf_pair(i, j, q, wfn)
             if pref == 0:
                 raise GraphError("leaf A value is zero; the effective-weight route needs A != 0")
             v = b / pref
         else:
-            v1, v2 = values[pair[0]], values[pair[1]]
-            pref = prefactors[pair[0]] * prefactors[pair[1]]
-            if order[k].kind == "p":
+            v1, v2 = values[i], values[j]
+            pref = prefactors[i] * prefactors[j]
+            if kind == "p":
                 v = (1 + v1) * (1 + v2) - 1
             elif _prefactor_is_zero(join := q + v1 + v2, tol):
+                cut = at[len(values)] + 1           # per_node ends at this step's node
                 values.append(UNDEF)
-                return TreeEffective(UNDEF, UNDEF, UNDEF, False, (tree, values, slots, k + 1))
+                return TreeEffective(UNDEF, UNDEF, UNDEF, False, (tree, values, slots, cut))
             else:
                 v, pref = v1 * v2 / join, pref * join
         values.append(v)
         prefactors.append(pref)
     v, pref = values[-1], prefactors[-1]
-    return TreeEffective(v, pref, q * (q + v) * pref, True, (tree, values, slots, len(order)))
+    return TreeEffective(v, pref, q * (q + v) * pref, True, (tree, values, slots, len(slots)))
 
 
 # ---------------------------------------------------------------------------

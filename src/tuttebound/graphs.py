@@ -123,10 +123,16 @@ class TwoTerminalGraph:
     t: int
 
     def __post_init__(self) -> None:
+        try:                            # vertex numbers by Multigraph's rule
+            s, t = operator.index(self.s), operator.index(self.t)
+        except TypeError as exc:
+            raise GraphError(f"terminals must be integers: {exc}") from None
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t)
         n = self.graph.vertex_count
-        if not (0 <= self.s < n and 0 <= self.t < n):
+        if not (0 <= s < n and 0 <= t < n):
             raise GraphError("terminal out of range")
-        if self.s == self.t:
+        if s == t:
             raise GraphError("terminals must be distinct")
 
 

@@ -241,6 +241,19 @@ def _cell_centres(resolution: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=4)
+def _cell_distances(resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distance from 0 to each closed cell square, flat, and the cells sorted by it."""
+    h = 2.0 / resolution
+    edge = -1.0 + np.arange(resolution) * h     # grid lines are exact dyadics
+    near = np.maximum(np.maximum(edge, -(edge + h)), 0.0)
+    dist = np.hypot(near[None, :], near[:, None]).ravel()
+    out = dist, np.argsort(dist)
+    for arr in out:
+        arr.flags.writeable = False     # every caller shares the cached arrays
+    return out
+
+
 @dataclass(frozen=True)
 class GridFamily:
     lam: int
@@ -782,17 +795,11 @@ def grid_closure(q: complex, lam: int, resolution: int = 256) -> GridFamily:
     if q == 0 or q == 1:
         raise GraphError("closure needs q outside {0, 1}")
     res = resolution
-    h = 2.0 / res
-    scale = res / 2.0                   # 1/h, exactly
+    scale = res / 2.0                   # 1/h for the cell width h = 2/res, exactly
     rasters = [np.zeros(res * res, dtype=bool) for _ in range(lam - 1)]
     points = [np.zeros(0, dtype=complex) for _ in range(lam - 1)]
     axis = _cell_centres(res)
-
-    # Distance from 0 to each closed cell square; grid lines are exact dyadics.
-    edge = -1.0 + np.arange(res) * h
-    near = np.maximum(np.maximum(edge, -(edge + h)), 0.0)
-    dist = np.hypot(near[None, :], near[:, None]).ravel()
-    by_dist = np.argsort(dist)
+    dist, by_dist = _cell_distances(res)
     prefix = [0] * (lam - 1)            # by_dist[:prefix[m]] is marked at level m+1
 
     def least_unmarked(level: int) -> float:

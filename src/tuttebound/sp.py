@@ -12,17 +12,20 @@ edge count at any depth.
 Trees are built without recursion.  `realize` walks an expression with an
 explicit stack, numbering each vertex as its first edge is emitted
 (`graphs.number_vertices`, which `DecompTree.constituent` and `blocks` use
-too) and building each leaf's node there; `decompose_sp` recognises a graph
-by a worklist series / parallel reduction and orients the result once, from
-s.  Both hand one post-order list to the same node builder, which stores
-that order on the tree and interns a shape id per node (hash-consing;
-Filliatre & Conchon, ML Workshop 2006): kind, leaf base and the children's
-shape ids in order, not edge labels or terminals.  The same pass records
-two evaluation programs: each node's children positions (the node program),
-and each shape's first node and children's shape ids (the shape program, a
-DAG).  The engine runs the shape program under a scalar weight and the node
-program under per-edge weights.  A gadget is an expression like any other,
-so the copies in a gadget cycle share their shapes.
+too) and making each leaf's record (s, t, edges, flow, base) there;
+`decompose_sp` recognises a graph by a worklist series / parallel
+reduction and orients the result once, from s.  Both hand one post-order
+list of leaf records and join marks to the same builder, which stores the
+tree as that program: each node's kind and children positions (the node
+program), each leaf's record, and an interned shape id per node
+(hash-consing; Filliatre & Conchon, ML Workshop 2006): kind, leaf base and
+the children's shape ids in order, not edge labels or terminals.  The same
+pass records each shape's first node and children's shape ids (the shape
+program, a DAG).  The engine runs the shape program under a scalar weight
+and the node program under per-edge weights.  Node objects are built only
+on the first read of `order` or `root`, in one pass.  A gadget is an
+expression like any other, so the copies in a gadget cycle share their
+shapes.
 
 The DSL grammar:
 
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Iterator, Sequence
 
@@ -87,54 +91,80 @@ def _subtree(node: DecompNode) -> Iterator[DecompNode]:
 
 
 def _assemble(graph: TwoTerminalGraph, post: list) -> DecompTree:
-    """Build a tree from a post-order list of leaf nodes and 's' / 'p' marks.
+    """Build a tree from a post-order list of leaf records and 's' / 'p' marks.
 
-    A mark composes the last two nodes built: series keeps the left node's
-    s and the right node's t, parallel keeps the left node's terminals.  The
-    same pass records the tree's two evaluation programs (DecompTree.program).
+    A mark composes the last two subtrees.  The same pass records the
+    tree's two evaluation programs (DecompTree.program).
     """
-    order: list[DecompNode] = []
-    kids: list[tuple[int, ...]] = []   # children positions of order[k]
+    kinds: list[str] = []
+    kids: list[tuple[int, ...]] = []   # children positions of node k
+    records: list[tuple | None] = []   # leaf record of node k; None at a join
     shapes: list[int] = []
     table: dict[tuple, int] = {}       # (kind, base or child shape ids) -> shape id
     shape_nodes: list[int] = []        # position of each shape's first node
     shape_kids: list[tuple[int, ...]] = []
     stack: list[int] = []              # positions of the subtrees not yet composed
     for item in post:
-        if isinstance(item, DecompNode):
-            node, key, pair = item, (LEAF, item.base), ()
+        k = len(kinds)
+        if type(item) is str:
+            i, j = stack[-2:]
+            stack[-2:] = (k,)
+            kind, pair, leaf, key = item, (i, j), None, (item, shapes[i], shapes[j])
         else:
-            i, j = stack.pop(-2), stack.pop()
-            left, right = order[i], order[j]
-            if item == SERIES:
-                node = DecompNode(SERIES, left.s, right.t, (), (left, right),
-                                  min(left.flow, right.flow))
-            else:
-                node = DecompNode(PARALLEL, left.s, left.t, (), (left, right),
-                                  left.flow + right.flow)
-            key, pair = (item, shapes[i], shapes[j]), (i, j)
+            stack.append(k)
+            kind, pair, leaf, key = LEAF, (), item, (LEAF, item[4])
         shape = table.setdefault(key, len(table))
         if shape == len(shape_nodes):
-            shape_nodes.append(len(order))
+            shape_nodes.append(k)
             shape_kids.append(key[1:] if pair else ())
-        stack.append(len(order))
-        order.append(node)
+        kinds.append(kind)
         kids.append(pair)
+        records.append(leaf)
         shapes.append(shape)
-    (root,) = stack
-    return DecompTree(graph, order[root], tuple(order), tuple(shapes), tuple(kids),
+    return DecompTree(graph, tuple(kinds), tuple(kids), tuple(records), tuple(shapes),
                       tuple(shape_nodes), tuple(shape_kids))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecompTree:
+    """A decomposition tree as its post-order program; nodes are built on first read.
+
+    Trees compare and hash by identity.
+    """
     graph: TwoTerminalGraph
-    root: DecompNode
-    order: tuple[DecompNode, ...] = field(compare=False, repr=False)  # post-order
-    shapes: tuple[int, ...] = field(compare=False, repr=False)  # shape id of order[k]
-    kids: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)  # children positions
-    shape_nodes: tuple[int, ...] = field(compare=False, repr=False)  # first node of each shape
-    shape_kids: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)  # children shapes
+    kinds: tuple[str, ...] = field(repr=False)              # kind of node k, post-order
+    kids: tuple[tuple[int, ...], ...] = field(repr=False)   # children positions
+    records: tuple[tuple | None, ...] = field(repr=False)   # leaf k's (s, t, edges, flow, base)
+    shapes: tuple[int, ...] = field(repr=False)             # shape id of node k
+    shape_nodes: tuple[int, ...] = field(repr=False)        # first node of each shape
+    shape_kids: tuple[tuple[int, ...], ...] = field(repr=False)  # children shapes
+
+    @cached_property
+    def order(self) -> tuple[DecompNode, ...]:
+        """Every node in post-order, built in one pass.
+
+        Series keeps the left node's s and the right node's t with the least
+        flow, parallel keeps the left node's terminals with the summed flow.
+        """
+        built: list[DecompNode] = []
+        for kind, pair, leaf in zip(self.kinds, self.kids, self.records):
+            if leaf is not None:
+                s, t, edges, flow, base = leaf
+                node = DecompNode(LEAF, s, t, edges, (), flow, base)
+            else:
+                left, right = built[pair[0]], built[pair[1]]
+                if kind == SERIES:
+                    node = DecompNode(SERIES, left.s, right.t, (), (left, right),
+                                      min(left.flow, right.flow))
+                else:
+                    node = DecompNode(PARALLEL, left.s, left.t, (), (left, right),
+                                      left.flow + right.flow)
+            built.append(node)
+        return tuple(built)
+
+    @property
+    def root(self) -> DecompNode:
+        return self.order[-1]
 
     def program(self, by_shape: bool) -> tuple[Sequence[int], Sequence[tuple[int, ...]],
                                                Sequence[int]]:
@@ -146,8 +176,22 @@ class DecompTree:
         """
         if by_shape:
             return self.shape_nodes, self.shape_kids, self.shapes
-        every = range(len(self.order))
+        every = range(len(self.kinds))
         return every, self.kids, every
+
+    def steps(self, by_shape: bool) -> tuple[tuple, ...]:
+        """The program compiled once: (kind, i, j) joins steps i and j, and a
+        leaf's step is (LEAF, base, edges)."""
+        return self._shape_steps if by_shape else self._node_steps
+
+    def _compile(self, by_shape: bool) -> tuple[tuple, ...]:
+        at, kids, _ = self.program(by_shape)
+        kinds, records = self.kinds, self.records
+        return tuple((kinds[k], *pair) if pair else (LEAF, records[k][4], records[k][2])
+                     for k, pair in zip(at, kids))
+
+    _node_steps = cached_property(lambda self: self._compile(False))
+    _shape_steps = cached_property(lambda self: self._compile(True))
 
     def nodes(self) -> Iterator[DecompNode]:
         return _subtree(self.root)
@@ -208,12 +252,12 @@ def realize(ast: SPExpr) -> tuple[TwoTerminalGraph, DecompTree]:
 
     Terminals are assigned top-down and every leaf copies its template.  A
     vertex is numbered when its first edge is emitted (number_vertices), so
-    each leaf's node is built with its edges.  Anything but an SPOp or an
+    each leaf's record is made with its edges.  Anything but an SPOp or an
     'e' or 'W' leaf is refused (GraphError).
     """
     edges: list[tuple[int, int]] = []
     label: dict[int, int] = {}         # abstract vertex -> its number
-    post: list = []                    # leaf nodes and 's' / 'p' marks
+    post: list = []                    # leaf records and 's' / 'p' marks
     fresh = 2                          # abstract vertices; 0 and 1 are s and t
     work: list = [(ast, 0, 1)]
     while work:
@@ -243,8 +287,7 @@ def realize(ast: SPExpr) -> tuple[TwoTerminalGraph, DecompTree]:
         fresh += count - 2
         first = len(edges)
         edges += number_vertices([(vmap[a], vmap[b]) for a, b in pairs], label)
-        post.append(DecompNode(LEAF, label[s], label[t], tuple(range(first, len(edges))),
-                               (), flow, expr.base))
+        post.append((label[s], label[t], tuple(range(first, len(edges))), flow, expr.base))
 
     tt = TwoTerminalGraph(Multigraph(len(label), tuple(edges)), label[0], label[1])
     return tt, _assemble(tt, post)
@@ -443,7 +486,7 @@ def decompose_sp(tt: TwoTerminalGraph) -> DecompTree | None:
             continue
         eid, x = item
         if not parts[eid]:
-            post.append(DecompNode(LEAF, x, sum(ends[eid]) - x, (eid,), (), 1, "e"))
+            post.append((x, sum(ends[eid]) - x, (eid,), 1, "e"))
             continue
         kind, e1, e2, w = parts[eid]
         if kind == PARALLEL:

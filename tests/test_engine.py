@@ -15,8 +15,8 @@ from tuttebound.graphs import (GraphError, Multigraph, TwoTerminalGraph, banana,
                                cycle_graph, disjoint_union, glue_at_vertex)
 from tuttebound.oracles import tutte_brute
 from tuttebound.poly import BigPoly
-from tuttebound.sp import (SPLeaf, SPOp, decompose_sp, gen_wheatstone, leaf_joined_tree_ast,
-                           parse_sp, realize)
+from tuttebound.sp import (DecompNode, SPLeaf, SPOp, decompose_sp, gen_wheatstone,
+                           leaf_joined_tree_ast, parse_sp, realize)
 from tuttebound.weights import INF, UNDEF, WeightAssignment, is_finite, parallel, series
 
 Q = BigPoly.variable()
@@ -545,3 +545,33 @@ def test_a_reader_one_byte_narrower_is_wrong():
         narrow = tree_ab(tree, 1 << (width - 8), -1)
         wrong += BigPoly.from_balanced_digits(narrow.z, width - 8) != chromatic_poly(tree)
     assert wrong > 0
+
+
+def test_routes_build_no_tree_nodes(monkeypatch):
+    built = []
+    init = DecompNode.__init__
+    monkeypatch.setattr(DecompNode, "__init__",
+                        lambda self, *args, **kw: built.append(1) or init(self, *args, **kw))
+    _, parsed = parse_sp("P(S(e,W),S(e,P(e,e)),W^><3)")
+    tt, _ = parse_sp("P(S(e,P(e,e)),S(P(e,e),e))^><2")
+    decomposed = decompose_sp(tt)
+    for tree in (parsed, decomposed):
+        chromatic_poly(tree)
+        for q in (1.5 + 0.5j, Fraction(7, 3)):
+            tree_ab(tree, q, -1)
+            tree_veff(tree, q, -0.5)
+    chromatic_poly(tt)               # by blocks, through decompose_sp
+    assert built == []
+    # The first read of the root builds every node, once.
+    root = decomposed.root
+    assert len(built) == len(decomposed.order) == len(decomposed.kinds)
+    assert decomposed.root is root and len(built) == len(decomposed.order)
+
+
+def test_per_edge_per_node_keys_the_tree_order():
+    tt, tree = parse_sp("P(S(e,W),S(e,P(e,e)),W^><3)")
+    per_edge = {i: -0.25 - 0.01 * i for i in range(tt.graph.edge_count)}
+    for route in (tree_ab, tree_veff):
+        keys = list(route(tree, 2.5 + 0.5j, per_edge).per_node)
+        assert len(keys) == len(tree.order)
+        assert all(a is b for a, b in zip(keys, tree.order))

@@ -48,6 +48,15 @@ def test_max_flow_rejects_out_of_range():
         TwoTerminalGraph(banana(2), 1, 1)
 
 
+def test_two_terminal_graph_takes_integer_terminals_only():
+    import numpy as np
+    tt = TwoTerminalGraph(banana(2), np.int64(0), True)
+    assert (tt.s, tt.t) == (0, 1) and type(tt.s) is int and type(tt.t) is int
+    for s, t in ((0.5, 1), (0, 1.0), ("0", 1), (0, None)):
+        with pytest.raises(GraphError, match="terminals must be integers"):
+            TwoTerminalGraph(banana(2), s, t)
+
+
 def test_max_flow_rejects_loops():
     with pytest.raises(GraphError):
         max_flow(Multigraph(2, ((0, 0), (0, 1))), 0, 1)

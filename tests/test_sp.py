@@ -401,3 +401,10 @@ def test_gadget_copies_share_a_shape():
     shape = _shape_of(tree)
     chain = tree.root.children[1]
     assert chain.kind == "s" and shape[chain.children[0]] == shape[chain.children[1]]
+
+
+def test_a_tree_equals_only_itself():
+    tt, tree = parse_sp("P(S(e,e),e)")
+    again = parse_sp("P(S(e,e),e)")[1]
+    assert tree == tree and tree != again and tree != decompose_sp(tt)
+    assert len({tree, again, tree}) == 2 and hash(tree) == hash(tree)
